@@ -85,7 +85,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = throughput_path {
         // --quick keeps the dense-knowledge grid (n ≤ 4096) and skips the
-        // large tail plus the multicore sweep: seconds instead of minutes.
+        // large tail: seconds instead of minutes.
         let sizes: Vec<usize> = if quick {
             ard_bench::throughput::THROUGHPUT_SIZES
                 .into_iter()
@@ -102,21 +102,7 @@ fn main() -> ExitCode {
                 p.payload_bytes_per_event, p.payload_peak_bytes
             );
         }
-        let sharded = if quick {
-            Vec::new()
-        } else {
-            ard_bench::throughput::measure_sharded(
-                &ard_bench::throughput::SHARDED_SIZES,
-                &ard_bench::throughput::SHARD_COUNTS,
-            )
-        };
-        for p in &sharded {
-            println!(
-                "n={:<7} shards={:<2} {:>9} events in {:>8.3}s  ->  {:>12.0} events/s",
-                p.n, p.shards, p.events, p.secs, p.events_per_sec
-            );
-        }
-        let json = ard_bench::throughput::to_json(&points, &sharded);
+        let json = ard_bench::throughput::to_json(&points);
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;

@@ -22,14 +22,6 @@ pub const THROUGHPUT_SIZES: [usize; 5] = [256, 1024, 4096, 65536, 1_048_576];
 /// sweep for noise reduction the big numbers don't need).
 pub const SINGLE_REP_ABOVE: usize = 16_384;
 
-/// Shard counts the multicore sweep measures; `1` doubles as the
-/// round-engine baseline the speedups are computed against.
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Network sizes the multicore sweep covers — the two sizes where the
-/// scale collapse lived.
-pub const SHARDED_SIZES: [usize; 2] = [65536, 1_048_576];
-
 /// One measured (n, scheduler) throughput point.
 #[derive(Clone, Debug)]
 pub struct ThroughputPoint {
@@ -53,21 +45,6 @@ pub struct ThroughputPoint {
     pub payload_peak_bytes: u64,
 }
 
-/// One measured (n, shards) point of the multicore sharded sweep.
-#[derive(Clone, Debug)]
-pub struct ShardedPoint {
-    /// Number of nodes in the random weakly connected topology.
-    pub n: usize,
-    /// Worker thread count of the sharded round engine.
-    pub shards: usize,
-    /// Simulator events executed (identical at every shard count).
-    pub events: u64,
-    /// Wall-clock seconds of the single measured run.
-    pub secs: f64,
-    /// `events / secs`.
-    pub events_per_sec: f64,
-}
-
 fn make_scheduler(name: &'static str, seed: u64) -> Box<dyn Scheduler> {
     match name {
         "fifo" => Box::new(FifoScheduler::new()),
@@ -84,7 +61,7 @@ pub fn run_events(n: usize, scheduler: &'static str) -> u64 {
     let mut d = Discovery::new(&graph, Variant::Oblivious);
     if scheduler == "fifo" {
         let budget = d.default_step_budget();
-        d.run_all_sharded_capped(1, budget)
+        d.run_all_rounds_capped(budget)
             .expect("throughput run livelocked");
     } else {
         let mut sched = make_scheduler(scheduler, n as u64 ^ 0xa5a5);
@@ -96,9 +73,9 @@ pub fn run_events(n: usize, scheduler: &'static str) -> u64 {
 /// Measures events/sec for every `(n, scheduler)` pair in the sweep,
 /// taking the best of `reps` repetitions (graph generation excluded).
 ///
-/// The `fifo` rows drive the single-shard round engine (byte-identical
-/// to a `FifoScheduler` run, and the fastest sequential path); `random`
-/// rows drive the sequential engine under the seeded random scheduler.
+/// The `fifo` rows drive the round loop (byte-identical to a
+/// `FifoScheduler` run, without the scheduler object); `random` rows
+/// drive `Runner::run` under the seeded random scheduler.
 pub fn measure(sizes: &[usize], reps: u32) -> Vec<ThroughputPoint> {
     let mut points = Vec::new();
     for &n in sizes {
@@ -115,7 +92,7 @@ pub fn measure(sizes: &[usize], reps: u32) -> Vec<ThroughputPoint> {
                 let secs = if scheduler == "fifo" {
                     let budget = d.default_step_budget();
                     let start = Instant::now();
-                    d.run_all_sharded_capped(1, budget)
+                    d.run_all_rounds_capped(budget)
                         .expect("throughput run livelocked");
                     start.elapsed().as_secs_f64()
                 } else {
@@ -145,35 +122,8 @@ pub fn measure(sizes: &[usize], reps: u32) -> Vec<ThroughputPoint> {
     points
 }
 
-/// Measures the sharded round engine at every `(n, shards)` pair — one
-/// run each (the large sizes dominate the sweep's wall clock; shard
-/// scaling differences dwarf single-run noise).
-pub fn measure_sharded(sizes: &[usize], shard_counts: &[usize]) -> Vec<ShardedPoint> {
-    let mut points = Vec::new();
-    for &n in sizes {
-        let graph = gen::random_weakly_connected(n, 2 * n, n as u64);
-        for &shards in shard_counts {
-            let mut d = Discovery::new(&graph, Variant::Oblivious);
-            let budget = d.default_step_budget();
-            let start = Instant::now();
-            d.run_all_sharded_capped(shards, budget)
-                .expect("sharded throughput run livelocked");
-            let secs = start.elapsed().as_secs_f64();
-            let events = d.runner().steps_executed();
-            points.push(ShardedPoint {
-                n,
-                shards,
-                events,
-                secs,
-                events_per_sec: events as f64 / secs,
-            });
-        }
-    }
-    points
-}
-
 /// Renders the points as the `BENCH_throughput.json` document.
-pub fn to_json(points: &[ThroughputPoint], sharded: &[ShardedPoint]) -> String {
+pub fn to_json(points: &[ThroughputPoint]) -> String {
     let mut out = String::from("{\n  \"metric\": \"events_per_sec\",\n  \"workload\": \"oblivious discovery on random G(n, 3n)\",\n  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
@@ -187,18 +137,6 @@ pub fn to_json(points: &[ThroughputPoint], sharded: &[ShardedPoint]) -> String {
             p.payload_bytes_per_event,
             p.payload_peak_bytes,
             if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"sharded\": [\n");
-    for (i, p) in sharded.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"shards\": {}, \"events\": {}, \"secs\": {:.6}, \"events_per_sec\": {:.0}}}{}\n",
-            p.n,
-            p.shards,
-            p.events,
-            p.secs,
-            p.events_per_sec,
-            if i + 1 == sharded.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -222,21 +160,11 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let points = measure(&[24], 1);
-        let sharded = measure_sharded(&[24], &[1, 2]);
-        let json = to_json(&points, &sharded);
+        let json = to_json(&points);
         assert!(json.starts_with('{') && json.ends_with("}\n"));
         assert_eq!(json.matches("\"scheduler\"").count(), points.len());
-        assert_eq!(json.matches("\"shards\"").count(), sharded.len());
         assert!(json.contains("\"payload_bytes_per_event\""));
-        assert!(json.contains("\"sharded\""));
         assert!(!json.contains(",\n  ]"), "no trailing comma:\n{json}");
-    }
-
-    #[test]
-    fn sharded_sweep_executes_identical_event_counts() {
-        let points = measure_sharded(&[40], &[1, 2, 4]);
-        assert_eq!(points.len(), 3);
-        assert!(points.windows(2).all(|w| w[0].events == w[1].events));
     }
 
     #[test]

@@ -50,8 +50,6 @@ commands:
              --topology SPEC (default random:n=64,extra=128)
              --variant oblivious|bounded|adhoc (default adhoc)
              --scheduler fifo|lifo|random[:SEED]|bounded:D[,SEED] (default random)
-             --shards N    execute on N worker threads (needs --scheduler
-                           fifo); output is byte-identical at any N
              --max-steps N override the livelock step budget
              --trace N     print the first N trace events
              --dot PATH    write the final state as Graphviz DOT
@@ -283,12 +281,15 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
     if flags.contains_key("jobs") {
         return Err(CliError("--jobs needs --sweep".into()));
     }
-    let shards = flag_usize(&flags, "shards", 0)?;
+    let fifo = flags.get("scheduler").map(String::as_str) == Some("fifo");
+    // `--shards K` used to pick a threaded engine with identical output.
+    // It is still accepted, validated as before and otherwise ignored,
+    // because the frozen benchmark/ crate passes `--shards 1`.
     if flags.contains_key("shards") {
-        if flags.get("scheduler").map(String::as_str) != Some("fifo") {
+        if !fifo {
             return Err(CliError("--shards needs --scheduler fifo".into()));
         }
-        if shards == 0 {
+        if flag_usize(&flags, "shards", 0)? == 0 {
             return Err(CliError("--shards must be ≥ 1".into()));
         }
         if flags.contains_key("faults") {
@@ -321,8 +322,10 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
             .map_err(|_| CliError(format!("--max-steps: `{v}` is not a number")))?,
         None => d.default_step_budget(),
     };
-    let result = if shards > 0 {
-        d.run_all_sharded_capped(shards, budget)
+    // A fault-free fifo run is the round loop's schedule: same output
+    // without a scheduler object.
+    let result = if fifo {
+        d.run_all_rounds_capped(budget)
     } else {
         d.enqueue_wake_all(sched.as_mut());
         let steps = d.runner_mut().run(sched.as_mut(), budget);
@@ -1259,17 +1262,21 @@ mod tests {
     }
 
     #[test]
-    fn discover_shards_do_not_change_output() {
-        let sequential =
-            run_line("discover --topology random:n=40,extra=80 --variant adhoc --scheduler fifo --stats")
-                .unwrap();
-        for shards in [1, 4] {
-            let sharded = run_line(&format!(
-                "discover --topology random:n=40,extra=80 --variant adhoc --scheduler fifo --stats --shards {shards}"
-            ))
-            .unwrap();
-            assert_eq!(sharded, sequential, "--shards {shards} diverged");
-        }
+    fn discover_fifo_matches_the_fifo_scheduler() {
+        // `--scheduler fifo` takes the round loop; its report must read
+        // like a library run under the scheduler object (and the inert
+        // `--shards` spelling must not change a byte).
+        let topology = "random:n=40,extra=80";
+        let graph = spec::parse_topology(topology).unwrap();
+        let mut d = Discovery::new(&graph, Variant::AdHoc);
+        let want = d.run_all(&mut ard_netsim::FifoScheduler::new()).unwrap();
+        let line =
+            format!("discover --topology {topology} --variant adhoc --scheduler fifo --stats");
+        let out = run_line(&line).unwrap();
+        assert!(out.contains(&format!("leaders   : {:?}\n", want.leaders)));
+        assert!(out.contains(&format!("steps     : {}\n", want.steps)));
+        assert!(out.contains(&want.metrics.to_string()));
+        assert_eq!(run_line(&format!("{line} --shards 4")).unwrap(), out);
     }
 
     #[test]

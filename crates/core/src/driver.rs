@@ -158,47 +158,40 @@ impl Discovery {
         self.run(sched)
     }
 
-    /// Wakes every node and runs to quiescence on `shards` worker threads —
-    /// the sharded equivalent of [`run_all`](Discovery::run_all) under a
-    /// FIFO scheduler. Output (metrics, trace, knowledge, node state, step
-    /// count) is byte-identical at any shard count, including `1`.
+    /// Wakes every node and runs to quiescence on the FIFO round loop
+    /// ([`Runner::run_rounds`]) — [`run_all`](Discovery::run_all) under a
+    /// FIFO scheduler without the scheduler object. Output (metrics, trace,
+    /// knowledge, node state, step count) is byte-identical to that run.
     ///
     /// # Errors
     ///
     /// Returns [`LivelockError`] if the default step budget is exhausted
-    /// first, exactly when the sequential run would.
-    pub fn run_all_sharded(&mut self, shards: usize) -> Result<Outcome, LivelockError> {
+    /// first, exactly when the scheduler-driven run would.
+    pub fn run_all_rounds(&mut self) -> Result<Outcome, LivelockError> {
         let budget = self.default_step_budget();
-        self.run_all_sharded_capped(shards, budget)
+        self.run_all_rounds_capped(budget)
     }
 
-    /// Like [`run_all_sharded`](Discovery::run_all_sharded), with an
+    /// Like [`run_all_rounds`](Discovery::run_all_rounds), with an
     /// explicit step budget instead of the default one.
     ///
     /// # Errors
     ///
     /// Returns [`LivelockError`] if `max_steps` events execute without
     /// reaching quiescence.
-    pub fn run_all_sharded_capped(
-        &mut self,
-        shards: usize,
-        max_steps: u64,
-    ) -> Result<Outcome, LivelockError> {
-        let steps = self.runner.run_sharded(shards, max_steps)?;
+    pub fn run_all_rounds_capped(&mut self, max_steps: u64) -> Result<Outcome, LivelockError> {
+        let steps = self.runner.run_rounds(max_steps)?;
         let mut outcome = self.outcome();
         outcome.steps = steps;
         Ok(outcome)
     }
 
     /// Like [`run_recorded`](Discovery::run_recorded) under a FIFO
-    /// scheduler, but executed on `shards` worker threads: the returned
-    /// [`Schedule`] is byte-identical to a sequential FIFO recording.
-    pub fn run_sharded_recorded(
-        &mut self,
-        shards: usize,
-    ) -> (Result<Outcome, LivelockError>, Schedule) {
+    /// scheduler, but executed on the round loop: the returned
+    /// [`Schedule`] is byte-identical to that recording.
+    pub fn run_rounds_recorded(&mut self) -> (Result<Outcome, LivelockError>, Schedule) {
         let budget = self.default_step_budget();
-        let (result, mut schedule) = self.runner.run_sharded_recorded(shards, budget);
+        let (result, mut schedule) = self.runner.run_rounds_recorded(budget);
         schedule.set_meta("nodes", self.runner.len().to_string());
         schedule.set_meta("variant", self.variant.to_string());
         let result = result.map(|steps| {

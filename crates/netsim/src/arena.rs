@@ -6,8 +6,7 @@
 //! on the hot path. A [`MessageArena`] keeps a small pool of emptied
 //! buffers per node: senders [`alloc`](MessageArena::alloc) from it,
 //! receivers hand consumed payloads back via
-//! [`recycle`](MessageArena::recycle). Pooling is per node (no cross-thread
-//! traffic), so a node's arena migrates with it under the sharded engine.
+//! [`recycle`](MessageArena::recycle). Pooling is per node.
 
 /// A bounded pool of reusable `Vec<T>` payload buffers.
 ///

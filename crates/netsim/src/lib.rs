@@ -82,9 +82,9 @@ mod intset;
 mod metrics;
 pub mod par;
 pub mod record;
+pub mod round;
 mod runner;
 mod scheduler;
-pub mod shard;
 pub mod shrink;
 pub mod sync;
 mod table;

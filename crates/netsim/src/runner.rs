@@ -16,7 +16,7 @@ use crate::{Context, Metrics, NodeId};
 /// deterministic simulation state, so a two-instruction mix is used
 /// instead.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct LinkHasher(u64);
+struct LinkHasher(u64);
 
 impl Hasher for LinkHasher {
     fn finish(&self) -> u64 {
@@ -34,9 +34,8 @@ impl Hasher for LinkHasher {
     }
 }
 
-
 /// Packs a directed link into the slot map's key.
-pub(crate) fn link_key(src: NodeId, dst: NodeId) -> u64 {
+fn link_key(src: NodeId, dst: NodeId) -> u64 {
     ((src.index() as u64) << 32) | dst.index() as u64
 }
 
@@ -216,12 +215,62 @@ impl Error for LivelockError {}
 /// One directed link's in-flight messages, each with its causal depth.
 type LinkQueue<M> = VecDeque<(M, u64)>;
 
+/// Where the effects of a handler wait until they execute — the one seam
+/// between *what an event does* (this module: [`Runner::wake`],
+/// [`Runner::deliver`], [`Runner::tick`]) and *in which order events run*:
+/// a [`Scheduler`] picking among link queues, or the FIFO round loop of
+/// [`crate::round`] appending to the next round.
+pub(crate) trait Sink<P: Protocol> {
+    /// Holds `msg` — already checked, metered, traced and numbered — until
+    /// its delivery on the link interned at `slot`; returns how many
+    /// messages are now in flight on that link.
+    fn send(
+        &mut self,
+        runner: &mut Runner<P>,
+        token: SendToken,
+        slot: u32,
+        msg: P::Message,
+        depth: u64,
+    ) -> usize;
+
+    /// Holds the timer tick a handler on `node` armed.
+    fn tick(&mut self, node: NodeId);
+}
+
+/// The scheduler-driven sink: messages wait on the runner's link queues
+/// and the scheduler holds one token per pending event.
+struct Scheduled<'a>(&'a mut dyn Scheduler);
+
+impl<P: Protocol> Sink<P> for Scheduled<'_> {
+    fn send(
+        &mut self,
+        runner: &mut Runner<P>,
+        token: SendToken,
+        slot: u32,
+        msg: P::Message,
+        depth: u64,
+    ) -> usize {
+        if runner.fp_on {
+            runner.fp.touch_link(link_key(token.src, token.dst));
+        }
+        let queue = &mut runner.links[slot as usize];
+        queue.push_back((msg, depth));
+        self.0.note_send(token);
+        queue.len()
+    }
+
+    fn tick(&mut self, node: NodeId) {
+        self.0.note_tick(node);
+    }
+}
+
 /// The discrete-event simulation engine.
 ///
 /// Owns the nodes, the per-link FIFO queues, each node's knowledge set and
 /// the communication [`Metrics`]. Event *ordering* is delegated to a
-/// [`Scheduler`]; the runner guarantees per-link FIFO delivery regardless of
-/// the scheduler's choices.
+/// [`Scheduler`] (or, for the fault-free FIFO order, to
+/// [`run_rounds`](Runner::run_rounds)); the runner guarantees per-link FIFO
+/// delivery regardless of the scheduler's choices.
 ///
 /// Internally the engine is allocation-free per event: knowledge sets live
 /// in a struct-of-arrays [`NodeTable`] (dense bitsets below ~8 K nodes,
@@ -238,19 +287,19 @@ type LinkQueue<M> = VecDeque<(M, u64)>;
 /// checkpoint/fork machinery snapshots at DFS branch points.
 #[derive(Clone)]
 pub struct Runner<P: Protocol> {
-    pub(crate) nodes: Vec<P>,
+    nodes: Vec<P>,
     /// Packed flags + knowledge sets, struct-of-arrays over node index.
-    pub(crate) table: NodeTable,
+    table: NodeTable,
     /// Initial-topology fast path for link-slot resolution.
     csr: Csr,
     /// Fallback interning of `(src, dst)` to a dense slot in `links`, for
     /// links outside the initial topology.
     link_slots: HashMap<u64, u32, BuildHasherDefault<LinkHasher>>,
     links: Vec<LinkQueue<P::Message>>,
-    pub(crate) metrics: Metrics,
-    pub(crate) seq: u64,
-    pub(crate) steps: u64,
-    pub(crate) trace: Option<Trace>,
+    metrics: Metrics,
+    seq: u64,
+    steps: u64,
+    trace: Option<Trace>,
     outbox: Vec<(NodeId, P::Message)>,
     /// Scratch footprint for the step being executed; populated by the
     /// mutation sites (link pops/pushes) only while `fp_on` is set.
@@ -260,11 +309,11 @@ pub struct Runner<P: Protocol> {
     fp_on: bool,
     /// Cumulative heap bytes of every enqueued message payload
     /// ([`Envelope::payload_heap_bytes`] at send time). Observability only.
-    pub(crate) payload_bytes_sent: u64,
-    /// Heap bytes of payloads currently sitting in link queues.
-    pub(crate) payload_inflight: u64,
+    payload_bytes_sent: u64,
+    /// Heap bytes of payloads currently in flight.
+    payload_inflight: u64,
     /// High-water mark of [`payload_inflight`](Runner::payload_inflight).
-    pub(crate) payload_peak: u64,
+    payload_peak: u64,
 }
 
 impl<P: Protocol> Runner<P> {
@@ -424,13 +473,19 @@ impl<P: Protocol> Runner<P> {
         self.payload_peak
     }
 
-    /// Records `bytes` of payload entering a link queue.
+    /// Records `bytes` of payload entering flight.
     #[inline]
-    pub(crate) fn note_payload_enqueued(&mut self, bytes: usize) {
+    fn note_payload_enqueued(&mut self, bytes: usize) {
         let bytes = bytes as u64;
         self.payload_bytes_sent += bytes;
         self.payload_inflight += bytes;
         self.payload_peak = self.payload_peak.max(self.payload_inflight);
+    }
+
+    /// Records `bytes` of payload leaving flight.
+    #[inline]
+    pub(crate) fn note_payload_dequeued(&mut self, bytes: usize) {
+        self.payload_inflight -= bytes as u64;
     }
 
     /// Teaches node `u` the id of `v` out of band.
@@ -503,7 +558,7 @@ impl<P: Protocol> Runner<P> {
     /// staged drivers of the lower-bound constructions require. Messages it
     /// sends are still scheduled normally. No-op if already awake.
     pub fn wake_now(&mut self, node: NodeId, sched: &mut dyn Scheduler) {
-        self.wake_inner(node, 0, sched);
+        self.wake_inner(node, 0, &mut Scheduled(sched));
     }
 
     /// Runs `f` against a node with a live sending [`Context`], for external
@@ -515,41 +570,81 @@ impl<P: Protocol> Runner<P> {
         sched: &mut dyn Scheduler,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
     ) -> R {
+        self.dispatch(node, 1, &mut Scheduled(sched), f)
+    }
+
+    /// Runs a handler against `node` with a live [`Context`], then flushes
+    /// its outbox at `depth` into `sink` — enforcing the knowledge
+    /// constraint and metering each message — followed by any armed tick.
+    ///
+    /// Metering happens here, at *send* time, with the non-allocating
+    /// [`Envelope::carried_id_count`]; knowledge updates happen at
+    /// *delivery* time in [`deliver`](Runner::deliver) via the visitor.
+    /// Neither side materialises an id `Vec`.
+    fn dispatch<S: Sink<P>, R>(
+        &mut self,
+        node: NodeId,
+        depth: u64,
+        sink: &mut S,
+        f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
+    ) -> R {
         debug_assert!(self.outbox.is_empty());
         let mut outbox = std::mem::take(&mut self.outbox);
         let mut ctx = Context::new(node, &mut outbox);
         let r = f(&mut self.nodes[node.index()], &mut ctx);
         let tick = ctx.tick_armed();
+        for (dst, msg) in outbox.drain(..) {
+            assert!(
+                self.table.knowledge[node.index()].contains(dst.index()),
+                "knowledge violation: {node} sent a {:?} to {dst} without knowing its id",
+                msg.kind()
+            );
+            self.metrics
+                .record(msg.kind(), msg.carried_id_count(), msg.aux_bits());
+            if let Some(trace) = &mut self.trace {
+                trace.push(TraceEvent::Send {
+                    src: node,
+                    dst,
+                    kind: msg.kind(),
+                    seq: self.seq,
+                    step: self.steps,
+                });
+            }
+            self.enqueue(node, dst, msg, depth, sink);
+        }
         self.outbox = outbox;
-        self.flush(node, 1, sched);
         if tick {
-            sched.note_tick(node);
+            sink.tick(node);
         }
         r
     }
 
-    /// Runs a handler against `node` with a live [`Context`], flushes its
-    /// sends at `depth`, and forwards any armed tick to the scheduler.
-    fn dispatch(
+    /// Puts `msg` in flight on `src → dst`: numbers it, accounts its
+    /// payload, interns the link and hands it to `sink`.
+    fn enqueue<S: Sink<P>>(
         &mut self,
-        node: NodeId,
+        src: NodeId,
+        dst: NodeId,
+        msg: P::Message,
         depth: u64,
-        sched: &mut dyn Scheduler,
-        f: impl FnOnce(&mut P, &mut Context<'_, P::Message>),
+        sink: &mut S,
     ) {
-        debug_assert!(self.outbox.is_empty());
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut ctx = Context::new(node, &mut outbox);
-        f(&mut self.nodes[node.index()], &mut ctx);
-        let tick = ctx.tick_armed();
-        self.outbox = outbox;
-        self.flush(node, depth, sched);
-        if tick {
-            sched.note_tick(node);
-        }
+        let token = SendToken {
+            src,
+            dst,
+            seq: self.seq,
+            kind: msg.kind(),
+        };
+        self.seq += 1;
+        self.note_payload_enqueued(msg.payload_heap_bytes());
+        let slot = self.intern_link_slot(src, dst);
+        let queued = sink.send(self, token, slot, msg, depth);
+        self.metrics.observe_link_queue(queued);
     }
 
-    fn wake_inner(&mut self, node: NodeId, depth: u64, sched: &mut dyn Scheduler) {
+    /// Wakes `node` unless it already woke; its `on_wake` sends leave at
+    /// `depth + 1`.
+    fn wake_inner<S: Sink<P>>(&mut self, node: NodeId, depth: u64, sink: &mut S) {
         let i = node.index();
         self.table.set_wake_enqueued(i, false);
         if self.table.awake(i) {
@@ -563,59 +658,111 @@ impl<P: Protocol> Runner<P> {
                 step: self.steps,
             });
         }
-        self.dispatch(node, depth + 1, sched, |n, ctx| n.on_wake(ctx));
+        self.dispatch(node, depth + 1, sink, |n, ctx| n.on_wake(ctx));
     }
 
-    /// Flushes the outbox of `src`: enforces the knowledge constraint,
-    /// meters each message and hands a token to the scheduler.
-    ///
-    /// Metering happens here, at *send* time, with the non-allocating
-    /// [`Envelope::carried_id_count`]; knowledge updates happen at
-    /// *delivery* time in [`step`](Runner::step) via the visitor. Neither
-    /// side materialises an id `Vec`.
-    fn flush(&mut self, src: NodeId, depth: u64, sched: &mut dyn Scheduler) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        for (dst, msg) in outbox.drain(..) {
-            assert!(
-                self.table.knowledge[src.index()].contains(dst.index()),
-                "knowledge violation: {src} sent a {:?} to {dst} without knowing its id",
-                msg.kind()
-            );
-            self.metrics
-                .record(msg.kind(), msg.carried_id_count(), msg.aux_bits());
+    /// Executes the wake-up event of `node`.
+    pub(crate) fn wake<S: Sink<P>>(&mut self, node: NodeId, sink: &mut S) {
+        self.steps += 1;
+        if self.table.left(node.index()) {
+            self.table.set_wake_enqueued(node.index(), false);
+            self.metrics.record_leave_discard();
+            return;
+        }
+        if self.table.crashed(node.index()) {
+            // A crashed node loses its pending wake-up; Restart
+            // re-enqueues one so the node is not stranded asleep.
+            self.table.set_wake_enqueued(node.index(), false);
+            self.metrics.record_crash_discard();
+            return;
+        }
+        self.wake_inner(node, 0, sink);
+    }
+
+    /// Executes the delivery to `dst` of `msg`, sent by `src` at causal
+    /// depth `depth` and already removed from wherever it waited.
+    pub(crate) fn deliver<S: Sink<P>>(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        msg: P::Message,
+        depth: u64,
+        sink: &mut S,
+    ) {
+        self.steps += 1;
+        if self.table.left(dst.index()) || self.table.crashed(dst.index()) {
+            // Delivery to a departed or crashed node: the message is lost.
+            if self.table.left(dst.index()) {
+                self.metrics.record_leave_discard();
+            } else {
+                self.metrics.record_crash_discard();
+            }
             if let Some(trace) = &mut self.trace {
-                trace.push(TraceEvent::Send {
+                trace.push(TraceEvent::Drop {
                     src,
                     dst,
                     kind: msg.kind(),
-                    seq: self.seq,
                     step: self.steps,
                 });
             }
-            let token = SendToken {
+            return;
+        }
+        self.metrics.record_delivery(depth);
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEvent::Deliver {
                 src,
                 dst,
-                seq: self.seq,
                 kind: msg.kind(),
-            };
-            self.seq += 1;
-            if self.fp_on {
-                self.fp.touch_link(link_key(src, dst));
-            }
-            self.note_payload_enqueued(msg.payload_heap_bytes());
-            let slot = self.intern_link_slot(src, dst);
-            let queue = &mut self.links[slot as usize];
-            queue.push_back((msg, depth));
-            self.metrics.observe_link_queue(queue.len());
-            sched.note_send(token);
+                step: self.steps,
+            });
         }
+        // Knowledge-graph growth: the receiver learns the sender and every
+        // id in the payload (visited, not collected; run-coded sets absorb
+        // whole payload runs, so a run-coded handover costs O(runs), not
+        // O(ids)).
+        let n = self.nodes.len();
+        let know = &mut self.table.knowledge[dst.index()];
+        know.insert(src.index());
+        msg.for_each_carried_run(&mut |start, end| {
+            debug_assert!((end as usize) <= n);
+            know.insert_run(start, end);
+        });
+        // A message wakes a sleeping receiver.
+        if !self.table.awake(dst.index()) {
+            self.wake_inner(dst, depth, sink);
+        }
+        self.dispatch(dst, depth + 1, sink, |node, ctx| {
+            node.on_message(src, msg, ctx);
+        });
+    }
+
+    /// Executes a timer tick armed by `node`.
+    pub(crate) fn tick<S: Sink<P>>(&mut self, node: NodeId, sink: &mut S) {
+        self.steps += 1;
+        if self.table.left(node.index()) {
+            self.metrics.record_leave_discard();
+            return;
+        }
+        if self.table.crashed(node.index()) || !self.table.awake(node.index()) {
+            // A tick armed before the crash fires into the void.
+            self.metrics.record_crash_discard();
+            return;
+        }
+        self.metrics.record_tick();
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEvent::Tick {
+                node,
+                step: self.steps,
+            });
+        }
+        self.dispatch(node, 1, sink, |n, ctx| n.on_tick(ctx));
     }
 
     /// Resolves `(src, dst)` to its queue slot, interning a fresh queue on
     /// the link's first send. Initial-topology links resolve through the
     /// CSR row (binary search, no hashing); runtime-learned links fall back
     /// to the hash map.
-    pub(crate) fn intern_link_slot(&mut self, src: NodeId, dst: NodeId) -> u32 {
+    fn intern_link_slot(&mut self, src: NodeId, dst: NodeId) -> u32 {
         if let Some(pos) = self.csr.find(src, dst) {
             let slot = self.csr.slots[pos];
             if slot != u32::MAX {
@@ -637,7 +784,7 @@ impl<P: Protocol> Runner<P> {
     }
 
     /// Slot of a link that has already sent at least once, if any.
-    pub(crate) fn existing_link_slot(&self, src: NodeId, dst: NodeId) -> Option<u32> {
+    fn existing_link_slot(&self, src: NodeId, dst: NodeId) -> Option<u32> {
         if let Some(pos) = self.csr.find(src, dst) {
             let slot = self.csr.slots[pos];
             return (slot != u32::MAX).then_some(slot);
@@ -656,7 +803,7 @@ impl<P: Protocol> Runner<P> {
         let popped = self.links[slot as usize]
             .pop_front()
             .unwrap_or_else(|| panic!("scheduler bug: empty link {src} → {dst}"));
-        self.payload_inflight -= popped.0.payload_heap_bytes() as u64;
+        self.note_payload_dequeued(popped.0.payload_heap_bytes());
         popped
     }
 
@@ -708,72 +855,14 @@ impl<P: Protocol> Runner<P> {
 
     /// Executes one already-chosen event.
     fn execute(&mut self, choice: Choice, sched: &mut dyn Scheduler) {
+        let sink = &mut Scheduled(sched);
         match choice {
-            Choice::Wake(node) => {
-                self.steps += 1;
-                if self.table.left(node.index()) {
-                    self.table.set_wake_enqueued(node.index(), false);
-                    self.metrics.record_leave_discard();
-                    return;
-                }
-                if self.table.crashed(node.index()) {
-                    // A crashed node loses its pending wake-up; Restart
-                    // re-enqueues one so the node is not stranded asleep.
-                    self.table.set_wake_enqueued(node.index(), false);
-                    self.metrics.record_crash_discard();
-                    return;
-                }
-                self.wake_inner(node, 0, sched);
-            }
+            Choice::Wake(node) => self.wake(node, sink),
             Choice::Deliver { src, dst } => {
-                self.steps += 1;
                 let (msg, depth) = self.pop_link(src, dst);
-                if self.table.left(dst.index()) || self.table.crashed(dst.index()) {
-                    // Delivery to a departed or crashed node: the message
-                    // is lost.
-                    if self.table.left(dst.index()) {
-                        self.metrics.record_leave_discard();
-                    } else {
-                        self.metrics.record_crash_discard();
-                    }
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEvent::Drop {
-                            src,
-                            dst,
-                            kind: msg.kind(),
-                            step: self.steps,
-                        });
-                    }
-                    return;
-                }
-                self.metrics.record_delivery(depth);
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Deliver {
-                        src,
-                        dst,
-                        kind: msg.kind(),
-                        step: self.steps,
-                    });
-                }
-                // Knowledge-graph growth: the receiver learns the sender and
-                // every id in the payload (visited, not collected; run-coded
-                // sets absorb whole payload runs, so a run-coded handover
-                // costs O(runs), not O(ids)).
-                let n = self.nodes.len();
-                let know = &mut self.table.knowledge[dst.index()];
-                know.insert(src.index());
-                msg.for_each_carried_run(&mut |start, end| {
-                    debug_assert!((end as usize) <= n);
-                    know.insert_run(start, end);
-                });
-                // A message wakes a sleeping receiver.
-                if !self.table.awake(dst.index()) {
-                    self.wake_inner(dst, depth, sched);
-                }
-                self.dispatch(dst, depth + 1, sched, |node, ctx| {
-                    node.on_message(src, msg, ctx);
-                });
+                self.deliver(src, dst, msg, depth, sink);
             }
+            Choice::Tick(node) => self.tick(node, sink),
             Choice::Drop { src, dst } => {
                 self.steps += 1;
                 let (msg, _depth) = self.pop_link(src, dst);
@@ -789,42 +878,25 @@ impl<P: Protocol> Runner<P> {
             }
             Choice::Duplicate { src, dst } => {
                 self.steps += 1;
-                if self.fp_on {
-                    self.fp.touch_link(link_key(src, dst));
-                }
                 let slot = self.existing_link_slot(src, dst).unwrap_or_else(|| {
                     panic!("scheduler bug: no pending messages on {src} → {dst}")
                 });
-                let queue = &mut self.links[slot as usize];
-                let (msg, depth) = queue
+                let (msg, depth) = self.links[slot as usize]
                     .front()
                     .cloned()
                     .unwrap_or_else(|| panic!("scheduler bug: empty link {src} → {dst}"));
-                let kind = msg.kind();
-                let payload_bytes = msg.payload_heap_bytes();
-                queue.push_back((msg, depth));
-                let queue_len = queue.len();
-                self.note_payload_enqueued(payload_bytes);
-                self.metrics.observe_link_queue(queue_len);
                 self.metrics.record_duplicate();
                 if let Some(trace) = &mut self.trace {
                     trace.push(TraceEvent::Duplicate {
                         src,
                         dst,
-                        kind,
+                        kind: msg.kind(),
                         step: self.steps,
                     });
                 }
                 // The copy gets its own token (and thus its own delivery
                 // choice); it is metered only as a fault, not per kind.
-                let token = SendToken {
-                    src,
-                    dst,
-                    seq: self.seq,
-                    kind,
-                };
-                self.seq += 1;
-                sched.note_send(token);
+                self.enqueue(src, dst, msg, depth, sink);
             }
             Choice::Crash(node) => {
                 self.steps += 1;
@@ -854,33 +926,13 @@ impl<P: Protocol> Runner<P> {
                     });
                 }
                 if self.table.awake(i) {
-                    self.dispatch(node, 1, sched, |n, ctx| n.on_restart(ctx));
+                    self.dispatch(node, 1, sink, |n, ctx| n.on_restart(ctx));
                 } else if !self.table.wake_enqueued(i) {
                     // The node's wake-up was discarded while it was down:
                     // re-enqueue it so liveness survives the crash window.
                     self.table.set_wake_enqueued(i, true);
-                    sched.note_wake(node);
+                    sink.0.note_wake(node);
                 }
-            }
-            Choice::Tick(node) => {
-                self.steps += 1;
-                if self.table.left(node.index()) {
-                    self.metrics.record_leave_discard();
-                    return;
-                }
-                if self.table.crashed(node.index()) || !self.table.awake(node.index()) {
-                    // A tick armed before the crash fires into the void.
-                    self.metrics.record_crash_discard();
-                    return;
-                }
-                self.metrics.record_tick();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Tick {
-                        node,
-                        step: self.steps,
-                    });
-                }
-                self.dispatch(node, 1, sched, |n, ctx| n.on_tick(ctx));
             }
             Choice::Forge { src, dst, salt } => {
                 self.steps += 1;
@@ -891,7 +943,7 @@ impl<P: Protocol> Runner<P> {
                     return;
                 };
                 // A forged send bypasses the outbox (and thus the honest
-                // knowledge-violation assert in `flush`): a Byzantine node
+                // knowledge-violation assert in `dispatch`): a Byzantine node
                 // addresses whoever it likes. It is metered per kind like
                 // any send — and tracked in the Byzantine counters so
                 // budget checks can net the adversarial traffic out.
@@ -908,22 +960,7 @@ impl<P: Protocol> Runner<P> {
                         step: self.steps,
                     });
                 }
-                let token = SendToken {
-                    src,
-                    dst,
-                    seq: self.seq,
-                    kind,
-                };
-                self.seq += 1;
-                if self.fp_on {
-                    self.fp.touch_link(link_key(src, dst));
-                }
-                self.note_payload_enqueued(msg.payload_heap_bytes());
-                let slot = self.intern_link_slot(src, dst);
-                let queue = &mut self.links[slot as usize];
-                queue.push_back((msg, 0));
-                self.metrics.observe_link_queue(queue.len());
-                sched.note_send(token);
+                self.enqueue(src, dst, msg, 0, sink);
             }
             Choice::Silence { src, dst } => {
                 self.steps += 1;
@@ -954,10 +991,10 @@ impl<P: Protocol> Runner<P> {
                     });
                 }
                 if self.table.awake(i) {
-                    self.dispatch(node, 1, sched, |n, ctx| n.on_stale_restart(ctx));
+                    self.dispatch(node, 1, sink, |n, ctx| n.on_stale_restart(ctx));
                 } else if !self.table.wake_enqueued(i) {
                     self.table.set_wake_enqueued(i, true);
-                    sched.note_wake(node);
+                    sink.0.note_wake(node);
                 }
             }
             Choice::Join(node) => {
@@ -983,7 +1020,7 @@ impl<P: Protocol> Runner<P> {
                 // time" — a join is a token-free wake of a node whose
                 // initial wake-up the churn plan withheld. No-op if the
                 // node already woke (e.g. via an incoming message).
-                self.wake_inner(node, 0, sched);
+                self.wake_inner(node, 0, sink);
             }
             Choice::Leave(node) => {
                 self.steps += 1;

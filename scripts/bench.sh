@@ -2,12 +2,12 @@
 # Runs the engine-throughput and explorer-scaling benches and rewrites
 # BENCH_throughput.json + BENCH_explore.json in one step, from the repo root:
 #
-#   scripts/bench.sh            # full sweep (n = 256 ... 1048576 plus the
-#                               # multicore sharded sweep; criterion covers
-#                               # the small sizes, the JSON the full tail)
+#   scripts/bench.sh            # full sweep (n = 256 ... 1048576; criterion
+#                               # covers the small sizes, the JSON the
+#                               # full tail)
 #   scripts/bench.sh --quick    # dense-grid sweep only (n <= 4096), skips
-#                               # criterion and the sharded sweep: seconds,
-#                               # for smoke-testing the harness. Writes to
+#                               # criterion: seconds, for smoke-testing
+#                               # the harness. Writes to
 #                               # target/ so the checked-in full-sweep JSON
 #                               # is never clobbered by a partial run. See
 #                               # docs/testing.md for measured runtimes.
