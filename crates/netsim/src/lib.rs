@@ -79,6 +79,7 @@ pub mod fault;
 mod id;
 mod idseq;
 mod intset;
+mod linkq;
 mod metrics;
 pub mod par;
 pub mod record;
@@ -98,6 +99,7 @@ pub use fault::{ByzantinePlan, ChurnPlan, FaultPlan, FaultScheduler};
 pub use id::NodeId;
 pub use idseq::IdSeq;
 pub use intset::IntervalSet;
+pub use linkq::LinkQueues;
 pub use metrics::{ByzantineCounts, FaultCounts, KindCounts, Metrics};
 pub use record::{RecordingScheduler, ReplayScheduler, Schedule, ScheduleParseError};
 pub use runner::{LivelockError, Protocol, Runner};

@@ -1,9 +1,10 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::envelope::Envelope;
+use crate::linkq::LinkQueues;
 use crate::scheduler::{Choice, Footprint, Scheduler, SendToken, StateDigest};
 use crate::table::{Knowledge, NodeTable};
 use crate::trace::{Trace, TraceEvent};
@@ -212,9 +213,6 @@ impl fmt::Display for LivelockError {
 
 impl Error for LivelockError {}
 
-/// One directed link's in-flight messages, each with its causal depth.
-type LinkQueue<M> = VecDeque<(M, u64)>;
-
 /// Where the effects of a handler wait until they execute — the one seam
 /// between *what an event does* (this module: [`Runner::wake`],
 /// [`Runner::deliver`], [`Runner::tick`]) and *in which order events run*:
@@ -253,10 +251,9 @@ impl<P: Protocol> Sink<P> for Scheduled<'_> {
         if runner.fp_on {
             runner.fp.touch_link(link_key(token.src, token.dst));
         }
-        let queue = &mut runner.links[slot as usize];
-        queue.push_back((msg, depth));
+        let queued = runner.links.push_back(slot, (msg, depth));
         self.0.note_send(token);
-        queue.len()
+        queued
     }
 
     fn tick(&mut self, node: NodeId) {
@@ -275,10 +272,13 @@ impl<P: Protocol> Sink<P> for Scheduled<'_> {
 /// Internally the engine is allocation-free per event: knowledge sets live
 /// in a struct-of-arrays [`NodeTable`] (dense bitsets below ~8 K nodes,
 /// interval-coded runs above), metering uses the non-allocating
-/// [`Envelope`] visitor, and each directed link's queue is interned into a
-/// dense slot on first send (so steady-state traffic reuses its queue) —
-/// resolved through a CSR adjacency when the topology was known up front,
-/// with a hash-map fallback for links learned at runtime.
+/// [`Envelope`] visitor, and each directed link is interned into a dense
+/// slot on first send — resolved through a CSR adjacency when the topology
+/// was known up front, with a hash-map fallback for links learned at
+/// runtime. A slot is a 12-byte list head in [`LinkQueues`]; the messages
+/// themselves live in one slab shared by all links, whose cells are
+/// recycled newest-first, so in-flight storage is sized by the peak number
+/// of messages in flight, not by the number of links.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 ///
@@ -295,7 +295,8 @@ pub struct Runner<P: Protocol> {
     /// Fallback interning of `(src, dst)` to a dense slot in `links`, for
     /// links outside the initial topology.
     link_slots: HashMap<u64, u32, BuildHasherDefault<LinkHasher>>,
-    links: Vec<LinkQueue<P::Message>>,
+    /// Every in-flight message with its causal depth, FIFO per link slot.
+    links: LinkQueues<(P::Message, u64)>,
     metrics: Metrics,
     seq: u64,
     steps: u64,
@@ -378,7 +379,7 @@ impl<P: Protocol> Runner<P> {
             table,
             csr,
             link_slots: HashMap::default(),
-            links: Vec::new(),
+            links: LinkQueues::new(),
             metrics: Metrics::new(id_bits),
             seq: 0,
             steps: 0,
@@ -768,18 +769,13 @@ impl<P: Protocol> Runner<P> {
             if slot != u32::MAX {
                 return slot;
             }
-            let slot = u32::try_from(self.links.len()).expect("link slots overflow u32");
-            self.links.push(LinkQueue::new());
+            let slot = self.links.new_link();
             self.csr.slots[pos] = slot;
             return slot;
         }
         match self.link_slots.entry(link_key(src, dst)) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let slot = u32::try_from(self.links.len()).expect("link slots overflow u32");
-                self.links.push(LinkQueue::new());
-                *e.insert(slot)
-            }
+            std::collections::hash_map::Entry::Vacant(e) => *e.insert(self.links.new_link()),
         }
     }
 
@@ -800,8 +796,9 @@ impl<P: Protocol> Runner<P> {
         if self.fp_on {
             self.fp.touch_link(link_key(src, dst));
         }
-        let popped = self.links[slot as usize]
-            .pop_front()
+        let popped = self
+            .links
+            .pop_front(slot)
             .unwrap_or_else(|| panic!("scheduler bug: empty link {src} → {dst}"));
         self.note_payload_dequeued(popped.0.payload_heap_bytes());
         popped
@@ -881,8 +878,9 @@ impl<P: Protocol> Runner<P> {
                 let slot = self.existing_link_slot(src, dst).unwrap_or_else(|| {
                     panic!("scheduler bug: no pending messages on {src} → {dst}")
                 });
-                let (msg, depth) = self.links[slot as usize]
-                    .front()
+                let (msg, depth) = self
+                    .links
+                    .front(slot)
                     .cloned()
                     .unwrap_or_else(|| panic!("scheduler bug: empty link {src} → {dst}"));
                 self.metrics.record_duplicate();
@@ -1092,30 +1090,32 @@ impl<P: Protocol> Runner<P> {
         }
         // Non-empty queues in canonical key order: a drained link must hash
         // like a never-interned one (whether a slot exists is history, not
-        // state).
+        // state). With nothing in flight — every terminal state — there is
+        // none to find, and the walk over every interned link is skipped.
         let mut keyed: Vec<(u64, u32)> = Vec::new();
-        for i in 0..self.csr.offsets.len().saturating_sub(1) {
-            let lo = self.csr.offsets[i] as usize;
-            let hi = self.csr.offsets[i + 1] as usize;
-            for p in lo..hi {
-                let slot = self.csr.slots[p];
-                if slot != u32::MAX && !self.links[slot as usize].is_empty() {
-                    keyed.push((((i as u64) << 32) | u64::from(self.csr.targets[p]), slot));
+        if !self.links_empty() {
+            for i in 0..self.csr.offsets.len().saturating_sub(1) {
+                let lo = self.csr.offsets[i] as usize;
+                let hi = self.csr.offsets[i + 1] as usize;
+                for p in lo..hi {
+                    let slot = self.csr.slots[p];
+                    if slot != u32::MAX && !self.links.is_empty(slot) {
+                        keyed.push((((i as u64) << 32) | u64::from(self.csr.targets[p]), slot));
+                    }
                 }
             }
-        }
-        for (&key, &slot) in &self.link_slots {
-            if !self.links[slot as usize].is_empty() {
-                keyed.push((key, slot));
+            for (&key, &slot) in &self.link_slots {
+                if !self.links.is_empty(slot) {
+                    keyed.push((key, slot));
+                }
             }
+            keyed.sort_unstable_by_key(|&(key, _)| key);
         }
-        keyed.sort_unstable_by_key(|&(key, _)| key);
         d.mix(keyed.len() as u64);
         for (key, slot) in keyed {
             d.mix(key);
-            let queue = &self.links[slot as usize];
-            d.mix(queue.len() as u64);
-            for (msg, depth) in queue {
+            d.mix(self.links.len(slot) as u64);
+            for (msg, depth) in self.links.iter(slot) {
                 msg.digest(&mut d);
                 d.mix(*depth);
             }
@@ -1125,9 +1125,14 @@ impl<P: Protocol> Runner<P> {
         d.finish()
     }
 
+    /// Number of in-flight messages over all links.
+    pub fn in_flight(&self) -> usize {
+        self.links.in_flight()
+    }
+
     /// Whether all link queues are empty (no in-flight messages).
     pub fn links_empty(&self) -> bool {
-        self.links.iter().all(VecDeque::is_empty)
+        self.in_flight() == 0
     }
 }
 
@@ -1135,10 +1140,7 @@ impl<P: Protocol + fmt::Debug> fmt::Debug for Runner<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Runner")
             .field("nodes", &self.nodes.len())
-            .field(
-                "in_flight",
-                &self.links.iter().map(VecDeque::len).sum::<usize>(),
-            )
+            .field("in_flight", &self.in_flight())
             .field("metrics", &self.metrics)
             .finish()
     }
@@ -1287,53 +1289,99 @@ mod tests {
         assert!(err.to_string().contains("failed to quiesce"));
     }
 
+    /// Node 0 sends numbered messages to node 1; node 1 records arrival order.
+    #[derive(Clone, Debug)]
+    struct Num(u32);
+    impl Envelope for Num {
+        fn kind(&self) -> &'static str {
+            "num"
+        }
+        fn for_each_carried_id(&self, _f: &mut dyn FnMut(NodeId)) {}
+        fn aux_bits(&self) -> u64 {
+            32
+        }
+    }
+    enum Either {
+        Sender,
+        Receiver(Vec<u32>),
+    }
+    impl Protocol for Either {
+        type Message = Num;
+        fn on_wake(&mut self, ctx: &mut Context<'_, Num>) {
+            if let Either::Sender = self {
+                for i in 0..10 {
+                    ctx.send(NodeId::new(1), Num(i));
+                }
+            }
+        }
+        fn on_message(&mut self, _: NodeId, m: Num, _: &mut Context<'_, Num>) {
+            if let Either::Receiver(r) = self {
+                r.push(m.0);
+            }
+        }
+    }
+
+    fn sender_and_receiver() -> Runner<Either> {
+        Runner::new(
+            vec![Either::Sender, Either::Receiver(Vec::new())],
+            vec![vec![NodeId::new(1)], vec![]],
+        )
+    }
+
+    fn received(r: &Runner<Either>) -> &[u32] {
+        match r.node(NodeId::new(1)) {
+            Either::Receiver(got) => got,
+            Either::Sender => unreachable!(),
+        }
+    }
+
     #[test]
     fn per_link_fifo_holds_under_lifo_scheduler() {
-        /// Node 0 sends numbered messages to node 1; node 1 records arrival order.
-        #[derive(Clone, Debug)]
-        struct Num(u32);
-        impl Envelope for Num {
-            fn kind(&self) -> &'static str {
-                "num"
-            }
-            fn for_each_carried_id(&self, _f: &mut dyn FnMut(NodeId)) {}
-            fn aux_bits(&self) -> u64 {
-                32
-            }
-        }
-        struct Sender;
-        struct Receiver(Vec<u32>);
-        enum Either {
-            S(Sender),
-            R(Receiver),
-        }
-        impl Protocol for Either {
-            type Message = Num;
-            fn on_wake(&mut self, ctx: &mut Context<'_, Num>) {
-                if let Either::S(_) = self {
-                    for i in 0..10 {
-                        ctx.send(NodeId::new(1), Num(i));
-                    }
-                }
-            }
-            fn on_message(&mut self, _: NodeId, m: Num, _: &mut Context<'_, Num>) {
-                if let Either::R(r) = self {
-                    r.0.push(m.0);
-                }
-            }
-        }
-        let mut r = Runner::new(
-            vec![Either::S(Sender), Either::R(Receiver(Vec::new()))],
-            vec![vec![NodeId::new(1)], vec![]],
-        );
+        let mut r = sender_and_receiver();
         // LIFO reorders *events*, but per-link FIFO must still hold.
         let mut s = LifoScheduler::new();
         r.enqueue_wake(NodeId::new(0), &mut s);
         r.run(&mut s, 100).unwrap();
-        match r.node(NodeId::new(1)) {
-            Either::R(rec) => assert_eq!(rec.0, (0..10).collect::<Vec<_>>()),
-            _ => unreachable!(),
+        assert_eq!(received(&r), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn duplicate_copies_the_front_behind_the_tail_and_losses_free_their_cell() {
+        /// Plays a fixed script, last choice first.
+        struct Script(Vec<Choice>);
+        impl Scheduler for Script {
+            fn note_wake(&mut self, _: NodeId) {}
+            fn note_send(&mut self, _: SendToken) {}
+            fn note_tick(&mut self, _: NodeId) {}
+            fn choose(&mut self) -> Option<Choice> {
+                self.0.pop()
+            }
+            fn pending(&self) -> usize {
+                self.0.len()
+            }
         }
+        let (src, dst) = (NodeId::new(0), NodeId::new(1));
+        let mut r = sender_and_receiver();
+        let run = |r: &mut Runner<Either>, choices: &[Choice]| {
+            let mut s = Script(choices.iter().rev().copied().collect());
+            r.run(&mut s, 100).unwrap();
+        };
+        run(&mut r, &[Choice::Wake(src), Choice::Duplicate { src, dst }]);
+        assert_eq!(r.in_flight(), 11);
+        assert_eq!(r.metrics().max_link_queue(), 11);
+        run(
+            &mut r,
+            &[Choice::Drop { src, dst }, Choice::Silence { src, dst }],
+        );
+        assert_eq!(r.in_flight(), 9);
+        // The two freed cells take the next two copies: the slab stays at
+        // its peak of 11.
+        run(&mut r, &[Choice::Duplicate { src, dst }; 2]);
+        assert_eq!((r.in_flight(), r.links.slab_cells()), (11, 11));
+        run(&mut r, &[Choice::Deliver { src, dst }; 11]);
+        // 0 and 1 were lost; the copies of 0 and (twice) 2 queue behind 9.
+        assert_eq!(received(&r), [2, 3, 4, 5, 6, 7, 8, 9, 0, 2, 2]);
+        assert!(r.links_empty());
     }
 
     #[test]

@@ -532,6 +532,8 @@ impl Scheduler for FifoScheduler {
 #[derive(Debug, Default)]
 pub struct LifoScheduler {
     stack: Vec<Choice>,
+    /// Timer ticks, oldest first; popped only while `stack` is empty.
+    ticks: VecDeque<NodeId>,
 }
 
 impl LifoScheduler {
@@ -549,20 +551,22 @@ impl Scheduler for LifoScheduler {
         self.stack.push(token_choice(token));
     }
     fn note_tick(&mut self, node: NodeId) {
-        // Timer ticks go to the *bottom* of the stack. A retransmission
-        // timer re-arms itself from its own tick handler, so pure LIFO
-        // would pop an endless tick cascade and starve every pending
-        // delivery forever — violating the Scheduler contract (an event
-        // may be starved only while other events remain). Burying ticks
-        // keeps LIFO maximally hostile to message order while staying
-        // fair to timers.
-        self.stack.insert(0, Choice::Tick(node));
+        // Timer ticks wait *below* the stack, in a FIFO of their own. A
+        // retransmission timer re-arms itself from its own tick handler,
+        // so pure LIFO would pop an endless tick cascade and starve every
+        // pending delivery forever — violating the Scheduler contract (an
+        // event may be starved only while other events remain). Burying
+        // ticks keeps LIFO maximally hostile to message order while
+        // staying fair to timers.
+        self.ticks.push_back(node);
     }
     fn choose(&mut self) -> Option<Choice> {
-        self.stack.pop()
+        self.stack
+            .pop()
+            .or_else(|| self.ticks.pop_front().map(Choice::Tick))
     }
     fn pending(&self) -> usize {
-        self.stack.len()
+        self.stack.len() + self.ticks.len()
     }
 }
 
@@ -829,6 +833,54 @@ mod tests {
         );
         assert_eq!(s.choose(), Some(Choice::Tick(NodeId::new(2))));
         assert_eq!(s.choose(), None);
+    }
+
+    /// The stack this scheduler used to be: ticks buried with
+    /// `Vec::insert(0, …)` — O(pending) per tick, the reference for order.
+    #[derive(Default)]
+    struct BuryingStack(Vec<Choice>);
+
+    impl BuryingStack {
+        fn note(&mut self, choice: Choice) {
+            match choice {
+                Choice::Tick(_) => self.0.insert(0, choice),
+                _ => self.0.push(choice),
+            }
+        }
+    }
+
+    #[test]
+    fn lifo_tick_queue_pops_like_the_burying_stack() {
+        for seed in 0..50 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut s = LifoScheduler::new();
+            let mut model = BuryingStack::default();
+            for seq in 0..400u64 {
+                let node = NodeId::new(rng.gen_range(0..8));
+                match rng.gen_range(0..7u32) {
+                    0 => {
+                        s.note_wake(node);
+                        model.note(Choice::Wake(node));
+                    }
+                    1 | 2 => {
+                        let t = token(node.index(), rng.gen_range(0..8), seq);
+                        s.note_send(t);
+                        model.note(token_choice(t));
+                    }
+                    3 | 4 => {
+                        s.note_tick(node);
+                        model.note(Choice::Tick(node));
+                    }
+                    _ => assert_eq!(s.choose(), model.0.pop(), "seed {seed} op {seq}"),
+                }
+                assert_eq!(s.pending(), model.0.len());
+            }
+            while let Some(want) = model.0.pop() {
+                assert_eq!(s.choose(), Some(want), "seed {seed} drain");
+            }
+            assert_eq!(s.choose(), None);
+            assert_eq!(s.pending(), 0);
+        }
     }
 
     #[test]

@@ -21,7 +21,12 @@
 # (--reduce) must find the same planted violations the unreduced DFS
 # finds on the racy and equivocation fixtures, and its output must match
 # the pinned snapshot scripts/dpor-smoke.snapshot (regenerate with
-# --regen-dpor). See docs/testing.md for the tiers.
+# --regen-dpor), then the n = 100,000 round-loop-vs-FifoScheduler
+# comparison, then benchmark/ci-smoke.sh: `benchmark/` is a Cargo
+# workspace of its own, so nothing above compiles it — the smoke builds
+# it against this checkout and runs all seven workloads at 1/16 size with
+# their correctness checks, plus the BENCHMARK.json schema check. See
+# docs/testing.md for the tiers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -187,6 +192,11 @@ fi
 # steps, leaders, metrics (value and text) and the terminal state digest.
 cargo test --release --offline --test round_fifo -- --ignored
 
+# The frozen benchmark crate: outside the workspace, so only this step
+# notices a public-API change that stops it compiling, or a workload whose
+# checks (requirements, budgets, cross-engine digests) stop passing.
+benchmark/ci-smoke.sh > /dev/null
+
 # Checked-in bench artifact schema: the throughput JSON must carry the
 # payload metrics that scripts/bench.sh writes (a stale artifact means the
 # sweep was not regenerated).
@@ -198,4 +208,4 @@ for key in '"payload_bytes_per_event"' '"payload_peak_bytes"'; do
     fi
 done
 
-echo "verify: OK (tier-1 green on the whole workspace, explore smoke deterministic, --jobs 4 byte-identical, snapshots verified, chaos smoke matches snapshot, byzantine smoke found+shrunk and matches snapshot, dpor smoke reduced=full and matches snapshot, n=100000 round loop equals the FifoScheduler run, bench JSON schema ok)"
+echo "verify: OK (tier-1 green on the whole workspace, explore smoke deterministic, --jobs 4 byte-identical, snapshots verified, chaos smoke matches snapshot, byzantine smoke found+shrunk and matches snapshot, dpor smoke reduced=full and matches snapshot, n=100000 round loop equals the FifoScheduler run, benchmark/ci-smoke.sh green, bench JSON schema ok)"
