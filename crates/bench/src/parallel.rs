@@ -1,16 +1,16 @@
-//! A `std::thread::scope`-based parallel trial runner.
+//! The process-wide `--jobs` setting of the experiment sweeps.
 //!
 //! Experiment sweeps repeat independent trials (each trial owns its topology
 //! seed and its seeded [`RandomScheduler`](ard_netsim::RandomScheduler)), so
-//! they parallelize trivially: workers pull trial indices from a shared
-//! counter and write results into per-index slots, and the caller reads the
-//! slots back **in input order**. Because every trial is deterministic in its
-//! inputs and the merge order is the input order, the output is byte-for-byte
-//! identical whatever the job count — `--jobs N` only changes wall-clock
-//! time, never results.
+//! they parallelize trivially over [`ard_netsim::par::parallel_map`], which
+//! hands results back **in input order**. Because every trial is
+//! deterministic in its inputs and the merge order is the input order, the
+//! output is byte-for-byte identical whatever the job count — `--jobs N`
+//! only changes wall-clock time, never results.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+use ard_netsim::par::parallel_map;
 
 /// The process-wide worker count used by [`map_configured`] (set from the
 /// `--jobs` CLI flag). Defaults to 1 (fully sequential).
@@ -28,60 +28,15 @@ pub fn jobs() -> usize {
     JOBS.load(Ordering::Relaxed)
 }
 
-/// Maps `f` over `items` on `jobs` scoped worker threads, returning results
-/// in input order.
-///
-/// With `jobs <= 1` (or fewer items than workers) this degrades gracefully:
-/// a single worker processes the items strictly in order, with no thread
-/// spawned for the sequential case. A panic inside `f` propagates to the
-/// caller when the scope joins.
+/// [`parallel_map`] with the process-wide [`jobs`] worker count.
 ///
 /// # Example
 ///
 /// ```
-/// let squares = ard_bench::parallel::parallel_map(4, (0u64..100).collect(), |x| x * x);
+/// ard_bench::parallel::set_jobs(4);
+/// let squares = ard_bench::parallel::map_configured((0u64..100).collect(), |x| x * x);
 /// assert_eq!(squares, (0u64..100).map(|x| x * x).collect::<Vec<_>>());
 /// ```
-pub fn parallel_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs == 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..work.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= work.len() {
-                    break;
-                }
-                let item = work[i]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("each work slot is claimed exactly once");
-                *slots[i].lock().unwrap() = Some(f(item));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every claimed slot is filled before the scope joins")
-        })
-        .collect()
-}
-
-/// [`parallel_map`] with the process-wide [`jobs`] worker count.
 pub fn map_configured<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -94,22 +49,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_input_order_at_any_width() {
-        let items: Vec<usize> = (0..57).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x * 3 + 1).collect();
-        for jobs in [1, 2, 3, 8, 64] {
-            let got = parallel_map(jobs, items.clone(), |x| x * 3 + 1);
-            assert_eq!(got, expected, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn handles_empty_and_singleton_inputs() {
-        assert_eq!(parallel_map(4, Vec::<u32>::new(), |x| x), Vec::<u32>::new());
-        assert_eq!(parallel_map(4, vec![7], |x| x + 1), vec![8]);
-    }
 
     #[test]
     fn seeded_trials_merge_in_seed_order() {

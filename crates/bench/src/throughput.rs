@@ -60,9 +60,7 @@ pub fn run_events(n: usize, scheduler: &'static str) -> u64 {
     let graph = gen::random_weakly_connected(n, 2 * n, n as u64);
     let mut d = Discovery::new(&graph, Variant::Oblivious);
     if scheduler == "fifo" {
-        let budget = d.default_step_budget();
-        d.run_all_rounds_capped(budget)
-            .expect("throughput run livelocked");
+        d.run_all_rounds().expect("throughput run livelocked");
     } else {
         let mut sched = make_scheduler(scheduler, n as u64 ^ 0xa5a5);
         d.run_all(sched.as_mut()).expect("throughput run livelocked");
@@ -90,10 +88,8 @@ pub fn measure(sizes: &[usize], reps: u32) -> Vec<ThroughputPoint> {
             for _ in 0..reps {
                 let mut d = Discovery::new(&graph, Variant::Oblivious);
                 let secs = if scheduler == "fifo" {
-                    let budget = d.default_step_budget();
                     let start = Instant::now();
-                    d.run_all_rounds_capped(budget)
-                        .expect("throughput run livelocked");
+                    d.run_all_rounds().expect("throughput run livelocked");
                     start.elapsed().as_secs_f64()
                 } else {
                     let mut sched = make_scheduler(scheduler, n as u64 ^ 0xa5a5);

@@ -1,20 +1,20 @@
 //! Subcommand implementations.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use ard_core::node::ArdNode;
 use ard_core::{
-    budgets, byzantine_meta, churn_meta, ByzantineDiscovery, Discovery, FaultyDiscovery, Variant,
+    byzantine_meta, churn_meta, faults_meta, parse_byzantine_meta, parse_churn_meta, Discovery,
+    DiscoveryOn, Layer, Plans, Reliable, Variant,
 };
+use ard_graph::KnowledgeGraph;
 use ard_lower_bounds::{tree_adversary, uf_reduction};
 use ard_netsim::explore::{
     explore, explore_fork, fixtures, ExploreConfig, ExploreReport, ReduceMode,
 };
 use ard_netsim::shrink::shrink_jobs;
-use ard_netsim::{
-    ByzantinePlan, ChurnPlan, FaultPlan, NodeId, RandomScheduler, ReplayScheduler, Schedule,
-    Scheduler,
-};
+use ard_netsim::{NodeId, RandomScheduler, ReplayScheduler, Schedule, Scheduler};
 use ard_overlay::{bootstrap, Key};
 use ard_union_find::{alpha, OpSequence};
 
@@ -54,6 +54,8 @@ commands:
              --trace N     print the first N trace events
              --dot PATH    write the final state as Graphviz DOT
              --stats       print per-node / per-link traffic hot spots
+             --record PATH write the run's schedule, injected events
+                           included, for `ard replay`
              --faults drop=P,dup=P,crash=N[,seed=S]
                            run under fault injection: lossy/duplicating
                            links and N crash/restart events, with every
@@ -66,10 +68,12 @@ commands:
              --churn rate=R[,seed=S]
                            withhold ⌈R·n⌉ initial wake-ups and replay them
                            as scheduled joins, with as many departures
-             --record PATH write the recorded fault schedule for replay
+                           (--byzantine/--churn run the bare protocol:
+                           not with --faults)
              --sweep T     run T independent trials (scheduler seeds S,
                            S+1, …; needs --scheduler random[:S]), one
-                           summary line each
+                           summary line each; on its own, not with any
+                           of the flags above from --max-steps down
              --jobs N      with --sweep: run trials on N worker threads
                            (same output as 1)
   adversary  run the Theorem 1 subtree-freezing adversary
@@ -219,6 +223,41 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
+/// Parses `--faults` / `--byzantine` / `--churn` for an `n`-node system.
+fn parse_plans(flags: &HashMap<String, String>, n: usize) -> Result<Plans, CliError> {
+    let plans = Plans {
+        faults: flags
+            .get("faults")
+            .map(|s| spec::parse_faults(s, n))
+            .transpose()?,
+        byzantine: flags
+            .get("byzantine")
+            .map(|s| parse_byzantine_meta(s).map_err(spec::ParseSpecError))
+            .transpose()?,
+        churn: flags
+            .get("churn")
+            .map(|s| parse_churn_meta(s).map_err(spec::ParseSpecError))
+            .transpose()?,
+    };
+    if plans.faults.is_some() && (plans.byzantine.is_some() || plans.churn.is_some()) {
+        return Err(CliError(
+            "--byzantine/--churn run the bare protocol (no reliable-delivery layer), \
+             which cannot absorb link faults: drop --faults"
+                .into(),
+        ));
+    }
+    Ok(plans)
+}
+
+/// The two lines every `discover` report opens with.
+fn header(topology: &str, graph: &KnowledgeGraph, variant: Variant) -> String {
+    format!(
+        "topology  : {topology} ({} nodes, {} edges)\nvariant   : {variant}\n",
+        graph.len(),
+        graph.edge_count()
+    )
+}
+
 fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
     let topology = flags
         .get("topology")
@@ -226,67 +265,33 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
         .unwrap_or("random:n=64,extra=128");
     let variant = spec::parse_variant(flags.get("variant").map(String::as_str).unwrap_or("adhoc"))?;
     let graph = spec::parse_topology(topology)?;
-    let mut sched = spec::parse_scheduler(
+    let sched = spec::parse_scheduler(
         flags
             .get("scheduler")
             .map(String::as_str)
             .unwrap_or("random"),
     )?;
-    let trace_limit = flag_usize(&flags, "trace", 0)?;
-    let want_stats = flags.contains_key("stats");
-
-    if flags.contains_key("byzantine") || flags.contains_key("churn") {
-        for incompatible in [
-            "faults", "sweep", "shards", "trace", "stats", "dot", "max-steps", "jobs",
-        ] {
-            if flags.contains_key(incompatible) {
-                return Err(CliError(format!(
-                    "--byzantine/--churn run the bare protocol and report guarantee \
-                     survival: drop --{incompatible}"
-                )));
-            }
-        }
-        let byz = flags
-            .get("byzantine")
-            .map(|s| spec::parse_byzantine(s))
-            .transpose()?;
-        let churn = flags.get("churn").map(|s| spec::parse_churn(s)).transpose()?;
-        return discover_byzantine(
-            &flags,
-            topology,
-            variant,
-            &graph,
-            byz.as_ref(),
-            churn.as_ref(),
-            sched,
-        );
-    }
 
     if flags.contains_key("sweep") {
-        if trace_limit > 0
-            || want_stats
-            || flags.contains_key("dot")
-            || flags.contains_key("faults")
-            || flags.contains_key("record")
-            || flags.contains_key("shards")
-            || flags.contains_key("max-steps")
-        {
-            return Err(CliError(
-                "--sweep runs summary trials only: drop --trace/--stats/--dot/--faults/--record/--shards/--max-steps"
-                    .into(),
-            ));
+        let solo = [
+            "trace", "stats", "dot", "faults", "byzantine", "churn", "record", "shards",
+            "max-steps",
+        ];
+        if let Some(other) = solo.into_iter().find(|k| flags.contains_key(*k)) {
+            return Err(CliError(format!(
+                "--sweep runs summary trials only: drop --{other}"
+            )));
         }
         return discover_sweep(&flags, topology, variant, &graph);
     }
     if flags.contains_key("jobs") {
         return Err(CliError("--jobs needs --sweep".into()));
     }
-    let fifo = flags.get("scheduler").map(String::as_str) == Some("fifo");
     // `--shards K` used to pick a threaded engine with identical output.
     // It is still accepted, validated as before and otherwise ignored,
     // because the frozen benchmark/ crate passes `--shards 1`.
     if flags.contains_key("shards") {
-        if !fifo {
+        if flags.get("scheduler").map(String::as_str) != Some("fifo") {
             return Err(CliError("--shards needs --scheduler fifo".into()));
         }
         if flag_usize(&flags, "shards", 0)? == 0 {
@@ -299,58 +304,124 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
         }
     }
 
-    if let Some(fault_spec) = flags.get("faults") {
-        if trace_limit > 0 || want_stats || flags.contains_key("dot") {
-            return Err(CliError(
-                "--trace/--stats/--dot are not supported together with --faults".into(),
-            ));
-        }
-        let plan = spec::parse_faults(fault_spec, graph.len())?;
-        return discover_faulty(&flags, topology, variant, &graph, &plan, sched);
+    let plans = parse_plans(&flags, graph.len())?;
+    // Link faults are survivable only over the reliable-delivery layer.
+    if plans.faults.is_some() {
+        discover_on::<Reliable<ArdNode>>(&flags, topology, variant, &graph, &plans, sched)
+    } else {
+        discover_on::<ArdNode>(&flags, topology, variant, &graph, &plans, sched)
     }
-    if flags.contains_key("record") {
-        return Err(CliError("--record needs --faults".into()));
-    }
+}
 
-    let mut d = Discovery::new(&graph, variant);
+/// Renders a guarantee verdict: `survives` or the failure it degraded to.
+fn verdict(check: &Result<(), String>) -> String {
+    match check {
+        Ok(()) => "survives".to_string(),
+        Err(reason) => format!("FAILS: {reason}"),
+    }
+}
+
+/// One `discover` run on layer `P`: build the network the plans call for,
+/// run it (recording if asked), hold it to the paper's requirements and
+/// budgets, render. Under a Byzantine or churn plan guarantee violations
+/// are *reported*, not asserted: the output says which of the paper's
+/// requirements survive this adversary.
+fn discover_on<P: Layer>(
+    flags: &HashMap<String, String>,
+    topology: &str,
+    variant: Variant,
+    graph: &KnowledgeGraph,
+    plans: &Plans,
+    mut sched: Box<dyn Scheduler>,
+) -> Result<String, CliError> {
+    let trace_limit = flag_usize(flags, "trace", 0)?;
+    let want_stats = flags.contains_key("stats");
+    let mut d = DiscoveryOn::<P>::under(graph, variant, plans);
     if trace_limit > 0 || want_stats {
         d.runner_mut().enable_trace();
     }
-    let budget = match flags.get("max-steps") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| CliError(format!("--max-steps: `{v}` is not a number")))?,
-        None => d.default_step_budget(),
-    };
-    // A fault-free fifo run is the round loop's schedule: same output
-    // without a scheduler object.
-    let result = if fifo {
-        d.run_all_rounds_capped(budget)
+    if flags.contains_key("max-steps") {
+        d.cap_steps(flag_u64(flags, "max-steps", 0)?);
+    }
+
+    let result = if let Some(path) = flags.get("record") {
+        // The recording carries every injected event as an explicit choice
+        // and is written even when the run fails: a failing prefix is still
+        // worth replaying.
+        let (result, mut schedule) = d.run_recorded(sched);
+        schedule.set_meta("topology", topology.to_string());
+        std::fs::write(path, schedule.to_text())
+            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        result
+    } else if !plans.is_empty() {
+        d.run_all(&mut plans.scheduler(sched, graph.len()))
+    } else if flags.get("scheduler").map(String::as_str) == Some("fifo") {
+        // A fault-free fifo run is the round loop's schedule: same output
+        // without a scheduler object.
+        d.run_all_rounds()
     } else {
-        d.enqueue_wake_all(sched.as_mut());
-        let steps = d.runner_mut().run(sched.as_mut(), budget);
-        steps.map(|steps| {
-            let mut outcome = d.outcome();
-            outcome.steps = steps;
-            outcome
-        })
+        d.run_all(sched.as_mut())
     };
     let outcome = result.map_err(|e| CliError(format!("simulation failed: {e}")))?;
-    d.check_requirements(&graph)
+    d.check(&outcome)
         .map_err(|e| CliError(format!("requirements violated: {e}")))?;
 
-    let mut out = String::new();
-    writeln!(
-        out,
-        "topology  : {topology} ({} nodes, {} edges)",
-        graph.len(),
-        graph.edge_count()
-    )
-    .unwrap();
-    writeln!(out, "variant   : {variant}").unwrap();
+    let mut out = header(topology, graph, variant);
+    if let Some(plan) = &plans.faults {
+        writeln!(out, "faults    : {}", faults_meta(plan)).unwrap();
+    }
+    if let Some(s) = &outcome.survivors {
+        let none = || "(none)".to_string();
+        let byzantine = plans.byzantine.as_ref().map_or_else(none, byzantine_meta);
+        let churn = plans.churn.as_ref().map_or_else(none, churn_meta);
+        writeln!(out, "byzantine : {byzantine}").unwrap();
+        writeln!(out, "churn     : {churn}").unwrap();
+        if !s.byzantine_nodes.is_empty() {
+            writeln!(out, "traitors  : {:?}", s.byzantine_nodes).unwrap();
+        }
+        if !s.joined.is_empty() || !s.left.is_empty() {
+            writeln!(out, "membership: {:?} joined, {:?} left", s.joined, s.left).unwrap();
+        }
+    }
     writeln!(out, "leaders   : {:?}", outcome.leaders).unwrap();
     writeln!(out, "steps     : {}", outcome.steps).unwrap();
-    writeln!(out, "requirements: satisfied").unwrap();
+    if plans.faults.is_some() {
+        let f = outcome.metrics.faults();
+        writeln!(
+            out,
+            "injected  : {} drops, {} duplicates, {} crashes, {} restarts",
+            f.drops, f.duplicates, f.crashes, f.restarts
+        )
+        .unwrap();
+        writeln!(
+            out,
+            "recovery  : {} retransmits, {} acks, {} timer ticks",
+            outcome.metrics.kind("retransmit").messages,
+            outcome.metrics.kind("rd-ack").messages,
+            f.ticks
+        )
+        .unwrap();
+        writeln!(out, "requirements: satisfied (budgets checked net of overhead)").unwrap();
+    } else if let Some(s) = &outcome.survivors {
+        let b = outcome.metrics.byzantine();
+        writeln!(
+            out,
+            "injected  : {} forgeries ({} no-op), {} silenced sends, {} stale restarts",
+            b.forged, b.forge_noops, b.silenced, b.stale_restarts
+        )
+        .unwrap();
+        writeln!(
+            out,
+            "churned   : {} joins, {} leaves, {} events discarded after leave",
+            b.joins, b.leaves, b.leave_discards
+        )
+        .unwrap();
+        writeln!(out, "single leader   : {}", verdict(&s.single_leader)).unwrap();
+        writeln!(out, "leader knows all: {}", verdict(&s.leader_knows_all)).unwrap();
+        writeln!(out, "budget lemmas   : {}", verdict(&s.budgets)).unwrap();
+    } else {
+        writeln!(out, "requirements: satisfied").unwrap();
+    }
     write!(out, "{}", outcome.metrics).unwrap();
     if trace_limit > 0 {
         writeln!(out, "trace:").unwrap();
@@ -376,155 +447,6 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         writeln!(out, "dot       : written to {path}").unwrap();
     }
-    Ok(out)
-}
-
-/// Runs `discover` under a fault plan: lossy/duplicating links plus
-/// crash/restart churn, every node wrapped in the reliable-delivery layer.
-/// The recorded schedule (faults included as explicit choices) can be
-/// written out with `--record` and re-executed with `ard replay`.
-fn discover_faulty(
-    flags: &HashMap<String, String>,
-    topology: &str,
-    variant: Variant,
-    graph: &ard_graph::KnowledgeGraph,
-    plan: &FaultPlan,
-    sched: Box<dyn Scheduler>,
-) -> Result<String, CliError> {
-    let (result, mut schedule) = Discovery::run_faulty(graph, variant, plan, sched);
-    schedule.set_meta("topology", topology.to_string());
-    if let Some(path) = flags.get("record") {
-        std::fs::write(path, schedule.to_text())
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-    }
-    let outcome = result.map_err(|e| CliError(format!("faulty run failed: {e}")))?;
-    budgets::check_all_faulty(
-        &outcome.metrics,
-        graph.len() as u64,
-        graph.edge_count() as u64,
-        variant,
-    )
-    .map_err(|e| CliError(format!("faulty budgets violated: {e}")))?;
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "topology  : {topology} ({} nodes, {} edges)",
-        graph.len(),
-        graph.edge_count()
-    )
-    .unwrap();
-    writeln!(out, "variant   : {variant}").unwrap();
-    writeln!(
-        out,
-        "faults    : {}",
-        schedule.meta("faults").unwrap_or("(vacuous)")
-    )
-    .unwrap();
-    writeln!(out, "leaders   : {:?}", outcome.leaders).unwrap();
-    writeln!(out, "steps     : {}", outcome.steps).unwrap();
-    let f = &outcome.faults;
-    writeln!(
-        out,
-        "injected  : {} drops, {} duplicates, {} crashes, {} restarts",
-        f.drops, f.duplicates, f.crashes, f.restarts
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "recovery  : {} retransmits, {} acks, {} timer ticks",
-        outcome.retransmits, outcome.acks, f.ticks
-    )
-    .unwrap();
-    writeln!(out, "requirements: satisfied (budgets checked net of overhead)").unwrap();
-    write!(out, "{}", outcome.metrics).unwrap();
-    if let Some(path) = flags.get("record") {
-        writeln!(
-            out,
-            "schedule  : written to {path} (re-run with `ard replay {path}`)"
-        )
-        .unwrap();
-    }
-    Ok(out)
-}
-
-/// Renders a guarantee verdict: `survives` or the failure it degraded to.
-fn verdict(check: &Result<(), String>) -> String {
-    match check {
-        Ok(()) => "survives".to_string(),
-        Err(reason) => format!("FAILS: {reason}"),
-    }
-}
-
-/// Runs `discover` under a Byzantine and/or churn plan: the bare protocol
-/// (no reliable-delivery wrapper — reliability cannot defend forged
-/// content) with forgeries, selective silence, stale restarts and
-/// join/leave churn injected by the scheduler. Unlike the honest and
-/// faulty paths, guarantee violations are *reported*, not asserted: the
-/// output says which of the paper's requirements survive this adversary.
-fn discover_byzantine(
-    flags: &HashMap<String, String>,
-    topology: &str,
-    variant: Variant,
-    graph: &ard_graph::KnowledgeGraph,
-    byz: Option<&ByzantinePlan>,
-    churn: Option<&ChurnPlan>,
-    sched: Box<dyn Scheduler>,
-) -> Result<String, CliError> {
-    let (result, mut schedule) = Discovery::run_byzantine(graph, variant, byz, churn, sched);
-    schedule.set_meta("topology", topology.to_string());
-    if let Some(path) = flags.get("record") {
-        std::fs::write(path, schedule.to_text())
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-    }
-    let outcome = result.map_err(|e| CliError(format!("byzantine run failed: {e}")))?;
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "topology  : {topology} ({} nodes, {} edges)",
-        graph.len(),
-        graph.edge_count()
-    )
-    .unwrap();
-    writeln!(out, "variant   : {variant}").unwrap();
-    writeln!(
-        out,
-        "byzantine : {}",
-        schedule.meta("byzantine").unwrap_or("(none)")
-    )
-    .unwrap();
-    writeln!(out, "churn     : {}", schedule.meta("churn").unwrap_or("(none)")).unwrap();
-    if !outcome.byzantine_nodes.is_empty() {
-        writeln!(out, "traitors  : {:?}", outcome.byzantine_nodes).unwrap();
-    }
-    if !outcome.joined.is_empty() || !outcome.left.is_empty() {
-        writeln!(
-            out,
-            "membership: {:?} joined, {:?} left",
-            outcome.joined, outcome.left
-        )
-        .unwrap();
-    }
-    writeln!(out, "leaders   : {:?}", outcome.leaders).unwrap();
-    writeln!(out, "steps     : {}", outcome.steps).unwrap();
-    let b = &outcome.byzantine;
-    writeln!(
-        out,
-        "injected  : {} forgeries ({} no-op), {} silenced sends, {} stale restarts",
-        b.forged, b.forge_noops, b.silenced, b.stale_restarts
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "churned   : {} joins, {} leaves, {} events discarded after leave",
-        b.joins, b.leaves, b.leave_discards
-    )
-    .unwrap();
-    writeln!(out, "single leader   : {}", verdict(&outcome.single_leader)).unwrap();
-    writeln!(out, "leader knows all: {}", verdict(&outcome.leader_knows_all)).unwrap();
-    writeln!(out, "budget lemmas   : {}", verdict(&outcome.budgets)).unwrap();
-    write!(out, "{}", outcome.metrics).unwrap();
     if let Some(path) = flags.get("record") {
         writeln!(
             out,
@@ -543,7 +465,7 @@ fn discover_sweep(
     flags: &HashMap<String, String>,
     topology: &str,
     variant: Variant,
-    graph: &ard_graph::KnowledgeGraph,
+    graph: &KnowledgeGraph,
 ) -> Result<String, CliError> {
     let trials = flag_usize(flags, "sweep", 0)?;
     let jobs = flag_usize(flags, "jobs", 1)?;
@@ -589,15 +511,7 @@ fn discover_sweep(
         ))
     });
 
-    let mut out = String::new();
-    writeln!(
-        out,
-        "topology  : {topology} ({} nodes, {} edges)",
-        graph.len(),
-        graph.edge_count()
-    )
-    .unwrap();
-    writeln!(out, "variant   : {variant}").unwrap();
+    let mut out = header(topology, graph, variant);
     writeln!(out, "sweep     : {trials} trials, scheduler seeds {base}..={}", base.wrapping_add(trials as u64 - 1)).unwrap();
     for line in lines {
         writeln!(out, "  {}", line?).unwrap();
@@ -700,7 +614,7 @@ fn baselines(flags: HashMap<String, String>) -> Result<String, CliError> {
     // freely; merging reports in seed order makes the output independent of
     // the job count.
     let trial_seeds: Vec<u64> = (0..seeds as u64).map(|i| seed + 3 * i).collect();
-    let reports = ard_bench::parallel::parallel_map(jobs, trial_seeds, |s| baseline_trial(n, s));
+    let reports = ard_netsim::par::parallel_map(jobs, trial_seeds, |s| baseline_trial(n, s));
     if seeds == 1 {
         return reports.into_iter().next().unwrap();
     }
@@ -789,15 +703,12 @@ enum System {
         /// Wrap every node in the reliable-delivery layer and tolerate
         /// injected faults (set when `--faults` is given, or when a replayed
         /// schedule carries `faults` metadata).
-        faulty: bool,
-        /// Run the Byzantine-tolerant bare protocol and check the
-        /// survivor-restricted guarantees instead of the honest ones (set
-        /// when `--byzantine`/`--churn` is given, or when a replayed
-        /// schedule carries the matching metadata).
-        byzantine: Option<ByzantinePlan>,
-        /// Join/leave churn: the plan's joiners get no initial wake-up —
-        /// their recorded `Join` choices wake them instead.
-        churn: Option<ChurnPlan>,
+        reliable: bool,
+        /// What the run is subjected to. A Byzantine or churn plan selects
+        /// the hardened protocol and the survivor-restricted guarantees,
+        /// and the churn plan's joiners get no initial wake-up — their
+        /// recorded `Join` choices wake them instead.
+        plans: Plans,
     },
     Racy {
         clients: usize,
@@ -825,20 +736,11 @@ impl System {
                 .meta("variant")
                 .ok_or_else(|| CliError("schedule has no `variant` meta".into()))?,
         )?;
-        let byzantine = match schedule.meta("byzantine") {
-            Some(meta) => Some(spec::parse_byzantine(meta)?),
-            None => None,
-        };
-        let churn = match schedule.meta("churn") {
-            Some(meta) => Some(spec::parse_churn(meta)?),
-            None => None,
-        };
         Ok(System::Discovery {
             topology: topology.to_string(),
             variant,
-            faulty: schedule.meta("faults").is_some(),
-            byzantine,
-            churn,
+            reliable: schedule.meta("faults").is_some(),
+            plans: Plans::from_schedule(schedule).map_err(CliError)?,
         })
     }
 
@@ -887,18 +789,15 @@ impl System {
             System::Discovery {
                 topology,
                 variant,
-                byzantine,
-                churn,
+                plans,
                 ..
             } => {
                 schedule.set_meta("topology", topology.clone());
                 schedule.set_meta("variant", variant.to_string());
-                if let Some(plan) = byzantine {
-                    schedule.set_meta("byzantine", byzantine_meta(plan));
-                }
-                if let Some(plan) = churn {
-                    schedule.set_meta("churn", churn_meta(plan));
-                }
+                // Presence of the `faults` key tells replay to rebuild the
+                // reliable-wrapped network; the recorded choices already
+                // carry the faults themselves.
+                plans.stamp(schedule);
             }
             System::Racy { clients } => {
                 schedule.set_meta("system", format!("racy:{clients}"));
@@ -921,46 +820,13 @@ impl System {
             System::Discovery {
                 topology,
                 variant,
-                faulty,
-                byzantine,
-                churn,
+                reliable,
+                plans,
             } => {
                 let graph = spec::parse_topology(topology).map_err(|e| e.to_string())?;
-                if byzantine.is_some() || churn.is_some() {
-                    // The survivor-restricted guarantees: any that fail
-                    // under this schedule count as the violation.
-                    let mut bd = ByzantineDiscovery::new(&graph, *variant);
-                    let withheld: BTreeSet<NodeId> = churn
-                        .as_ref()
-                        .map(|c| c.joiners(graph.len()).into_iter().collect())
-                        .unwrap_or_default();
-                    let steps = bd.run_all(sched, &withheld)?;
-                    let outcome = bd.outcome(steps, byzantine.as_ref(), churn.as_ref());
-                    outcome.single_leader.clone()?;
-                    outcome.leader_knows_all.clone()?;
-                    return outcome.budgets.clone();
-                }
-                if *faulty {
-                    let mut fd = FaultyDiscovery::new(&graph, *variant);
-                    let outcome = fd.run_all(sched)?;
-                    fd.check_requirements()?;
-                    budgets::check_all_faulty(
-                        &outcome.metrics,
-                        graph.len() as u64,
-                        graph.edge_count() as u64,
-                        *variant,
-                    )
-                } else {
-                    let mut d = Discovery::new(&graph, *variant);
-                    let outcome = d.run_all(sched).map_err(|e| e.to_string())?;
-                    d.check_requirements(&graph)?;
-                    budgets::check_all(
-                        &outcome.metrics,
-                        graph.len() as u64,
-                        graph.edge_count() as u64,
-                        *variant,
-                    )
-                }
+                // Under a Byzantine or churn plan any survivor guarantee
+                // that fails under this schedule counts as the violation.
+                ard_core::run_checked(&graph, *variant, *reliable, plans, sched)?.verdict()
             }
             System::Racy { clients } => fixtures::run_racy(*clients, sched),
             System::Fragile { clients } => fixtures::run_fragile(*clients, sched),
@@ -1006,43 +872,30 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         .get("out")
         .map(String::as_str)
         .unwrap_or("ard-failure.schedule");
-    let byzantine = flags
-        .get("byzantine")
-        .map(|s| spec::parse_byzantine(s))
-        .transpose()?;
-    let churn = flags.get("churn").map(|s| spec::parse_churn(s)).transpose()?;
-    if (byzantine.is_some() || churn.is_some()) && flags.contains_key("faults") {
-        return Err(CliError(
-            "--byzantine/--churn run the bare protocol (no reliable-delivery layer), \
-             which cannot absorb link faults: drop --faults"
-                .into(),
-        ));
-    }
-    let system = match flags.get("system").map(String::as_str) {
-        None | Some("discovery") => {
-            let topology = flags
-                .get("topology")
-                .map(String::as_str)
-                .unwrap_or("random:n=16,extra=24");
-            let variant = spec::parse_variant(
-                flags.get("variant").map(String::as_str).unwrap_or("adhoc"),
-            )?;
-            // Parse eagerly so bad specs fail before any exploration.
-            spec::parse_topology(topology)?;
-            System::Discovery {
-                topology: topology.to_string(),
-                variant,
-                faulty: flags.contains_key("faults"),
-                byzantine: byzantine.clone(),
-                churn: churn.clone(),
-            }
-        }
-        Some(other) => System::parse_fixture(other)?,
+    let fixture = match flags.get("system").map(String::as_str) {
+        None | Some("discovery") => None,
+        Some(other) => Some(System::parse_fixture(other)?),
     };
-    let n = system.node_count()?;
-    let fault = match flags.get("faults") {
-        Some(fault_spec) => Some(spec::parse_faults(fault_spec, n)?),
-        None => None,
+    let topology = flags
+        .get("topology")
+        .map(String::as_str)
+        .unwrap_or("random:n=16,extra=24");
+    // Parsed eagerly so bad specs fail before any exploration.
+    let n = match &fixture {
+        Some(fixture) => fixture.node_count()?,
+        None => spec::parse_topology(topology)?.len(),
+    };
+    let plans = parse_plans(&flags, n)?;
+    let system = match fixture {
+        Some(fixture) => fixture,
+        None => System::Discovery {
+            topology: topology.to_string(),
+            variant: spec::parse_variant(
+                flags.get("variant").map(String::as_str).unwrap_or("adhoc"),
+            )?,
+            reliable: plans.faults.is_some(),
+            plans: plans.clone(),
+        },
     };
     let reduce = match flags.get("reduce").map(String::as_str) {
         None | Some("none") => ReduceMode::None,
@@ -1059,9 +912,9 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         dfs_budget: budget - walks,
         dfs_depth: depth,
         seed,
-        fault: fault.clone(),
-        byzantine: byzantine.clone().map(|plan| (plan, n)),
-        churn: churn.clone().map(|plan| (plan, n)),
+        fault: plans.faults.clone(),
+        byzantine: plans.byzantine.clone().map(|plan| (plan, n)),
+        churn: plans.churn.clone().map(|plan| (plan, n)),
         jobs,
         verify_snapshots: flags.contains_key("check-snapshots"),
         reduce,
@@ -1075,7 +928,7 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         report.runs, report.random_walks, report.dfs_runs
     )
     .unwrap();
-    if let Some(plan) = &fault {
+    if let Some(plan) = &plans.faults {
         writeln!(
             out,
             "faults    : drop={}, dup={}, crash={} (seed {})",
@@ -1086,10 +939,10 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         )
         .unwrap();
     }
-    if let Some(plan) = &byzantine {
+    if let Some(plan) = &plans.byzantine {
         writeln!(out, "byzantine : {}", byzantine_meta(plan)).unwrap();
     }
-    if let Some(plan) = &churn {
+    if let Some(plan) = &plans.churn {
         writeln!(out, "churn     : {}", churn_meta(plan)).unwrap();
     }
     if flags.contains_key("stats") {
@@ -1126,11 +979,6 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
     .unwrap();
     let mut schedule = shrunk.schedule;
     system.stamp(&mut schedule);
-    if let (Some(spec), System::Discovery { .. }) = (flags.get("faults"), &system) {
-        // Presence of the key tells replay to rebuild the reliable-wrapped
-        // network; the recorded choices already carry the faults themselves.
-        schedule.set_meta("faults", spec.clone());
-    }
     std::fs::write(out_path, schedule.to_text())
         .map_err(|e| CliError(format!("cannot write {out_path}: {e}")))?;
     writeln!(out, "replay    : {out_path} (re-run with `ard replay {out_path}`)").unwrap();
@@ -1401,8 +1249,10 @@ mod tests {
         assert!(replayed.contains("violation reproduced: lease granted"));
         // `--reduce none` is the explicit off switch and changes nothing
         // about the default output.
-        let off = run_line("explore --system racy:3 --budget 32 --depth 7 --reduce none --stats")
-            .unwrap();
+        let off = run_line(&format!(
+            "explore --system racy:3 --budget 32 --depth 7 --reduce none --stats --out {path}"
+        ))
+        .unwrap();
         assert!(off.contains("reduction : mode=none, sleep-pruned=0, state-deduped=0"), "{off}");
         assert!(run_line("explore --system racy:3 --reduce bogus").is_err());
     }
@@ -1472,8 +1322,54 @@ mod tests {
     fn discover_rejects_bad_fault_flags() {
         assert!(run_line("discover --topology ring:6 --faults drop=1.5").is_err());
         assert!(run_line("discover --topology ring:6 --faults mangle=1").is_err());
-        assert!(run_line("discover --topology ring:6 --record out.schedule").is_err());
-        assert!(run_line("discover --topology ring:6 --faults drop=0.1 --stats").is_err());
+    }
+
+    #[test]
+    fn discover_faulty_explains_itself_with_stats_and_trace() {
+        let out = run_line(
+            "discover --topology random:n=12,extra=18,seed=2 --scheduler random:7 \
+             --faults drop=0.2,crash=1,seed=11 --stats --trace 100000",
+        )
+        .unwrap();
+        assert!(out.contains("injected  :"), "{out}");
+        assert!(out.contains("recovery  :"), "{out}");
+        assert!(out.contains("traffic hot spots:"), "{out}");
+        assert!(out.contains("busiest link:"), "{out}");
+        let trace = out.split_once("trace:\n").expect("trace section").1;
+        assert!(trace.contains("] drop ") && trace.contains("] crash "), "{trace}");
+    }
+
+    #[test]
+    fn discover_max_steps_caps_faulty_and_byzantine_runs() {
+        for plan in ["--faults drop=0.1,seed=5", "--byzantine f=1,seed=4"] {
+            let line = format!("discover --topology ring:10 --scheduler random:3 {plan}");
+            let err = run_line(&format!("{line} --max-steps 3")).unwrap_err();
+            assert!(err.0.contains("simulation failed"), "{}", err.0);
+            assert_eq!(
+                run_line(&format!("{line} --max-steps 10000000")).unwrap(),
+                run_line(&line).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn discover_records_any_run() {
+        // No plan at all: the recording replays as an honest run, and
+        // recording changes nothing but the trailing `schedule` line —
+        // also on the fifo path, which otherwise takes the round loop.
+        for scheduler in ["random:3", "fifo"] {
+            let path = std::env::temp_dir().join(format!("ard-cli-test-plain-{scheduler}.schedule"));
+            let path = path.to_str().unwrap().to_string();
+            let line = format!("discover --topology ring:10 --variant bounded --scheduler {scheduler}");
+            let out = run_line(&format!("{line} --record {path}")).unwrap();
+            let (report, schedule_line) = out.split_at(out.find("schedule  :").unwrap());
+            assert_eq!(report, run_line(&line).unwrap());
+            assert!(schedule_line.contains(&format!("ard replay {path}")));
+            let replayed = run_line(&format!("replay {path}")).unwrap();
+            assert!(replayed.contains("meta      : topology = ring:10"), "{replayed}");
+            assert!(!replayed.contains("meta      : faults"), "{replayed}");
+            assert!(replayed.contains("result    : schedule replayed cleanly"), "{replayed}");
+        }
     }
 
     #[test]
@@ -1525,6 +1421,23 @@ mod tests {
     }
 
     #[test]
+    fn discover_byzantine_writes_dot_and_explains_itself() {
+        let dot = std::env::temp_dir().join("ard-cli-test-byzantine.dot");
+        let line = "discover --topology ring:12 --scheduler random:5 \
+                    --byzantine f=2,seed=7 --churn rate=0.2,seed=11";
+        let plain = run_line(line).unwrap();
+        let out = run_line(&format!("{line} --stats --trace 100000 --dot {}", dot.display()))
+            .unwrap();
+        // The observability flags only append sections.
+        assert!(out.starts_with(&plain), "{out}");
+        assert!(out.contains("traffic hot spots:"), "{out}");
+        assert!(out.contains("] forge "), "{out}");
+        assert!(out.contains(&format!("dot       : written to {}", dot.display())));
+        let rendered = std::fs::read_to_string(&dot).unwrap();
+        assert!(rendered.starts_with("digraph discovery"), "{rendered}");
+    }
+
+    #[test]
     fn explore_equiv_finds_and_shrinks_the_equivocation() {
         let path = std::env::temp_dir().join("ard-cli-test-equiv.schedule");
         let path = path.to_str().unwrap().to_string();
@@ -1551,9 +1464,10 @@ mod tests {
         // Byzantine runs use the bare protocol; link faults need Reliable.
         assert!(run_line("discover --topology ring:6 --byzantine f=1 --faults drop=0.1").is_err());
         assert!(run_line("explore --system equiv:2 --byzantine f=1 --faults drop=0.1").is_err());
-        assert!(run_line("discover --topology ring:6 --byzantine f=1 --stats").is_err());
+        assert!(run_line("discover --topology ring:6 --churn rate=0.2 --faults drop=0.1").is_err());
         assert!(run_line("discover --topology ring:6 --byzantine f=1 --sweep 3").is_err());
-        assert!(run_line("discover --topology ring:6 --byzantine f=1 --trace 5").is_err());
+        assert!(run_line("discover --topology ring:6 --churn rate=0.2 --sweep 3").is_err());
+        assert!(run_line("discover --topology ring:6 --byzantine f=1 --jobs 2").is_err());
         // Bad specs fail loudly.
         assert!(run_line("discover --topology ring:6 --byzantine seed=3").is_err());
         assert!(run_line("discover --topology ring:6 --byzantine f=1,class=bribe").is_err());

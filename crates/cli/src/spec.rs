@@ -9,16 +9,16 @@
 //! scheduler := fifo | lifo | random[:SEED] | bounded:DELAY[,SEED]
 //! variant   := oblivious | bounded | adhoc
 //! faults    := drop=P | dup=P | crash=N | seed=S   (comma-separated)
-//! byzantine := f=K | seed=S | class=C | classes=C+C+…   (comma-separated;
-//!              C ∈ equivocate, fabricate, silence, stale-restart, all)
-//! churn     := rate=R | seed=S   (comma-separated, 0 ≤ R ≤ 0.5)
 //! ```
+//!
+//! `--byzantine` and `--churn` values share their grammar with the schedule
+//! metadata they are recorded as, so their one parser lives next to the
+//! writers: [`ard_core::parse_byzantine_meta`], [`ard_core::parse_churn_meta`].
 
 use ard_core::Variant;
 use ard_graph::{gen, KnowledgeGraph};
 use ard_netsim::{
-    BoundedDelayScheduler, ByzantinePlan, ChurnPlan, FaultPlan, FifoScheduler, LifoScheduler,
-    RandomScheduler, Scheduler,
+    BoundedDelayScheduler, FaultPlan, FifoScheduler, LifoScheduler, RandomScheduler, Scheduler,
 };
 
 /// A parse failure, with a human-oriented message.
@@ -233,106 +233,6 @@ pub fn parse_faults(spec: &str, n: usize) -> Result<FaultPlan, ParseSpecError> {
         .with_spread_crashes(crash, n))
 }
 
-/// Parses a Byzantine-plan specification such as `f=2,seed=7` or
-/// `f=1,seed=3,class=equivocate`. The same grammar covers the canonical
-/// `byzantine` schedule metadata (`f=…,seed=…,classes=a+b+…`), so replay
-/// reconstructs a plan from a recorded schedule with this parser.
-///
-/// `f` is required; `seed` defaults to 0; without a class restriction
-/// every fault class is armed.
-///
-/// # Errors
-///
-/// Returns [`ParseSpecError`] with the offending fragment.
-///
-/// # Example
-///
-/// ```
-/// let plan = ard_cli::spec::parse_byzantine("f=1,seed=3,class=equivocate").unwrap();
-/// assert!(plan.equivocate && !plan.silence);
-/// assert!(ard_cli::spec::parse_byzantine("seed=3").is_err());
-/// ```
-pub fn parse_byzantine(spec: &str) -> Result<ByzantinePlan, ParseSpecError> {
-    let (mut f, mut seed, mut classes) = (None, 0u64, None);
-    for (k, v) in parse_kv(spec)? {
-        match k {
-            "f" => f = Some(parse_usize(v, "f")?),
-            "seed" => seed = parse_u64(v, "seed")?,
-            "class" | "classes" => classes = Some(v),
-            other => {
-                return Err(err(format!(
-                    "unknown byzantine key `{other}` (f, seed, class)"
-                )))
-            }
-        }
-    }
-    let f = f.ok_or_else(|| err("byzantine needs f=<count>"))?;
-    let mut plan = ByzantinePlan::new(seed, f);
-    if let Some(classes) = classes {
-        plan.equivocate = false;
-        plan.fabricate = false;
-        plan.silence = false;
-        plan.stale_restart = false;
-        for class in classes.split('+') {
-            match class {
-                "equivocate" => plan.equivocate = true,
-                "fabricate" => plan.fabricate = true,
-                "silence" => plan.silence = true,
-                "stale-restart" => plan.stale_restart = true,
-                "all" => {
-                    plan.equivocate = true;
-                    plan.fabricate = true;
-                    plan.silence = true;
-                    plan.stale_restart = true;
-                }
-                other => {
-                    return Err(err(format!(
-                        "unknown byzantine class `{other}` (equivocate, fabricate, silence, stale-restart, all)"
-                    )))
-                }
-            }
-        }
-    }
-    Ok(plan)
-}
-
-/// Parses a churn-plan specification such as `rate=0.1,seed=5` — also the
-/// canonical `churn` schedule metadata.
-///
-/// # Errors
-///
-/// Returns [`ParseSpecError`] with the offending fragment.
-///
-/// # Example
-///
-/// ```
-/// let plan = ard_cli::spec::parse_churn("rate=0.25,seed=5").unwrap();
-/// assert_eq!(plan.rate, 0.25);
-/// assert!(ard_cli::spec::parse_churn("rate=0.7").is_err());
-/// ```
-pub fn parse_churn(spec: &str) -> Result<ChurnPlan, ParseSpecError> {
-    let (mut rate, mut seed) = (None, 0u64);
-    for (k, v) in parse_kv(spec)? {
-        match k {
-            "rate" => {
-                rate = Some(
-                    v.parse::<f64>()
-                        .map_err(|_| err(format!("rate: `{v}` is not a number")))?,
-                )
-            }
-            "seed" => seed = parse_u64(v, "seed")?,
-            other => return Err(err(format!("unknown churn key `{other}` (rate, seed)"))),
-        }
-    }
-    let rate = rate.ok_or_else(|| err("churn needs rate=<fraction>"))?;
-    if !(0.0..=0.5).contains(&rate) {
-        return Err(err(format!(
-            "churn rate must be in [0, 0.5] (joiners and leavers are disjoint), got `{rate}`"
-        )));
-    }
-    Ok(ChurnPlan::new(seed, rate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,45 +315,6 @@ mod tests {
             .0
             .contains("unknown fault key"));
         assert!(parse_faults("crash=1", 0).is_err());
-    }
-
-    #[test]
-    fn byzantine_plans_parse() {
-        let plan = parse_byzantine("f=2,seed=7").unwrap();
-        assert_eq!((plan.f, plan.seed), (2, 7));
-        assert!(plan.equivocate && plan.fabricate && plan.silence && plan.stale_restart);
-        let plan = parse_byzantine("f=1,seed=3,class=equivocate").unwrap();
-        assert!(plan.equivocate && !plan.fabricate && !plan.silence && !plan.stale_restart);
-        // The canonical schedule-metadata form round-trips through the
-        // same parser.
-        let plan = parse_byzantine("f=2,seed=7,classes=silence+stale-restart").unwrap();
-        assert!(!plan.equivocate && !plan.fabricate && plan.silence && plan.stale_restart);
-        assert!(parse_byzantine("f=1,classes=all").unwrap().equivocate);
-        assert!(parse_byzantine("seed=3").unwrap_err().0.contains("needs f="));
-        assert!(parse_byzantine("f=1,class=sneaky")
-            .unwrap_err()
-            .0
-            .contains("unknown byzantine class"));
-        assert!(parse_byzantine("f=1,mode=loud")
-            .unwrap_err()
-            .0
-            .contains("unknown byzantine key"));
-    }
-
-    #[test]
-    fn churn_plans_parse() {
-        let plan = parse_churn("rate=0.25,seed=5").unwrap();
-        assert_eq!((plan.rate, plan.seed), (0.25, 5));
-        assert_eq!(parse_churn("rate=0").unwrap().seed, 0);
-        assert!(parse_churn("seed=5").unwrap_err().0.contains("needs rate="));
-        assert!(parse_churn("rate=0.7")
-            .unwrap_err()
-            .0
-            .contains("must be in [0, 0.5]"));
-        assert!(parse_churn("rate=0.1,burst=2")
-            .unwrap_err()
-            .0
-            .contains("unknown churn key"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! asymptotically.
 //!
 //! Bit-level checks add the simulator's fixed per-message overhead (kind tag
-//! plus non-id payload; see [`Message`](crate::Message)) on top of the
+//! plus non-id payload; see [`Message`]) on top of the
 //! paper's id-only accounting.
 
 use ard_netsim::{Metrics, KIND_TAG_BITS};
@@ -259,7 +259,7 @@ pub fn check_all_faulty(metrics: &Metrics, n: u64, e0: u64, variant: Variant) ->
 }
 
 /// [`check_all`] for a run under Byzantine fault injection
-/// ([`crate::ByzantineDiscovery`]).
+/// (a network hardened with [`crate::Config::byzantine`]).
 ///
 /// Forged messages are delivered and metered under their payload's kind —
 /// a receiver cannot distinguish a lie from the real thing — but the

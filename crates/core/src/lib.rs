@@ -44,20 +44,23 @@
 #![warn(missing_docs)]
 
 pub mod budgets;
-mod byzantine;
 mod config;
 mod driver;
-mod faulty;
 pub mod invariants;
 mod msg;
 pub mod node;
+mod plans;
 mod reliable;
 mod status;
 
-pub use byzantine::{byzantine_meta, churn_meta, ByzantineDiscovery, ByzantineOutcome};
 pub use config::{Config, Variant};
-pub use driver::{Discovery, Outcome, ProbeStatus};
-pub use faulty::{FaultyDiscovery, FaultyOutcome};
+pub use driver::{
+    record, replay, run_checked, Discovery, DiscoveryOn, FaultyDiscovery, Layer, Outcome,
+    ProbeStatus, Survivors,
+};
+pub use plans::{
+    byzantine_meta, churn_meta, faults_meta, parse_byzantine_meta, parse_churn_meta, Plans,
+};
 pub use msg::{InfoPayload, Message, Verdict};
 pub use node::AsArdNode;
 pub use reliable::{Reliable, ReliableMsg};

@@ -37,7 +37,7 @@ pub struct MessageArena<T> {
 const DEFAULT_POOL_CAP: usize = 8;
 
 impl<T> MessageArena<T> {
-    /// An empty arena holding at most [`DEFAULT_POOL_CAP`] spare buffers.
+    /// An empty arena holding at most `DEFAULT_POOL_CAP` (8) spare buffers.
     pub fn new() -> Self {
         MessageArena {
             pool: Vec::new(),

@@ -111,7 +111,7 @@ pub trait Envelope: Clone + std::fmt::Debug {
 
     /// Number of ids the visitor yields; used for metering.
     ///
-    /// The default counts via [`for_each_carried_id`] without allocating;
+    /// The default counts via [`for_each_carried_id`](Envelope::for_each_carried_id) without allocating;
     /// override only if a cheaper count is available.
     fn carried_id_count(&self) -> usize {
         let mut count = 0usize;

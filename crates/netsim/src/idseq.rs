@@ -37,7 +37,7 @@ fn unpack(word: u64) -> (u32, u32) {
 ///
 /// Semantically a `Vec<NodeId>`: pushing ids and iterating yields exactly
 /// the pushed sequence, in order, duplicates included. Representationally
-/// it is dense (one id per word) below [`DENSE_MAX`] ids and run-coded
+/// it is dense (one id per word) below `DENSE_MAX` ids and run-coded
 /// above, where a push of `last_end` extends the final run in place — so
 /// a payload built from ascending iteration (every production site: the
 /// `BTreeSet` cluster sets) stores long runs in O(1) words each.

@@ -270,7 +270,7 @@ impl<P: Protocol> Sink<P> for Scheduled<'_> {
 /// delivery regardless of the scheduler's choices.
 ///
 /// Internally the engine is allocation-free per event: knowledge sets live
-/// in a struct-of-arrays [`NodeTable`] (dense bitsets below ~8 K nodes,
+/// in a struct-of-arrays `NodeTable` (dense bitsets below ~8 K nodes,
 /// interval-coded runs above), metering uses the non-allocating
 /// [`Envelope`] visitor, and each directed link is interned into a dense
 /// slot on first send — resolved through a CSR adjacency when the topology

@@ -4,7 +4,8 @@
 #   scripts/verify.sh
 #
 # Runs the build + test + lint gate from ROADMAP.md (with the tests of
-# every workspace crate, not only the root package), then a small bounded
+# every workspace crate, not only the root package) and `cargo doc` with
+# warnings denied (a dangling intra-doc link fails), then a small bounded
 # `ard explore` run twice with a fixed budget and seed, asserting the two
 # runs are byte-identical (the explorer is deterministic) and clean (no
 # violation on a healthy build), then the same exploration at --jobs 4
@@ -36,6 +37,9 @@ cargo build --release
 # netsim/graph/overlay props).
 cargo test --workspace --offline -q
 cargo clippy --workspace -- -D warnings
+# Doc comments link to types by name; nothing above notices when a refactor
+# deletes or renames one.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 explore=(cargo run --offline --release -p ard-cli --bin ard -- \
     explore --topology random:n=12,extra=16 --budget 16 --depth 3 --seed 7)
@@ -208,4 +212,4 @@ for key in '"payload_bytes_per_event"' '"payload_peak_bytes"'; do
     fi
 done
 
-echo "verify: OK (tier-1 green on the whole workspace, explore smoke deterministic, --jobs 4 byte-identical, snapshots verified, chaos smoke matches snapshot, byzantine smoke found+shrunk and matches snapshot, dpor smoke reduced=full and matches snapshot, n=100000 round loop equals the FifoScheduler run, benchmark/ci-smoke.sh green, bench JSON schema ok)"
+echo "verify: OK (tier-1 green on the whole workspace, docs warning-free, explore smoke deterministic, --jobs 4 byte-identical, snapshots verified, chaos smoke matches snapshot, byzantine smoke found+shrunk and matches snapshot, dpor smoke reduced=full and matches snapshot, n=100000 round loop equals the FifoScheduler run, benchmark/ci-smoke.sh green, bench JSON schema ok)"

@@ -21,9 +21,7 @@
 //! strict byte-exact replay; which *guarantees* survive each cell is
 //! pinned separately in `tests/survival_matrix.rs`.
 
-use asynchronous_resource_discovery::core::{
-    budgets, ByzantineOutcome, Discovery, FaultyOutcome, Variant,
-};
+use asynchronous_resource_discovery::core::{record, replay, Outcome, Plans, Variant};
 use asynchronous_resource_discovery::graph::gen;
 use asynchronous_resource_discovery::netsim::{
     BoundedDelayScheduler, ByzantinePlan, ChurnPlan, FaultPlan, FifoScheduler, RandomScheduler,
@@ -53,46 +51,45 @@ fn run_cell(
     variant: Variant,
     sched_kind: &str,
     cell: u64,
-) -> (FaultyOutcome, Schedule) {
+) -> (Outcome, Schedule) {
     let name = format!("n={n} drop={drop} crashes={crashes} {variant} {sched_kind} cell={cell}");
     let graph = gen::random_weakly_connected(n, 2 * n, cell);
-    let plan = FaultPlan::new(1000 + cell)
-        .with_drop(drop)
-        .with_dup(0.05)
-        .with_spread_crashes(crashes, n);
+    let plans = Plans {
+        faults: Some(
+            FaultPlan::new(1000 + cell)
+                .with_drop(drop)
+                .with_dup(0.05)
+                .with_spread_crashes(crashes, n),
+        ),
+        ..Plans::default()
+    };
     let sched = make_scheduler(sched_kind, 2000 + cell);
-    let (result, schedule) = Discovery::run_faulty(&graph, variant, &plan, sched);
+    // `record` holds the run to the requirements and to the budgets net of
+    // the explicitly metered recovery overhead.
+    let (result, schedule) = record(&graph, variant, &plans, sched);
     let outcome = result.unwrap_or_else(|e| panic!("{name}: {e}"));
 
-    // Requirements already checked inside run_faulty; re-assert the shape.
+    // Re-assert the shape.
+    let faults = outcome.metrics.faults();
+    let retransmits = outcome.metrics.kind("retransmit").messages;
     assert_eq!(outcome.leaders.len(), 1, "{name}: single component");
-    assert_eq!(outcome.faults.crashes as usize, crashes, "{name}: crashes");
-    assert_eq!(outcome.faults.restarts as usize, crashes, "{name}: restarts");
-
-    // Budgets hold net of the explicitly metered recovery overhead.
-    budgets::check_all_faulty(
-        &outcome.metrics,
-        graph.len() as u64,
-        graph.edge_count() as u64,
-        variant,
-    )
-    .unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(faults.crashes as usize, crashes, "{name}: crashes");
+    assert_eq!(faults.restarts as usize, crashes, "{name}: restarts");
 
     // Retransmit-count sanity: recovery traffic reacts to injected loss but
     // stays a bounded fraction of the total (drop < 1 keeps expected
     // attempts per message O(1), and the capped backoff keeps spurious
     // retransmissions rare).
     if drop >= 0.1 {
-        assert!(outcome.faults.drops > 0, "{name}: plan injected no drops");
+        assert!(faults.drops > 0, "{name}: plan injected no drops");
         assert!(
-            outcome.retransmits > 0,
+            retransmits > 0,
             "{name}: sustained loss must force retransmissions"
         );
     }
     assert!(
-        outcome.retransmits <= outcome.metrics.total_messages() / 2,
-        "{name}: {} retransmits of {} total messages",
-        outcome.retransmits,
+        retransmits <= outcome.metrics.total_messages() / 2,
+        "{name}: {retransmits} retransmits of {} total messages",
         outcome.metrics.total_messages()
     );
     (outcome, schedule)
@@ -128,8 +125,8 @@ fn harshest_cell_replays_byte_exactly() {
     let n = 32;
     let (outcome, schedule) = run_cell(n, 0.3, 3, Variant::AdHoc, "random", 9_999);
     let graph = gen::random_weakly_connected(n, 2 * n, 9_999);
-    let replayed = Discovery::replay_faulty(&graph, Variant::AdHoc, &schedule)
-        .expect("recorded faulty schedule replays");
+    let replayed =
+        replay(&graph, Variant::AdHoc, &schedule).expect("recorded faulty schedule replays");
     assert_eq!(replayed.steps, outcome.steps);
     assert_eq!(replayed.steps, schedule.len() as u64);
     assert_eq!(replayed.leaders, outcome.leaders);
@@ -156,43 +153,47 @@ fn run_byzantine_cell(
     class: &str,
     churn_rate: f64,
     cell: u64,
-) -> (ByzantineOutcome, Schedule) {
+) -> (Outcome, Schedule) {
     let name = format!("n={n} f={f} class={class} churn={churn_rate} cell={cell}");
     let graph = gen::random_weakly_connected(n, 2 * n, cell);
-    let byz = ByzantinePlan::new(3_000 + cell, f).only(class);
-    let churn = (churn_rate > 0.0).then(|| ChurnPlan::new(4_000 + cell, churn_rate));
-    let (result, schedule) = Discovery::run_byzantine(
+    let plans = Plans {
+        byzantine: Some(ByzantinePlan::new(3_000 + cell, f).only(class)),
+        churn: (churn_rate > 0.0).then(|| ChurnPlan::new(4_000 + cell, churn_rate)),
+        ..Plans::default()
+    };
+    let (result, schedule) = record(
         &graph,
         Variant::AdHoc,
-        Some(&byz),
-        churn.as_ref(),
+        &plans,
         RandomScheduler::seeded(5_000 + cell),
     );
     let outcome = result.unwrap_or_else(|e| panic!("{name}: {e}"));
+    let survivors = outcome.survivors.as_ref().expect("judged over survivors");
+    let injected = outcome.metrics.byzantine();
 
     assert_eq!(outcome.steps, schedule.len() as u64, "{name}: steps");
     assert_eq!(
-        outcome.byzantine_nodes.len(),
+        survivors.byzantine_nodes.len(),
         f.min(n),
         "{name}: traitor count"
     );
     match class {
         "equivocate" | "fabricate" => assert!(
-            outcome.byzantine.forged + outcome.byzantine.forge_noops > 0,
+            injected.forged + injected.forge_noops > 0,
             "{name}: forgery classes must actually forge"
         ),
         "stale-restart" => assert_eq!(
-            outcome.byzantine.stale_restarts as usize,
+            injected.stale_restarts as usize,
             f.min(n),
             "{name}: one stale restart per traitor"
         ),
         _ => {}
     }
-    if let Some(plan) = &churn {
-        assert_eq!(outcome.joined.len(), plan.joiners(n).len(), "{name}: joins");
-        assert_eq!(outcome.left.len(), plan.leavers(n).len(), "{name}: leaves");
+    if let Some(plan) = &plans.churn {
+        assert_eq!(survivors.joined.len(), plan.joiners(n).len(), "{name}: joins");
+        assert_eq!(survivors.left.len(), plan.leavers(n).len(), "{name}: leaves");
     } else {
-        assert!(outcome.joined.is_empty() && outcome.left.is_empty(), "{name}");
+        assert!(survivors.joined.is_empty() && survivors.left.is_empty(), "{name}");
     }
     (outcome, schedule)
 }
@@ -210,7 +211,7 @@ fn run_byzantine_matrix(n: usize) {
             for churn_rate in [0.0, 0.05] {
                 cell += 1;
                 let (outcome, _) = run_byzantine_cell(n, f, class, churn_rate, cell);
-                silenced_total += outcome.byzantine.silenced;
+                silenced_total += outcome.metrics.byzantine().silenced;
             }
         }
     }
@@ -238,23 +239,26 @@ fn byzantine_matrix_medium_networks() {
 fn harshest_byzantine_cell_replays_byte_exactly() {
     let n = 32;
     let graph = gen::random_weakly_connected(n, 2 * n, 8_888);
-    let byz = ByzantinePlan::new(8_888, 2);
-    let churn = ChurnPlan::new(8_889, 0.1);
-    let (result, schedule) = Discovery::run_byzantine(
+    let plans = Plans {
+        byzantine: Some(ByzantinePlan::new(8_888, 2)),
+        churn: Some(ChurnPlan::new(8_889, 0.1)),
+        ..Plans::default()
+    };
+    let (result, schedule) = record(
         &graph,
         Variant::AdHoc,
-        Some(&byz),
-        Some(&churn),
+        &plans,
         RandomScheduler::seeded(8_890),
     );
     let outcome = result.expect("harshest Byzantine cell quiesces");
-    let replayed = Discovery::replay_byzantine(&graph, Variant::AdHoc, &schedule)
-        .expect("recorded Byzantine schedule replays");
+    let replayed =
+        replay(&graph, Variant::AdHoc, &schedule).expect("recorded Byzantine schedule replays");
     assert_eq!(replayed.steps, outcome.steps);
     assert_eq!(replayed.leaders, outcome.leaders);
-    assert_eq!(replayed.byzantine, outcome.byzantine);
-    assert_eq!(replayed.joined, outcome.joined);
-    assert_eq!(replayed.left, outcome.left);
+    assert_eq!(replayed.metrics.byzantine(), outcome.metrics.byzantine());
+    let (again, first) = (replayed.survivors.unwrap(), outcome.survivors.unwrap());
+    assert_eq!(again.joined, first.joined);
+    assert_eq!(again.left, first.left);
     assert_eq!(
         format!("{}", replayed.metrics),
         format!("{}", outcome.metrics),
@@ -270,11 +274,13 @@ fn pure_crash_churn_is_survivable() {
     for (seed, variant) in [(1u64, Variant::Oblivious), (2, Variant::Bounded), (3, Variant::AdHoc)]
     {
         let graph = gen::random_weakly_connected(16, 32, seed);
-        let plan = FaultPlan::new(seed).with_spread_crashes(3, 16);
-        let (result, _) =
-            Discovery::run_faulty(&graph, variant, &plan, RandomScheduler::seeded(seed + 50));
+        let plans = Plans {
+            faults: Some(FaultPlan::new(seed).with_spread_crashes(3, 16)),
+            ..Plans::default()
+        };
+        let (result, _) = record(&graph, variant, &plans, RandomScheduler::seeded(seed + 50));
         let outcome = result.unwrap_or_else(|e| panic!("variant {variant}: {e}"));
-        assert_eq!(outcome.faults.crashes, 3);
-        assert_eq!(outcome.faults.drops, 0, "no link faults in this plan");
+        assert_eq!(outcome.metrics.faults().crashes, 3);
+        assert_eq!(outcome.metrics.faults().drops, 0, "no link faults in this plan");
     }
 }

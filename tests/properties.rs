@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use asynchronous_resource_discovery::core::{budgets, Discovery, Variant};
+use asynchronous_resource_discovery::core::{budgets, record, replay, Discovery, Plans, Variant};
 use asynchronous_resource_discovery::graph::{components, gen, KnowledgeGraph};
 use asynchronous_resource_discovery::netsim::explore::{fixtures, run_fork_system};
 use asynchronous_resource_discovery::netsim::{
@@ -338,24 +338,19 @@ proptest! {
     ) {
         let topology = format!("random:n={n},extra={extra},seed={graph_seed}");
         let graph = gen::random_weakly_connected(n, extra, graph_seed);
-        let plan = fault.plan(n);
-        let (result, schedule) =
-            Discovery::run_faulty(&graph, variant, &plan, sched.build());
-        let outcome = match result.and_then(|o| {
-            budgets::check_all_faulty(
-                &o.metrics,
-                n as u64,
-                graph.edge_count() as u64,
-                variant,
-            )
-            .map(|()| o)
-        }) {
+        let plans = Plans {
+            faults: Some(fault.plan(n)),
+            ..Plans::default()
+        };
+        // `record` judges requirements and net-of-overhead budgets itself.
+        let (result, schedule) = record(&graph, variant, &plans, sched.build());
+        let outcome = match result {
             Ok(outcome) => outcome,
             Err(reason) => {
                 return Err(fail_with_artifact(&topology, variant, schedule, &reason));
             }
         };
-        match Discovery::replay_faulty(&graph, variant, &schedule) {
+        match replay(&graph, variant, &schedule) {
             Err(reason) => {
                 let reason = format!("faulty replay diverged: {reason}");
                 return Err(fail_with_artifact(&topology, variant, schedule, &reason));
@@ -392,38 +387,36 @@ proptest! {
     ) {
         let topology = format!("random:n={n},extra={extra},seed={graph_seed}");
         let graph = gen::random_weakly_connected(n, extra, graph_seed);
-        let plan = byz.plan();
-        let churn_plan = churn.as_ref().map(ChurnSpec::plan);
-        let (result, schedule) = Discovery::run_byzantine(
-            &graph,
-            variant,
-            Some(&plan),
-            churn_plan.as_ref(),
-            sched.build(),
-        );
+        let plans = Plans {
+            byzantine: Some(byz.plan()),
+            churn: churn.as_ref().map(ChurnSpec::plan),
+            ..Plans::default()
+        };
+        let (result, schedule) = record(&graph, variant, &plans, sched.build());
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(reason) => {
                 return Err(fail_with_artifact(&topology, variant, schedule, &reason));
             }
         };
-        if outcome.byzantine_nodes.len() != byz.f.min(n) {
+        let survivors = outcome.survivors.as_ref().expect("judged over survivors");
+        if survivors.byzantine_nodes.len() != byz.f.min(n) {
             let reason = format!(
                 "plan promised {} traitors, outcome reports {}",
                 byz.f.min(n),
-                outcome.byzantine_nodes.len()
+                survivors.byzantine_nodes.len()
             );
             return Err(fail_with_artifact(&topology, variant, schedule, &reason));
         }
-        if let Some(churn_plan) = &churn_plan {
-            if outcome.joined.len() != churn_plan.joiners(n).len()
-                || outcome.left.len() != churn_plan.leavers(n).len()
+        if let Some(churn_plan) = &plans.churn {
+            if survivors.joined.len() != churn_plan.joiners(n).len()
+                || survivors.left.len() != churn_plan.leavers(n).len()
             {
                 let reason = "membership churn diverged from the plan";
                 return Err(fail_with_artifact(&topology, variant, schedule, reason));
             }
         }
-        match Discovery::replay_byzantine(&graph, variant, &schedule) {
+        match replay(&graph, variant, &schedule) {
             Err(reason) => {
                 let reason = format!("byzantine replay diverged: {reason}");
                 return Err(fail_with_artifact(&topology, variant, schedule, &reason));
@@ -431,7 +424,7 @@ proptest! {
             Ok(replayed) => {
                 if replayed.steps != outcome.steps
                     || replayed.leaders != outcome.leaders
-                    || replayed.byzantine != outcome.byzantine
+                    || replayed.metrics.byzantine() != outcome.metrics.byzantine()
                     || format!("{}", replayed.metrics) != format!("{}", outcome.metrics)
                 {
                     let reason = "byzantine replay diverged from the recording";

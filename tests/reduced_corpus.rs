@@ -4,9 +4,7 @@
 //! minimizes the unreduced explorer's — reduction prunes *redundant*
 //! interleavings, never the witnesses.
 
-use std::collections::BTreeSet;
-
-use asynchronous_resource_discovery::core::{ByzantineDiscovery, Variant};
+use asynchronous_resource_discovery::core::{run_checked, Plans, Variant};
 use asynchronous_resource_discovery::graph::gen;
 use asynchronous_resource_discovery::netsim::explore::{
     explore, explore_fork, fixtures, ExploreConfig, ReduceMode,
@@ -101,15 +99,12 @@ fn reduced_dfs_finds_and_minimizes_the_equivocation_witness() {
 /// churn, checking the survivor-restricted guarantees.
 fn run_byz_churn_ring(sched: &mut dyn Scheduler) -> Result<(), String> {
     let graph = gen::ring(12);
-    let byz = ByzantinePlan::new(7, 2);
-    let churn = ChurnPlan::new(11, 0.2);
-    let mut bd = ByzantineDiscovery::new(&graph, Variant::AdHoc);
-    let withheld: BTreeSet<NodeId> = churn.joiners(graph.len()).into_iter().collect();
-    let steps = bd.run_all(sched, &withheld)?;
-    let outcome = bd.outcome(steps, Some(&byz), Some(&churn));
-    outcome.single_leader.clone()?;
-    outcome.leader_knows_all.clone()?;
-    outcome.budgets.clone()
+    let plans = Plans {
+        byzantine: Some(ByzantinePlan::new(7, 2)),
+        churn: Some(ChurnPlan::new(11, 0.2)),
+        ..Plans::default()
+    };
+    run_checked(&graph, Variant::AdHoc, false, &plans, sched)?.verdict()
 }
 
 #[test]

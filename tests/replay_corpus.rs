@@ -37,7 +37,7 @@
 use std::path::PathBuf;
 
 use ard_cli::spec;
-use asynchronous_resource_discovery::core::{budgets, Discovery};
+use asynchronous_resource_discovery::core::{record, replay, Discovery, Plans};
 use asynchronous_resource_discovery::netsim::explore::fixtures;
 use asynchronous_resource_discovery::netsim::{Choice, ReplayScheduler, Schedule, Scheduler};
 
@@ -199,57 +199,11 @@ fn every_corpus_schedule_replays_and_still_holds() {
         let variant = spec::parse_variant(schedule.meta("variant").expect("variant meta"))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let graph = spec::parse_topology(topology).unwrap_or_else(|e| panic!("{name}: {e}"));
-        if schedule.meta("byzantine").is_some() || schedule.meta("churn").is_some() {
-            let outcome = Discovery::replay_byzantine(&graph, variant, &schedule)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(
-                outcome.steps,
-                schedule.len() as u64,
-                "{name}: Byzantine replay executed every recorded choice"
-            );
-            if let Some(steps) = schedule.meta("steps") {
-                assert_eq!(steps, outcome.steps.to_string(), "{name}: pinned step count");
-            }
-            assert!(
-                !outcome.survives_all(),
-                "{name}: a Byzantine corpus witness must reproduce a guarantee violation"
-            );
-            assert!(
-                outcome.byzantine.forged > 0
-                    || outcome.byzantine.silenced > 0
-                    || !outcome.left.is_empty(),
-                "{name}: the witness should actually contain adversarial events"
-            );
-            continue;
-        }
-        if schedule.meta("faults").is_some() {
-            let outcome = Discovery::replay_faulty(&graph, variant, &schedule)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(
-                outcome.steps,
-                schedule.len() as u64,
-                "{name}: faulty replay executed every recorded choice"
-            );
-            if let Some(steps) = schedule.meta("steps") {
-                assert_eq!(steps, outcome.steps.to_string(), "{name}: pinned step count");
-            }
-            assert!(
-                outcome.faults.any(),
-                "{name}: a fault schedule should actually contain faults"
-            );
-            budgets::check_all_faulty(
-                &outcome.metrics,
-                graph.len() as u64,
-                graph.edge_count() as u64,
-                variant,
-            )
-            .unwrap_or_else(|e| panic!("{name}: faulty budgets: {e}"));
-            continue;
-        }
-        let mut d = Discovery::new(&graph, variant);
-        let outcome = d
-            .run_replay(&schedule)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        // `replay` rebuilds the network the metadata describes and holds
+        // honest and fault schedules to the requirements and the budgets
+        // (net of the reliable layer's overhead under `faults`).
+        let outcome =
+            replay(&graph, variant, &schedule).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             outcome.steps,
             schedule.len() as u64,
@@ -258,16 +212,47 @@ fn every_corpus_schedule_replays_and_still_holds() {
         if let Some(steps) = schedule.meta("steps") {
             assert_eq!(steps, outcome.steps.to_string(), "{name}: pinned step count");
         }
-        d.check_requirements(&graph)
-            .unwrap_or_else(|e| panic!("{name}: requirements: {e}"));
-        budgets::check_all(
-            &outcome.metrics,
-            graph.len() as u64,
-            graph.edge_count() as u64,
-            variant,
-        )
-        .unwrap_or_else(|e| panic!("{name}: budgets: {e}"));
+        if let Some(survivors) = &outcome.survivors {
+            assert!(
+                outcome.verdict().is_err(),
+                "{name}: a Byzantine corpus witness must reproduce a guarantee violation"
+            );
+            let injected = outcome.metrics.byzantine();
+            assert!(
+                injected.forged > 0 || injected.silenced > 0 || !survivors.left.is_empty(),
+                "{name}: the witness should actually contain adversarial events"
+            );
+        }
+        assert_eq!(
+            outcome.survivors.is_some(),
+            schedule.meta("byzantine").is_some() || schedule.meta("churn").is_some(),
+            "{name}: survivor verdicts exactly under a Byzantine or churn plan"
+        );
+        if schedule.meta("faults").is_some() {
+            assert!(
+                outcome.metrics.faults().any(),
+                "{name}: a fault schedule should actually contain faults"
+            );
+        }
     }
+}
+
+/// A present-but-malformed plan entry must fail the replay by name rather
+/// than silently mean "no plan" (no joiner wakes withheld, nobody excluded
+/// from the survivor checks).
+#[test]
+fn corrupted_plan_meta_fails_the_replay_by_name() {
+    let mut schedule = load(&corpus_dir().join("byzantine-churn-ring-12.schedule"));
+    let graph = spec::parse_topology(schedule.meta("topology").unwrap()).unwrap();
+    let variant = spec::parse_variant(schedule.meta("variant").unwrap()).unwrap();
+    assert!(replay(&graph, variant, &schedule).is_ok());
+    schedule.set_meta("churn", "rate=lots,seed=11");
+    let err = replay(&graph, variant, &schedule).unwrap_err();
+    assert!(err.contains("`churn`"), "{err}");
+    schedule.set_meta("churn", "rate=0.2,seed=11");
+    schedule.set_meta("byzantine", "classes=silence");
+    let err = replay(&graph, variant, &schedule).unwrap_err();
+    assert!(err.contains("`byzantine`"), "{err}");
 }
 
 /// The discovery entries of the corpus: name, topology spec, variant and a
@@ -327,8 +312,12 @@ fn regenerate_fault_corpus() {
         .with_drop(0.15)
         .with_dup(0.05)
         .with_spread_crashes(2, graph.len());
+    let plans = Plans {
+        faults: Some(plan),
+        ..Plans::default()
+    };
     let (result, mut schedule) =
-        Discovery::run_faulty(&graph, Variant::AdHoc, &plan, RandomScheduler::seeded(3));
+        record(&graph, Variant::AdHoc, &plans, RandomScheduler::seeded(3));
     let outcome = result.expect("faulty corpus run must complete");
     schedule.set_meta("topology", topology);
     schedule.set_meta("steps", outcome.steps.to_string());
@@ -426,18 +415,16 @@ fn regenerate_byzantine_corpus() {
 
     let topology = "ring:12";
     let graph = spec::parse_topology(topology).unwrap();
-    let byz = ByzantinePlan::new(7, 2);
-    let churn = ChurnPlan::new(11, 0.2);
-    let (result, mut schedule) = Discovery::run_byzantine(
-        &graph,
-        Variant::AdHoc,
-        Some(&byz),
-        Some(&churn),
-        RandomScheduler::seeded(5),
-    );
+    let plans = Plans {
+        byzantine: Some(ByzantinePlan::new(7, 2)),
+        churn: Some(ChurnPlan::new(11, 0.2)),
+        ..Plans::default()
+    };
+    let (result, mut schedule) =
+        record(&graph, Variant::AdHoc, &plans, RandomScheduler::seeded(5));
     let outcome = result.expect("Byzantine corpus run must quiesce");
     assert!(
-        !outcome.survives_all(),
+        outcome.verdict().is_err(),
         "the churn witness must violate a survivor guarantee"
     );
     schedule.set_meta("topology", topology);

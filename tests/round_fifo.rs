@@ -109,7 +109,8 @@ fn round_loop_livelock_cuts_off_at_the_same_step() {
     let want = fifo.runner_mut().run(&mut sched, 40).unwrap_err();
 
     let mut rounds = Discovery::new(&graph, Variant::Oblivious);
-    let got = rounds.run_all_rounds_capped(40).unwrap_err();
+    rounds.cap_steps(40);
+    let got = rounds.run_all_rounds().unwrap_err();
     assert_eq!(got, want, "cutoff step and pending count");
     assert_eq!(
         rounds.runner().metrics(),
@@ -131,7 +132,8 @@ fn round_loop_matches_fifo_scheduler_at_n_100000() {
     fifo.check_requirements(&graph).unwrap();
 
     let mut rounds = Discovery::new(&graph, Variant::Oblivious);
-    let got = rounds.run_all_rounds_capped(4_000_000).unwrap();
+    rounds.cap_steps(4_000_000);
+    let got = rounds.run_all_rounds().unwrap();
     assert_eq!(got.steps, want.steps);
     assert_eq!(got.leaders, want.leaders);
     assert_eq!(got.metrics, want.metrics);

@@ -32,7 +32,7 @@
 //! everywhere because adversarial traffic is metered separately and netted
 //! out.
 
-use asynchronous_resource_discovery::core::{Discovery, Variant};
+use asynchronous_resource_discovery::core::{record, Plans, Variant};
 use asynchronous_resource_discovery::graph::gen;
 use asynchronous_resource_discovery::netsim::{ByzantinePlan, ChurnPlan, RandomScheduler};
 
@@ -90,22 +90,29 @@ fn run_cell(class: Option<&str>, f: usize, churn_rate: f64) -> [Survival; 3] {
     let mut violations = [0u64; 3];
     for probe in 0..PROBES {
         let graph = gen::random_weakly_connected(N, 2 * N, 7_000 + probe);
-        let byz = class.map(|c| ByzantinePlan::new(probe, f).only(c));
-        let churn = (churn_rate > 0.0).then(|| ChurnPlan::new(100 + probe, churn_rate));
-        let (result, _) = Discovery::run_byzantine(
+        let plans = Plans {
+            byzantine: class.map(|c| ByzantinePlan::new(probe, f).only(c)),
+            churn: (churn_rate > 0.0).then(|| ChurnPlan::new(100 + probe, churn_rate)),
+            ..Plans::default()
+        };
+        let (result, _) = record(
             &graph,
             Variant::AdHoc,
-            byz.as_ref(),
-            churn.as_ref(),
+            &plans,
             RandomScheduler::seeded(500 + probe),
         );
         let outcome = result.unwrap_or_else(|e| {
             panic!("class={class:?} f={f} churn={churn_rate} probe={probe}: {e}")
         });
+        // The plan-free control is an honest run: `record` already held it
+        // to the full requirements and budgets, which imply these three.
+        let Some(survivors) = &outcome.survivors else {
+            continue;
+        };
         for (slot, check) in [
-            &outcome.single_leader,
-            &outcome.leader_knows_all,
-            &outcome.budgets,
+            &survivors.single_leader,
+            &survivors.leader_knows_all,
+            &survivors.budgets,
         ]
         .into_iter()
         .enumerate()
