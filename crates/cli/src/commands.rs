@@ -305,8 +305,7 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
     }
 
     let plans = parse_plans(&flags, graph.len())?;
-    // Link faults are survivable only over the reliable-delivery layer.
-    if plans.faults.is_some() {
+    if plans.reliable() {
         discover_on::<Reliable<ArdNode>>(&flags, topology, variant, &graph, &plans, sched)
     } else {
         discover_on::<ArdNode>(&flags, topology, variant, &graph, &plans, sched)
@@ -736,11 +735,12 @@ impl System {
                 .meta("variant")
                 .ok_or_else(|| CliError("schedule has no `variant` meta".into()))?,
         )?;
+        let (reliable, plans) = Plans::from_schedule(schedule).map_err(CliError)?;
         Ok(System::Discovery {
             topology: topology.to_string(),
             variant,
-            reliable: schedule.meta("faults").is_some(),
-            plans: Plans::from_schedule(schedule).map_err(CliError)?,
+            reliable,
+            plans,
         })
     }
 
@@ -893,7 +893,7 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
             variant: spec::parse_variant(
                 flags.get("variant").map(String::as_str).unwrap_or("adhoc"),
             )?,
-            reliable: plans.faults.is_some(),
+            reliable: plans.reliable(),
             plans: plans.clone(),
         },
     };

@@ -15,8 +15,10 @@ use crate::{budgets, invariants, Config, Variant};
 
 /// The node layer a discovery network is built from: the bare protocol
 /// node, or the protocol node inside a delivery envelope. Everything the
-/// driver does differently per layer is named here.
-pub trait Layer: Protocol + AsArdNode + Sized {
+/// driver does differently per layer is named here. Sealed: the two layers
+/// below are the only ones, so the [`Livelock`](Layer::Livelock) shim can
+/// be retired without breaking an outside implementation.
+pub trait Layer: Protocol + AsArdNode + Sized + sealed::Sealed {
     /// What a run on this layer returns when its step budget runs out.
     /// Runs on the reliable layer have always reported the livelock as
     /// text, and the frozen `benchmark/` crate compiles against that.
@@ -46,6 +48,12 @@ pub trait Layer: Protocol + AsArdNode + Sized {
     ///
     /// Propagates the first violated bound.
     fn check_budgets(metrics: &Metrics, n: u64, e0: u64, variant: Variant) -> Result<(), String>;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::ArdNode {}
+    impl Sealed for super::Reliable<super::ArdNode> {}
 }
 
 impl Layer for ArdNode {
@@ -388,7 +396,7 @@ impl<P: Layer> DiscoveryOn<P> {
     pub fn run_rounds_recorded(&mut self) -> (Result<Outcome, P::Livelock>, Schedule) {
         debug_assert!(self.plans.is_empty(), "the round loop injects no plans");
         let (result, mut schedule) = self.runner.run_rounds_recorded(self.budget());
-        self.stamp(&mut schedule);
+        stamp(&mut schedule, self.runner.len(), self.variant, &self.plans);
         let result = result
             .map(|steps| self.outcome_after(steps))
             .map_err(P::livelock);
@@ -407,18 +415,9 @@ impl<P: Layer> DiscoveryOn<P> {
         &mut self,
         inner: S,
     ) -> (Result<Outcome, P::Livelock>, Schedule) {
-        let n = self.runner.len();
-        let mut sched = RecordingScheduler::new(self.plans.scheduler(inner, n));
-        let result = self.run_all(&mut sched);
-        let mut schedule = sched.into_schedule();
-        self.stamp(&mut schedule);
-        (result, schedule)
-    }
-
-    fn stamp(&self, schedule: &mut Schedule) {
-        schedule.set_meta("nodes", self.runner.len().to_string());
-        schedule.set_meta("variant", self.variant.to_string());
-        self.plans.stamp(schedule);
+        // Cloned because the closure borrows the whole driver.
+        let (plans, n, variant) = (self.plans.clone(), self.runner.len(), self.variant);
+        recorded(&plans, n, variant, inner, |sched| self.run_all(sched))
     }
 
     /// Re-executes a recorded [`Schedule`] against this (freshly built)
@@ -744,21 +743,23 @@ impl Discovery {
             .exec(u, sched, |n, ctx| n.add_dynamic_edge(v, ctx));
     }
 
-    /// [`replay`] on the reliable layer whatever the schedule's metadata
-    /// says; the frozen `benchmark/` crate replays recordings it never
-    /// stamped through this spelling.
+    /// Replays `schedule` on the reliable layer whatever its metadata says
+    /// and holds the run to the requirements only; the frozen `benchmark/`
+    /// crate replays recordings it never stamped through this spelling.
     ///
     /// # Errors
     ///
-    /// As [`replay`].
+    /// Returns the livelock or the first violated requirement.
     #[doc(hidden)]
     pub fn replay_faulty(
         graph: &KnowledgeGraph,
         variant: Variant,
         schedule: &Schedule,
     ) -> Result<Outcome, String> {
-        let plans = Plans::from_schedule(schedule)?;
-        run_checked(graph, variant, true, &plans, &mut ReplayScheduler::strict(schedule))
+        let mut d = FaultyDiscovery::new(graph, variant);
+        let outcome = d.run_replay(schedule)?;
+        d.check_requirements(graph)?;
+        Ok(outcome)
     }
 }
 
@@ -798,11 +799,33 @@ pub fn run_checked(
     }
 }
 
-/// Runs discovery on `graph` under `plans` and records it: the reliable
-/// layer iff there is a fault plan (under any drop rate `< 1` and the
-/// plan's bounded crash/restart churn, discovery must still complete
-/// correctly), the scheduler wrapped in [`Plans::scheduler`], the run
-/// judged as in [`run_checked`].
+/// Runs `run` under a recorder around `plans`' scheduler and returns its
+/// result with the recording, stamped for replay.
+fn recorded<S: Scheduler, R>(
+    plans: &Plans,
+    n: usize,
+    variant: Variant,
+    inner: S,
+    run: impl FnOnce(&mut dyn Scheduler) -> R,
+) -> (R, Schedule) {
+    let mut sched = RecordingScheduler::new(plans.scheduler(inner, n));
+    let result = run(&mut sched);
+    let mut schedule = sched.into_schedule();
+    stamp(&mut schedule, n, variant, plans);
+    (result, schedule)
+}
+
+/// Writes what a replay rebuilds the recorded network from.
+fn stamp(schedule: &mut Schedule, n: usize, variant: Variant, plans: &Plans) {
+    schedule.set_meta("nodes", n.to_string());
+    schedule.set_meta("variant", variant.to_string());
+    plans.stamp(schedule);
+}
+
+/// [`run_checked`] on the layer `plans` call for ([`Plans::reliable`]: under
+/// any drop rate `< 1` and the plan's bounded crash/restart churn,
+/// discovery must still complete correctly), recorded as by
+/// [`DiscoveryOn::run_recorded`].
 ///
 /// Returns the run result and the recorded schedule (also on failure — a
 /// failing prefix is still worth replaying), which [`replay`] re-executes
@@ -814,31 +837,14 @@ pub fn record<S: Scheduler>(
     plans: &Plans,
     inner: S,
 ) -> (Result<Outcome, String>, Schedule) {
-    fn on<P: Layer, S: Scheduler>(
-        graph: &KnowledgeGraph,
-        variant: Variant,
-        plans: &Plans,
-        inner: S,
-    ) -> (Result<Outcome, String>, Schedule) {
-        let mut d = DiscoveryOn::<P>::under(graph, variant, plans);
-        let (result, schedule) = d.run_recorded(inner);
-        let result = result
-            .map_err(|e| e.to_string())
-            .and_then(|outcome| d.check(&outcome).map(|()| outcome));
-        (result, schedule)
-    }
-    if plans.faults.is_some() {
-        on::<Reliable<ArdNode>, S>(graph, variant, plans, inner)
-    } else {
-        on::<ArdNode, S>(graph, variant, plans, inner)
-    }
+    recorded(plans, graph.len(), variant, inner, |sched| {
+        run_checked(graph, variant, plans.reliable(), plans, sched)
+    })
 }
 
 /// Re-executes a schedule recorded by [`record`] (or `ard discover
-/// --record`) strictly, against the network its metadata describes:
-/// `faults` present selects the reliable layer, `byzantine` / `churn`
-/// reconstruct whose wakes to withhold and whom the survivor guarantees
-/// exclude ([`Plans::from_schedule`]). Judged as in [`run_checked`].
+/// --record`) strictly, against the network its metadata describes
+/// ([`Plans::from_schedule`]). Judged as in [`run_checked`].
 ///
 /// # Errors
 ///
@@ -849,13 +855,8 @@ pub fn replay(
     variant: Variant,
     schedule: &Schedule,
 ) -> Result<Outcome, String> {
-    run_checked(
-        graph,
-        variant,
-        schedule.meta("faults").is_some(),
-        &Plans::from_schedule(schedule)?,
-        &mut ReplayScheduler::strict(schedule),
-    )
+    let (reliable, plans) = Plans::from_schedule(schedule)?;
+    run_checked(graph, variant, reliable, &plans, &mut ReplayScheduler::strict(schedule))
 }
 
 #[cfg(test)]

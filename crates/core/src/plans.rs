@@ -50,6 +50,13 @@ impl Plans {
         self.faults.is_none() && self.byzantine.is_none() && self.churn.is_none()
     }
 
+    /// Whether a run under these plans needs every node inside the
+    /// [`Reliable`](crate::Reliable) envelope: link faults are survivable
+    /// only over the reliable-delivery layer.
+    pub fn reliable(&self) -> bool {
+        self.faults.is_some()
+    }
+
     /// The node configuration these plans call for: the paper's, hardened
     /// with [`Config::byzantine`] under a Byzantine or churn plan so forged
     /// "impossible" messages are dropped instead of tripping the honest-run
@@ -92,16 +99,18 @@ impl Plans {
         }
     }
 
-    /// Reconstructs the `byzantine` and `churn` plans a schedule was
-    /// recorded under. The `faults` entry is not parsed back: its presence
-    /// selects the reliable layer, and the recorded choices already carry
-    /// every injected fault.
+    /// Reconstructs from a schedule's metadata the network it was recorded
+    /// on: whether on the reliable layer (the `faults` key is present) and
+    /// the `byzantine` and `churn` plans, which say whose wakes to withhold
+    /// and whom the survivor guarantees exclude. The `faults` value is not
+    /// parsed back: the recorded choices already carry every injected
+    /// fault.
     ///
     /// # Errors
     ///
     /// Names the metadata key whose value does not parse — a malformed
     /// plan must not silently replay as "no plan".
-    pub fn from_schedule(schedule: &Schedule) -> Result<Plans, String> {
+    pub fn from_schedule(schedule: &Schedule) -> Result<(bool, Plans), String> {
         fn entry<T>(
             schedule: &Schedule,
             key: &str,
@@ -113,11 +122,12 @@ impl Plans {
                 .transpose()
                 .map_err(|e| format!("schedule meta `{key}`: {e}"))
         }
-        Ok(Plans {
+        let plans = Plans {
             faults: None,
             byzantine: entry(schedule, "byzantine", parse_byzantine_meta)?,
             churn: entry(schedule, "churn", parse_churn_meta)?,
-        })
+        };
+        Ok((schedule.meta("faults").is_some(), plans))
     }
 }
 
@@ -300,11 +310,12 @@ mod tests {
     #[test]
     fn from_schedule_names_the_malformed_key() {
         let mut schedule = Schedule::new(Vec::new());
-        assert!(Plans::from_schedule(&schedule).unwrap().is_empty());
+        let (reliable, plans) = Plans::from_schedule(&schedule).unwrap();
+        assert!(!reliable && plans.is_empty());
         schedule.set_meta("faults", "drop=0.1,dup=0,crash=0,seed=1");
         schedule.set_meta("churn", "rate=0.2,seed=11");
-        let plans = Plans::from_schedule(&schedule).unwrap();
-        assert!(plans.faults.is_none() && plans.byzantine.is_none());
+        let (reliable, plans) = Plans::from_schedule(&schedule).unwrap();
+        assert!(reliable && plans.faults.is_none() && plans.byzantine.is_none());
         assert_eq!(plans.churn, Some(ChurnPlan::new(11, 0.2)));
         schedule.set_meta("churn", "rate=lots");
         let err = Plans::from_schedule(&schedule).unwrap_err();

@@ -32,7 +32,7 @@
 //! everywhere because adversarial traffic is metered separately and netted
 //! out.
 
-use asynchronous_resource_discovery::core::{record, Plans, Variant};
+use asynchronous_resource_discovery::core::{Config, Discovery, Plans, Variant};
 use asynchronous_resource_discovery::graph::gen;
 use asynchronous_resource_discovery::netsim::{ByzantinePlan, ChurnPlan, RandomScheduler};
 
@@ -95,20 +95,22 @@ fn run_cell(class: Option<&str>, f: usize, churn_rate: f64) -> [Survival; 3] {
             churn: (churn_rate > 0.0).then(|| ChurnPlan::new(100 + probe, churn_rate)),
             ..Plans::default()
         };
-        let (result, _) = record(
-            &graph,
-            Variant::AdHoc,
-            &plans,
-            RandomScheduler::seeded(500 + probe),
-        );
+        // Every cell — the plan-free control included — runs the hardened
+        // network, so "hardening alone breaks no guarantee" is measured over
+        // the same survivor verdicts as the adversarial rows.
+        let mut discovery = if plans.is_empty() {
+            Discovery::with_config(&graph, Variant::AdHoc, Config::byzantine())
+        } else {
+            Discovery::under(&graph, Variant::AdHoc, &plans)
+        };
+        let (result, _) = discovery.run_recorded(RandomScheduler::seeded(500 + probe));
         let outcome = result.unwrap_or_else(|e| {
             panic!("class={class:?} f={f} churn={churn_rate} probe={probe}: {e}")
         });
-        // The plan-free control is an honest run: `record` already held it
-        // to the full requirements and budgets, which imply these three.
-        let Some(survivors) = &outcome.survivors else {
-            continue;
-        };
+        let survivors = outcome
+            .survivors
+            .as_ref()
+            .expect("a hardened network reports survivor verdicts");
         for (slot, check) in [
             &survivors.single_leader,
             &survivors.leader_knows_all,
