@@ -584,7 +584,7 @@ pub fn e12_overlay_pipeline(quick: bool) -> Table {
         let mut sched = RandomScheduler::seeded(n as u64);
         let outcome = d.run_all(&mut sched).expect("discovery livelocked");
         let leader = outcome.leaders[0];
-        let members: Vec<NodeId> = d.runner().node(leader).done().iter().copied().collect();
+        let members: Vec<NodeId> = d.runner().node(leader).done().iter().collect();
         let mut overlay = bootstrap(&members);
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64 + 13);

@@ -571,7 +571,7 @@ fn overlay(flags: HashMap<String, String>) -> Result<String, CliError> {
     let mut sched = RandomScheduler::seeded(seed + 1);
     let outcome = d.run_all(&mut sched).map_err(|e| CliError(e.to_string()))?;
     let leader = outcome.leaders[0];
-    let members: Vec<NodeId> = d.runner().node(leader).done().iter().copied().collect();
+    let members: Vec<NodeId> = d.runner().node(leader).done().iter().collect();
     let mut ring = bootstrap(&members);
     let mut rng = StdRng::seed_from_u64(seed + 2);
     let mut hops = 0u64;

@@ -597,11 +597,10 @@ impl<P: Layer> DiscoveryOn<P> {
             let knows = node
                 .local()
                 .iter()
-                .chain(node.more())
-                .chain(node.done())
-                .chain(node.unaware())
-                .chain(node.unexplored())
-                .copied()
+                .chain(node.more().iter())
+                .chain(node.done().iter())
+                .chain(node.unaware().iter())
+                .chain(node.unexplored().iter())
                 .chain([node.next_pointer()]);
             for w in knows {
                 let j = new_id.get(w.index()).copied().unwrap_or(usize::MAX);

@@ -50,7 +50,6 @@ pub fn check_requirements<P: Protocol + AsArdNode>(
     }
 
     for component in components::weakly_connected_components(graph) {
-        let members: BTreeSet<NodeId> = component.iter().copied().collect();
         let leaders: Vec<NodeId> = component
             .iter()
             .copied()
@@ -77,10 +76,16 @@ pub fn check_requirements<P: Protocol + AsArdNode>(
         {
             return Err(format!("leader {leader} quiesced with unfinished work"));
         }
-        // Requirement 2: the leader knows everyone.
-        if lnode.done() != &members {
-            let missing: Vec<_> = members.difference(lnode.done()).collect();
-            let extra: Vec<_> = lnode.done().difference(&members).collect();
+        // Requirement 2: the leader knows everyone. Components come sorted,
+        // as `done` iterates, so equality is one ascending walk; the
+        // difference sets are built for the message only.
+        let done = lnode.done();
+        if !done.iter().eq(component.iter().copied()) {
+            let missing: Vec<_> = component.iter().filter(|&&v| !done.contains(v)).collect();
+            let extra: Vec<_> = done
+                .iter()
+                .filter(|v| component.binary_search(v).is_err())
+                .collect();
             return Err(format!(
                 "leader {leader} knowledge mismatch: missing {missing:?}, extra {extra:?}"
             ));
@@ -214,9 +219,9 @@ pub fn check_survivor_leader_knows_all<P: Protocol + AsArdNode>(
             if v == leader {
                 continue;
             }
-            if !(lnode.done().contains(&v)
-                || lnode.more().contains(&v)
-                || lnode.unaware().contains(&v))
+            if !(lnode.done().contains(v)
+                || lnode.more().contains(v)
+                || lnode.unaware().contains(v))
             {
                 return Err(format!(
                     "honest leader {leader} does not know honest member {v}"
@@ -412,5 +417,26 @@ mod tests {
             d.runner_mut().step(&mut sched);
         }
         assert!(check_requirements(d.runner(), &graph, Variant::Oblivious).is_err());
+    }
+
+    #[test]
+    fn requirement_checker_names_the_ids_a_leader_should_not_know() {
+        let mut d = Discovery::new(&gen::path(4), Variant::Oblivious);
+        let outcome = d.run_all(&mut RandomScheduler::seeded(0)).unwrap();
+        // Judge the run against a graph whose first component is only the
+        // leader and one neighbour: the other two ids are extra.
+        let leader = outcome.leaders[0];
+        let pair = [0, leader.index().max(1)];
+        let smaller = KnowledgeGraph::from_edges(4, [(pair[0], pair[1])]);
+        let extra: Vec<NodeId> = (0..4)
+            .filter(|v| !pair.contains(v))
+            .map(NodeId::new)
+            .collect();
+        assert_eq!(
+            check_requirements(d.runner(), &smaller, Variant::Oblivious),
+            Err(format!(
+                "leader {leader} knowledge mismatch: missing [], extra {extra:?}"
+            ))
+        );
     }
 }

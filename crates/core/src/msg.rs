@@ -133,7 +133,7 @@ pub enum Message {
 /// The state a surrendered leader ships to its conqueror in a
 /// [`Message::Info`].
 ///
-/// The four sets are [`IdSeq`]s: built from ascending `BTreeSet`
+/// The four sets are [`IdSeq`]s: built from ascending `IdSet`
 /// iteration, a whole cluster set run-codes into a handful of words, so
 /// the endgame's O(component)-sized handovers stop dominating allocation
 /// and memcpy traffic (the id *order*, and with it every digest and

@@ -26,9 +26,9 @@
 //!   leader's `(phase, id)`; conquer messages always arrive with a strictly
 //!   higher phase (asserted) and are always acknowledged.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use ard_netsim::{Context, Envelope, IdSeq, MessageArena, NodeId, Protocol, StateDigest};
+use ard_netsim::{Context, Envelope, IdSeq, IdSet, MessageArena, NodeId, Protocol, StateDigest};
 
 use crate::msg::{InfoPayload, Message, Verdict};
 use crate::status::{Status, Transition};
@@ -85,11 +85,11 @@ pub struct ArdNode {
     status: Status,
     phase: u32,
     next: NodeId,
-    local: BTreeSet<NodeId>,
-    more: BTreeSet<NodeId>,
-    done: BTreeSet<NodeId>,
-    unaware: BTreeSet<NodeId>,
-    unexplored: BTreeSet<NodeId>,
+    local: IdSet,
+    more: IdSet,
+    done: IdSet,
+    unaware: IdSet,
+    unexplored: IdSet,
     /// Relay queue of in-transit searches/probes: `(message, sender)`.
     previous: VecDeque<(Message, NodeId)>,
 
@@ -123,9 +123,9 @@ impl ArdNode {
         variant: Variant,
         config: Config,
     ) -> Self {
-        let local: BTreeSet<NodeId> = local.into_iter().collect();
+        let local: IdSet = local.into_iter().collect();
         assert!(
-            !local.contains(&id),
+            !local.contains(id),
             "a node's local set must not contain itself"
         );
         ArdNode {
@@ -137,10 +137,10 @@ impl ArdNode {
             phase: 1,
             next: id,
             local,
-            more: BTreeSet::from([id]),
-            done: BTreeSet::new(),
-            unaware: BTreeSet::new(),
-            unexplored: BTreeSet::new(),
+            more: IdSet::from_iter([id]),
+            done: IdSet::new(),
+            unaware: IdSet::new(),
+            unexplored: IdSet::new(),
             previous: VecDeque::new(),
             deferred: VecDeque::new(),
             awaiting_query_from: None,
@@ -195,28 +195,28 @@ impl ArdNode {
     }
 
     /// The `more` set: cluster members that may still have unreported ids.
-    pub fn more(&self) -> &BTreeSet<NodeId> {
+    pub fn more(&self) -> &IdSet {
         &self.more
     }
 
     /// The `done` set: cluster members that reported everything.
-    pub fn done(&self) -> &BTreeSet<NodeId> {
+    pub fn done(&self) -> &IdSet {
         &self.done
     }
 
     /// The `unaware` set (generic variant only): new members not yet told
     /// of their leader.
-    pub fn unaware(&self) -> &BTreeSet<NodeId> {
+    pub fn unaware(&self) -> &IdSet {
         &self.unaware
     }
 
     /// The `unexplored` set: known ids outside the cluster.
-    pub fn unexplored(&self) -> &BTreeSet<NodeId> {
+    pub fn unexplored(&self) -> &IdSet {
         &self.unexplored
     }
 
     /// The undrained part of the initial knowledge.
-    pub fn local(&self) -> &BTreeSet<NodeId> {
+    pub fn local(&self) -> &IdSet {
         &self.local
     }
 
@@ -254,7 +254,7 @@ impl ArdNode {
     }
 
     fn in_cluster(&self, v: NodeId) -> bool {
-        self.more.contains(&v) || self.done.contains(&v) || self.unaware.contains(&v)
+        self.more.contains(v) || self.done.contains(v) || self.unaware.contains(v)
     }
 
     fn cluster_size(&self) -> usize {
@@ -343,7 +343,7 @@ impl ArdNode {
         }
         match self.status {
             Status::Inactive => {
-                if self.local.contains(&v) {
+                if self.local.contains(v) {
                     return;
                 }
                 let already_reported_all = self.local.is_empty();
@@ -379,7 +379,7 @@ impl ArdNode {
             }
             Status::Passive | Status::Conquered => {
                 // Will be handed over in our eventual `info`.
-                if !self.in_cluster(v) && !self.local.contains(&v) {
+                if !self.in_cluster(v) && !self.local.contains(v) {
                     self.unexplored.insert(v);
                 }
             }
@@ -412,7 +412,7 @@ impl ArdNode {
                 return;
             }
             // 2. Otherwise query a member that may know more ids.
-            if let Some(&w) = self.more.iter().next() {
+            if let Some(w) = self.more.first() {
                 let want = if self.config.balanced_queries {
                     (self.more.len() + self.done.len() + 1) as u32
                 } else {
@@ -439,8 +439,7 @@ impl ArdNode {
 
     /// Picks (and removes) the first genuinely unexplored node.
     fn pop_unexplored(&mut self) -> Option<NodeId> {
-        while let Some(&u) = self.unexplored.iter().next() {
-            self.unexplored.remove(&u);
+        while let Some(u) = self.unexplored.pop_first() {
             // [D4] maintained at merge time; this is a defensive recheck.
             if u != self.id && !self.in_cluster(u) {
                 return Some(u);
@@ -453,16 +452,9 @@ impl ArdNode {
     /// Removes up to `want` ids from `local` (the queried member's side).
     /// `local` iterates ascending, so the payload run-codes maximally.
     fn take_local(&mut self, want: u32) -> (IdSeq, bool) {
-        let take = if want == WANT_ALL {
-            self.local.len()
-        } else {
-            (want as usize).min(self.local.len())
-        };
+        // `WANT_ALL` exceeds every set size, so it needs no case of its own.
         let mut ids = IdSeq::with_buffer(self.arena.alloc());
-        ids.extend(self.local.iter().take(take).copied());
-        for v in ids.iter() {
-            self.local.remove(&v);
-        }
+        self.local.take_prefix(want as usize, |v| ids.push(v));
         (ids, self.local.is_empty())
     }
 
@@ -470,7 +462,7 @@ impl ArdNode {
     /// buffer is recycled into this node's arena.
     fn absorb_query_reply(&mut self, w: NodeId, ids: IdSeq, exhausted: bool) {
         if exhausted {
-            self.more.remove(&w);
+            self.more.remove(w);
             self.done.insert(w);
         }
         ids.for_each(&mut |v| {
@@ -492,7 +484,7 @@ impl ArdNode {
         let Some(n) = self.component_size else { return };
         if self.done.len() == n {
             debug_assert!(self.more.is_empty());
-            for &u in &self.done {
+            for u in self.done.iter() {
                 if u != self.id {
                     ctx.send(u, Message::Conquer { phase: self.phase });
                 }
@@ -600,11 +592,11 @@ impl ArdNode {
     fn absorb_final_ack(&mut self, from: NodeId, exhausted: bool) {
         debug_assert_eq!(self.variant, Variant::Bounded);
         if exhausted {
-            if !self.more.contains(&from) {
+            if !self.more.contains(from) {
                 self.done.insert(from);
             }
         } else {
-            self.done.remove(&from);
+            self.done.remove(from);
             self.more.insert(from);
         }
     }
@@ -625,8 +617,7 @@ impl ArdNode {
                 target,
                 new_edge,
             } => {
-                if new_edge && self.done.contains(&target) {
-                    self.done.remove(&target);
+                if new_edge && self.done.remove(target) {
                     self.more.insert(target);
                 }
                 if (origin_phase, origin) > self.lex_pair() {
@@ -646,7 +637,7 @@ impl ArdNode {
                     // knowledge graph stays discoverable.
                     if origin != self.id
                         && !self.in_cluster(origin)
-                        && !self.local.contains(&origin)
+                        && !self.local.contains(origin)
                     {
                         self.unexplored.insert(origin);
                     }
@@ -737,13 +728,9 @@ impl ArdNode {
     /// Three ascending segments, so the sequence run-codes well.
     fn snapshot(&mut self) -> IdSeq {
         let mut ids = IdSeq::with_buffer(self.arena.alloc());
-        ids.extend(
-            self.more
-                .iter()
-                .chain(self.done.iter())
-                .chain(self.unaware.iter())
-                .copied(),
-        );
+        for set in [&self.more, &self.done, &self.unaware] {
+            set.for_each(|v| ids.push(v));
+        }
         ids
     }
 
@@ -776,29 +763,27 @@ impl ArdNode {
             }
             Message::MergeAccept => {
                 self.next = from;
-                let mut more = IdSeq::with_buffer(self.arena.alloc());
-                more.extend(self.more.iter().copied());
-                let mut done = IdSeq::with_buffer(self.arena.alloc());
-                done.extend(self.done.iter().copied());
-                let mut unaware = IdSeq::with_buffer(self.arena.alloc());
-                unaware.extend(self.unaware.iter().copied());
-                let mut unexplored = IdSeq::with_buffer(self.arena.alloc());
-                unexplored.extend(self.unexplored.iter().copied());
-                ctx.send(
-                    from,
-                    Message::Info(Box::new(InfoPayload {
-                        phase: self.phase,
-                        more,
-                        done,
-                        unaware,
-                        unexplored,
-                    })),
-                );
-                // Ownership of the sets transfers with the info.
-                self.more.clear();
-                self.done.clear();
-                self.unaware.clear();
-                self.unexplored.clear();
+                // Ownership of the sets transfers with the info: each is
+                // streamed into its payload and gives up its buffer, so an
+                // inactive node keeps no heap behind for them.
+                let arena = &mut self.arena;
+                let mut ship = |set: &mut IdSet| {
+                    if set.is_empty() {
+                        return IdSeq::new();
+                    }
+                    let mut ids = IdSeq::with_buffer(arena.alloc());
+                    set.for_each(|v| ids.push(v));
+                    set.clear();
+                    ids
+                };
+                let info = InfoPayload {
+                    phase: self.phase,
+                    more: ship(&mut self.more),
+                    done: ship(&mut self.done),
+                    unaware: ship(&mut self.unaware),
+                    unexplored: ship(&mut self.unexplored),
+                };
+                ctx.send(from, Message::Info(Box::new(info)));
                 self.inactive_phase = self.phase;
                 self.set_status(Status::Inactive);
                 Disposition::Consumed
@@ -829,7 +814,7 @@ impl ArdNode {
                 Disposition::Consumed
             }
             Message::MoreDone { exhausted } => {
-                if !self.unaware.remove(&from) {
+                if !self.unaware.remove(from) {
                     assert!(
                         self.config.byzantine_tolerant,
                         "more/done from a node not in unaware"
@@ -869,9 +854,11 @@ impl ArdNode {
         if self.variant.broadcasts_each_merge() {
             // Generic: every acquired member goes through `unaware` and gets
             // a conquer message.
-            self.unaware.extend(l_more.iter());
-            self.unaware.extend(l_done.iter());
-            self.unaware.extend(l_unaware.iter());
+            for shipped in [&l_more, &l_done, &l_unaware] {
+                shipped.for_each(&mut |v| {
+                    self.unaware.insert(v);
+                });
+            }
         } else {
             // Variants (§4.5): set unions, no broadcast.
             //
@@ -883,14 +870,18 @@ impl ArdNode {
             // against the payload instead of scanning `self.more` keeps a
             // merge O(shipped log n) — the conqueror's own sets are O(n) in
             // the endgame, and an O(n) scan per merge is quadratic overall.
-            debug_assert!(self.more.is_disjoint(&self.done));
-            self.more.extend(l_more.iter());
-            self.done.extend(l_done.iter());
-            for v in l_more.iter().chain(l_done.iter()) {
-                if self.more.contains(&v) {
-                    self.done.remove(&v);
+            debug_assert!(self.more.iter().all(|v| !self.done.contains(v)));
+            l_more.for_each(&mut |v| {
+                self.more.insert(v);
+                self.done.remove(v);
+            });
+            l_done.for_each(&mut |v| {
+                if self.more.contains(v) {
+                    self.done.remove(v);
+                } else {
+                    self.done.insert(v);
                 }
-            }
+            });
         }
         l_unexplored.for_each(&mut |v| {
             if v != self.id && !self.in_cluster(v) {
@@ -899,7 +890,7 @@ impl ArdNode {
         });
         // [D4] newly acquired members must leave `unexplored`.
         for v in l_more.iter().chain(l_done.iter()).chain(l_unaware.iter()) {
-            self.unexplored.remove(&v);
+            self.unexplored.remove(v);
         }
         // The shipped buffers are consumed; keep them for future payloads.
         self.arena.recycle(l_more.into_words());
@@ -913,7 +904,7 @@ impl ArdNode {
         debug_assert!((self.cluster_size() as u64) < 1u64 << (self.phase + 1));
 
         if self.variant.broadcasts_each_merge() {
-            for &u in &self.unaware {
+            for u in self.unaware.iter() {
                 debug_assert_ne!(u, self.id);
                 ctx.send(u, Message::Conquer { phase: self.phase });
             }
@@ -947,7 +938,7 @@ impl ArdNode {
                 target,
                 mut new_edge,
             } => {
-                if target == self.id && origin != self.id && !self.local.contains(&origin) {
+                if target == self.id && origin != self.id && !self.local.contains(origin) {
                     // Reverse-edge bookkeeping (§4.2): the target learns the
                     // origin and flags it so the leader re-queries us.
                     self.local.insert(origin);
@@ -1139,7 +1130,7 @@ impl Protocol for ArdNode {
         self.set_status(Status::Asleep);
         self.phase = 1;
         self.next = self.id;
-        self.more = BTreeSet::from([self.id]);
+        self.more = IdSet::from_iter([self.id]);
         self.done.clear();
         self.unaware.clear();
         self.unexplored.clear();
@@ -1165,9 +1156,7 @@ impl Protocol for ArdNode {
             &self.unexplored,
         ] {
             d.mix(set.len() as u64);
-            for id in set {
-                d.mix(id.index() as u64);
-            }
+            set.for_each(|id| d.mix(id.index() as u64));
         }
         d.mix(self.previous.len() as u64);
         for (msg, from) in &self.previous {
@@ -1221,7 +1210,7 @@ mod tests {
         assert_eq!(n.phase(), 1);
         assert_eq!(n.next_pointer(), NodeId::new(3));
         assert_eq!(n.more().len(), 1);
-        assert!(n.more().contains(&NodeId::new(3)));
+        assert!(n.more().contains(NodeId::new(3)));
         assert!(n.done().is_empty());
         assert!(n.unaware().is_empty());
         assert!(n.unexplored().is_empty());
@@ -1265,11 +1254,11 @@ mod tests {
             [NodeId::new(7), NodeId::new(0)].into_iter().collect(),
             true,
         );
-        assert!(n.done().contains(&NodeId::new(5)));
-        assert!(!n.more().contains(&NodeId::new(5)));
+        assert!(n.done().contains(NodeId::new(5)));
+        assert!(!n.more().contains(NodeId::new(5)));
         // Own id filtered; 7 collected.
         assert_eq!(
-            n.unexplored().iter().copied().collect::<Vec<_>>(),
+            n.unexplored().iter().collect::<Vec<_>>(),
             vec![NodeId::new(7)]
         );
     }
@@ -1286,6 +1275,49 @@ mod tests {
         assert_eq!(snap.len(), 3);
     }
 
+    /// A cleared `Vec` keeps its capacity; `IdSet::clear` must not. The
+    /// handover and the amnesiac restart leave no buffer behind, or every
+    /// inactive node of a large run keeps dead capacity.
+    #[test]
+    fn handover_and_stale_restart_release_the_cluster_sets() {
+        let cluster_heap =
+            |n: &ArdNode| [&n.more, &n.done, &n.unaware, &n.unexplored].map(IdSet::heap_bytes);
+        let mut n = node(0, &[1, 2, 3]);
+        let mut out = Vec::new();
+        let mut ctx = Context::new(n.id, &mut out);
+        // Wakes, moves a balanced two ids of `local` to `unexplored`,
+        // searches n1, surrenders to a stronger leader, ships its state.
+        n.on_wake(&mut ctx);
+        assert!(cluster_heap(&n).iter().sum::<usize>() > 0);
+        let stronger = NodeId::new(9);
+        let search = Message::Search {
+            origin: stronger,
+            origin_phase: 4,
+            target: n.id,
+            new_edge: false,
+        };
+        n.on_message(stronger, search, &mut ctx);
+        n.on_message(stronger, Message::MergeAccept, &mut ctx);
+        assert_eq!(n.status(), Status::Inactive);
+        assert_eq!(cluster_heap(&n), [0; 4]);
+        let Some((_, Message::Info(info))) = out.pop() else {
+            panic!("the handover ends with an info");
+        };
+        assert_eq!(info.more.to_vec(), [n.id]);
+        assert_eq!(info.unexplored.to_vec(), [NodeId::new(2)]);
+
+        // A leader with a populated cluster forgets it all on restart.
+        let mut n = node(0, &[]);
+        let mut ctx = Context::new(n.id, &mut out);
+        n.on_wake(&mut ctx);
+        n.unaware.extend((10..20).map(NodeId::new));
+        n.unexplored.extend((20..30).map(NodeId::new));
+        n.on_stale_restart(&mut ctx);
+        assert_eq!(n.done().iter().collect::<Vec<_>>(), [n.id]);
+        assert!(n.more.is_empty() && n.unaware.is_empty() && n.unexplored.is_empty());
+        assert_eq!(cluster_heap(&n)[2..], [0; 2]);
+    }
+
     #[test]
     fn lex_pair_orders_phase_first() {
         let mut a = node(9, &[]);
@@ -1295,5 +1327,16 @@ mod tests {
         let mut c = node(0, &[]);
         c.phase = 2;
         assert!(c.lex_pair() > a.lex_pair()); // higher phase beats higher id
+    }
+
+    /// Per-node state is what the large-n runs stream through the cache
+    /// (docs/perf.md: "suspect anything that … fattens per-node state").
+    /// An `IdSet` is three words, as the tree set it replaced, so the
+    /// node stayed at 320 B; a later field or a fatter set representation
+    /// has to show up in this number.
+    #[test]
+    fn node_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<IdSet>(), 24);
+        assert_eq!(std::mem::size_of::<ArdNode>(), 320);
     }
 }

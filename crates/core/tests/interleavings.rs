@@ -47,7 +47,7 @@ fn reverse_edge_reopens_done_nodes() {
         .runner()
         .node(final_leader)
         .done()
-        .contains(&NodeId::new(2)));
+        .contains(NodeId::new(2)));
 
     // The idle waiting ex-leader must have gone back to Explore to re-query
     // (the [D2] Wait → Explore edge) unless it was itself conquered first.

@@ -4,7 +4,10 @@
 //! knowledge sets are kept as bitsets rather than hash sets: membership and
 //! insertion are a word index and a mask — no hashing, no per-insert
 //! allocation — which keeps the simulator's delivery hot path
-//! allocation-free.
+//! allocation-free. The set also counts its members and remembers its first
+//! non-zero word, so `len`, `is_empty` and `first` are O(1): it is the dense
+//! mode of the protocol's [`IdSet`](crate::IdSet), which pops its smallest
+//! member on every search.
 
 /// A growable set of `usize` indices backed by a `Vec<u64>` of bit words.
 ///
@@ -20,10 +23,25 @@
 /// assert!(!set.contains(200));
 /// assert_eq!(set.len(), 1);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct BitSet {
     words: Vec<u64>,
+    /// Number of set bits, kept in step by every mutation.
+    len: usize,
+    /// Index of the first non-zero word; unspecified while the set is
+    /// empty. Makes [`first`](BitSet::first) O(1).
+    first_word: usize,
 }
+
+/// Membership equality over the bit words (`len` and `first_word` are
+/// functions of them).
+impl PartialEq for BitSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words
+    }
+}
+
+impl Eq for BitSet {}
 
 impl BitSet {
     /// Creates an empty set.
@@ -36,6 +54,7 @@ impl BitSet {
     pub fn with_capacity(bits: usize) -> Self {
         BitSet {
             words: vec![0; bits.div_ceil(64)],
+            ..BitSet::default()
         }
     }
 
@@ -49,7 +68,45 @@ impl BitSet {
         }
         let old = self.words[word];
         self.words[word] = old | mask;
-        old & mask == 0
+        let new = old & mask == 0;
+        if new {
+            if self.len == 0 || word < self.first_word {
+                self.first_word = word;
+            }
+            self.len += 1;
+        }
+        new
+    }
+
+    /// Removes `index`. Returns `true` if it was present.
+    pub fn remove(&mut self, index: usize) -> bool {
+        let word = index / 64;
+        let mask = 1u64 << (index % 64);
+        let Some(w) = self.words.get_mut(word) else {
+            return false;
+        };
+        if *w & mask == 0 {
+            return false;
+        }
+        *w &= !mask;
+        self.len -= 1;
+        if self.len > 0 {
+            // Only emptying the first non-zero word moves the cursor; a
+            // non-empty set has a set bit further on for it to stop at.
+            while self.words[self.first_word] == 0 {
+                self.first_word += 1;
+            }
+        }
+        true
+    }
+
+    /// The smallest index in the set, in O(1).
+    pub fn first(&self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let bit = self.words[self.first_word].trailing_zeros() as usize;
+        Some(self.first_word * 64 + bit)
     }
 
     /// Whether `index` is in the set.
@@ -61,12 +118,12 @@ impl BitSet {
 
     /// Number of indices in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.len
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.len == 0
     }
 
     /// Iterates over the set's indices in increasing order.
@@ -76,11 +133,17 @@ impl BitSet {
     /// than O(64 · words) — the difference is large for the sparse sets the
     /// simulator's visitor path walks at n = 10⁶.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words
+        let start = if self.len == 0 {
+            self.words.len()
+        } else {
+            self.first_word
+        };
+        self.words[start..]
             .iter()
             .enumerate()
             .filter(|&(_, &w)| w != 0)
-            .flat_map(|(wi, &w)| {
+            .flat_map(move |(wi, &w)| {
+                let wi = start + wi;
                 let mut rest = w;
                 std::iter::from_fn(move || {
                     if rest == 0 {
@@ -98,7 +161,11 @@ impl BitSet {
         if other.words.len() > self.words.len() {
             self.words.resize(other.words.len(), 0);
         }
+        if other.len > 0 && (self.len == 0 || other.first_word < self.first_word) {
+            self.first_word = other.first_word;
+        }
         for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            self.len += (o & !*w).count_ones() as usize;
             *w |= o;
         }
     }
@@ -169,6 +236,26 @@ mod tests {
     }
 
     #[test]
+    fn remove_keeps_len_and_first_in_step() {
+        let mut s: BitSet = [3usize, 70, 5000].into_iter().collect();
+        assert_eq!(s.first(), Some(3));
+        assert!(!s.remove(4), "absent index");
+        assert!(!s.remove(1_000_000), "index past the last word");
+        assert!(s.remove(3));
+        assert!(!s.remove(3), "second remove reports already-absent");
+        assert_eq!((s.len(), s.first()), (2, Some(70)));
+        assert!(s.remove(70));
+        assert_eq!(s.first(), Some(5000), "cursor skips the emptied words");
+        assert!(s.insert(1), "an insert below the cursor pulls it back");
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 5000]);
+        assert!(s.remove(1) && s.remove(5000));
+        assert!(s.is_empty());
+        assert_eq!((s.first(), s.iter().next()), (None, None));
+        assert!(s.insert(200), "refilling an emptied set resets the cursor");
+        assert_eq!(s.first(), Some(200));
+    }
+
+    #[test]
     fn union_with_grows_and_merges() {
         let mut a: BitSet = [1usize, 100].into_iter().collect();
         let b: BitSet = [2usize, 700].into_iter().collect();
@@ -178,5 +265,10 @@ mod tests {
         let small: BitSet = [3usize].into_iter().collect();
         a.union_with(&small);
         assert_eq!(a.len(), 5);
+        assert_eq!(a.first(), Some(1));
+        // Union into an empty set takes the other side's cursor.
+        let mut empty = BitSet::with_capacity(64);
+        empty.union_with(&b);
+        assert_eq!((empty.len(), empty.first()), (2, Some(2)));
     }
 }

@@ -40,7 +40,7 @@ fn unpack(word: u64) -> (u32, u32) {
 /// it is dense (one id per word) below `DENSE_MAX` ids and run-coded
 /// above, where a push of `last_end` extends the final run in place — so
 /// a payload built from ascending iteration (every production site: the
-/// `BTreeSet` cluster sets) stores long runs in O(1) words each.
+/// [`IdSet`](crate::IdSet) cluster sets) stores long runs in O(1) words each.
 ///
 /// Equality compares the id *sequence*, not the representation: a dense
 /// and a run-coded `IdSeq` holding the same ids are equal.

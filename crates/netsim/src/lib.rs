@@ -78,6 +78,7 @@ pub mod explore;
 pub mod fault;
 mod id;
 mod idseq;
+mod idset;
 mod intset;
 mod linkq;
 mod metrics;
@@ -98,6 +99,7 @@ pub use envelope::{Envelope, KIND_TAG_BITS};
 pub use fault::{ByzantinePlan, ChurnPlan, FaultPlan, FaultScheduler};
 pub use id::NodeId;
 pub use idseq::IdSeq;
+pub use idset::IdSet;
 pub use intset::IntervalSet;
 pub use linkq::LinkQueues;
 pub use metrics::{ByzantineCounts, FaultCounts, KindCounts, Metrics};

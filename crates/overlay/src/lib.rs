@@ -30,7 +30,7 @@
 //! let mut sched = RandomScheduler::seeded(2);
 //! discovery.run_all(&mut sched).unwrap();
 //! let leader = discovery.leaders()[0];
-//! let members: Vec<NodeId> = discovery.runner().node(leader).done().iter().copied().collect();
+//! let members: Vec<NodeId> = discovery.runner().node(leader).done().iter().collect();
 //!
 //! // …then build the overlay and look up a key.
 //! let mut overlay = bootstrap(&members);

@@ -27,7 +27,6 @@ fn main() -> Result<(), LivelockError> {
         .node(leader)
         .done()
         .iter()
-        .copied()
         .collect();
     println!(
         "discovery: {} peers regrouped under {leader} in {} messages",
