@@ -7,7 +7,6 @@
 //! cargo run --release -p ard-bench --bin tables -- --jobs 4
 //! cargo run --release -p ard-bench --bin tables -- --list
 //! cargo run --release -p ard-bench --bin tables -- --bench-throughput BENCH_throughput.json
-//! cargo run --release -p ard-bench --bin tables -- --bench-explore BENCH_explore.json
 //! ```
 
 use std::process::ExitCode;
@@ -19,7 +18,6 @@ fn main() -> ExitCode {
     let mut list = false;
     let mut jobs = 1usize;
     let mut throughput_path: Option<String> = None;
-    let mut explore_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -57,22 +55,10 @@ fn main() -> ExitCode {
                 };
                 throughput_path = Some(path);
             }
-            "--bench-explore" => {
-                // Optional path operand; defaults to BENCH_explore.json.
-                let next = args.get(i + 1);
-                let path = match next {
-                    Some(p) if !p.starts_with("--") => {
-                        i += 1;
-                        p.clone()
-                    }
-                    _ => "BENCH_explore.json".to_string(),
-                };
-                explore_path = Some(path);
-            }
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: tables [--quick] [--list] [--exp <id>] [--jobs N] [--bench-throughput [PATH]] [--bench-explore [PATH]]"
+                    "usage: tables [--quick] [--list] [--exp <id>] [--jobs N] [--bench-throughput [PATH]]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -111,53 +97,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if let Some(path) = explore_path {
-        let budget = if quick {
-            ard_bench::explorebench::EXPLORE_BUDGET / 10
-        } else {
-            ard_bench::explorebench::EXPLORE_BUDGET
-        };
-        let points = ard_bench::explorebench::measure(budget, 3);
-        for p in &points {
-            println!(
-                "jobs={:<2} checkpoint={:<5} {:>7} runs in {:>8.3}s  ->  {:>10.0} runs/s  ({:>5.2}x)",
-                p.jobs, p.checkpoint, p.runs, p.secs, p.runs_per_sec, p.speedup
-            );
-        }
-        let reduction_budget = if quick {
-            ard_bench::explorebench::REDUCTION_BUDGET / 10
-        } else {
-            ard_bench::explorebench::REDUCTION_BUDGET
-        };
-        let r = ard_bench::explorebench::measure_reduction(
-            reduction_budget,
-            ard_bench::explorebench::REDUCTION_SPIN,
-        );
-        println!(
-            "reduction depth={}: full {} runs ({}) in {:.3}s | reduced {} runs ({}) in {:.3}s | pruned={} deduped={} | >={:.1}x fewer",
-            r.depth,
-            r.full_runs,
-            r.full_stop,
-            r.full_secs,
-            r.reduced_runs,
-            r.reduced_stop,
-            r.reduced_secs,
-            r.sleep_pruned,
-            r.digest_deduped,
-            r.ratio
-        );
-        let json = ard_bench::explorebench::to_json(&points, &r);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return ExitCode::SUCCESS;
-    }
-
     if list {
-        for t in ard_bench::all_tables(true) {
-            println!("{:4}  {}", t.id, t.title);
+        for (id, title, _) in ard_bench::EXPERIMENTS {
+            println!("{id:4}  {title}");
         }
         return ExitCode::SUCCESS;
     }

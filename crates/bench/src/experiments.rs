@@ -3,7 +3,8 @@
 use std::collections::BTreeMap;
 
 use ard_baselines::{flood, law_siu, name_dropper};
-use ard_core::{budgets, Config, Discovery, Transition, Variant, EXPECTED_TRANSITIONS};
+use ard_core::budgets::{self, Netting, Row};
+use ard_core::{Config, Discovery, Transition, Variant, EXPECTED_TRANSITIONS};
 use ard_graph::{gen, KnowledgeGraph};
 use ard_lower_bounds::{tree_adversary, uf_reduction};
 use ard_netsim::{Metrics, NodeId, RandomScheduler};
@@ -51,6 +52,22 @@ fn mean_sd(values: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
+/// The budget table (`ard_core::budgets::table`, the one statement of every
+/// bound) of a finished honest run.
+fn budget_rows(m: &Metrics, n: usize, e0: usize, variant: Variant) -> Vec<Row> {
+    budgets::table(m, n as u64, e0 as u64, variant, &Netting::NONE)
+}
+
+/// Holds a run to its total-message theorem — 5 or 6, whichever the table
+/// applies to the variant.
+fn check_total_messages(m: &Metrics, n: usize, variant: Variant) {
+    for row in budget_rows(m, n, 0, variant) {
+        if matches!(row.claim, "Theorem 5" | "Theorem 6") {
+            row.check().expect("theorem bound violated");
+        }
+    }
+}
+
 fn message_sweep(variant: Variant, quick: bool, table: &mut Table) {
     let seeds: u64 = if quick { 2 } else { 5 };
     // Trials are independent — each owns its topology seed and its seeded
@@ -64,11 +81,7 @@ fn message_sweep(variant: Variant, quick: bool, table: &mut Table) {
         // Vary both the topology and the schedule across repetitions.
         let (d, graph) = run_once(n, 2 * n, variant, Config::paper(), n as u64 + 7919 * seed);
         let m = d.runner().metrics();
-        let check = match variant {
-            Variant::Oblivious => budgets::check_theorem_5(m, n as u64),
-            _ => budgets::check_theorem_6(m, n as u64),
-        };
-        check.expect("theorem bound violated");
+        check_total_messages(m, n, variant);
         (n, graph.edge_count(), m.total_messages() as f64)
     });
     for per_n in measured.chunks(seeds as usize) {
@@ -94,127 +107,101 @@ fn message_sweep(variant: Variant, quick: bool, table: &mut Table) {
 
 /// E1 — Theorem 5: the generic (Oblivious) algorithm sends `O(n log n)`
 /// messages.
-pub fn e1_generic_messages(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e1",
-        "Theorem 5 — generic (Oblivious) algorithm message complexity, random weakly connected G(n, 3n)",
-        &["n", "|E0|", "messages (mean ± sd)", "msgs/n", "msgs/(n·log n)", "msgs/(n·α)"],
-    );
-    message_sweep(Variant::Oblivious, quick, &mut t);
+pub fn e1_generic_messages(quick: bool, t: &mut Table) {
+    t.set_header(&["n", "|E0|", "messages (mean ± sd)", "msgs/n", "msgs/(n·log n)", "msgs/(n·α)"]);
+    message_sweep(Variant::Oblivious, quick, t);
     t.push_note("expect msgs/(n·log n) bounded by a constant (Theorem 5: O(n log n)); on benign random graphs it even shrinks — the log factor needs the adversarial tree of E5");
-    t
 }
 
 /// E2 — Theorems 4 & 6: the Bounded algorithm sends `O(n·α)` messages and
 /// detects termination.
-pub fn e2_bounded_messages(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e2",
-        "Theorems 4+6 — Bounded algorithm message complexity and termination, random G(n, 3n)",
-        &[
-            "n",
-            "|E0|",
-            "messages (mean ± sd)",
-            "msgs/n",
-            "msgs/(n·log n)",
-            "msgs/(n·α)",
-        ],
-    );
-    message_sweep(Variant::Bounded, quick, &mut t);
+pub fn e2_bounded_messages(quick: bool, t: &mut Table) {
+    t.set_header(&[
+        "n",
+        "|E0|",
+        "messages (mean ± sd)",
+        "msgs/n",
+        "msgs/(n·log n)",
+        "msgs/(n·α)",
+    ]);
+    message_sweep(Variant::Bounded, quick, t);
     // Termination check on one representative size.
     let (d, _) = run_once(128, 256, Variant::Bounded, Config::paper(), 9);
     let all_terminated = d.runner().nodes().all(|n| n.is_terminated());
     t.push_note(format!(
         "expect msgs/n flat (Theorem 6: O(n·α), α ≤ 4 at any feasible n); every node terminated: {all_terminated}"
     ));
-    t
 }
 
 /// E3 — Theorem 6: the Ad-hoc algorithm sends `O(n·α)` messages.
-pub fn e3_adhoc_messages(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e3",
-        "Theorem 6 — Ad-hoc algorithm message complexity, random G(n, 3n)",
-        &[
-            "n",
-            "|E0|",
-            "messages (mean ± sd)",
-            "msgs/n",
-            "msgs/(n·log n)",
-            "msgs/(n·α)",
-        ],
-    );
-    message_sweep(Variant::AdHoc, quick, &mut t);
+pub fn e3_adhoc_messages(quick: bool, t: &mut Table) {
+    t.set_header(&[
+        "n",
+        "|E0|",
+        "messages (mean ± sd)",
+        "msgs/n",
+        "msgs/(n·log n)",
+        "msgs/(n·α)",
+    ]);
+    message_sweep(Variant::AdHoc, quick, t);
     t.push_note("expect msgs/n flat and below the Bounded variant (no final conquer wave)");
-    t
 }
 
 /// E4 — Theorem 7 and Lemmas 5.9/5.10: bit complexity
 /// `O(|E₀| log n + n log² n)`.
-pub fn e4_bit_complexity(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e4",
-        "Theorem 7 — bit complexity O(|E0|·log n + n·log²n) with Lemma 5.9/5.10 per-kind budgets",
-        &[
-            "n",
-            "|E0|",
-            "total bits",
-            "bits/(E0·b + n·b²)",
-            "qreply id-bits",
-            "≤2·E0·b",
-            "info id-bits",
-            "≤4n·b²",
-        ],
-    );
+pub fn e4_bit_complexity(quick: bool, t: &mut Table) {
+    t.set_header(&[
+        "n",
+        "|E0|",
+        "total bits",
+        "bits/(E0·b + n·b²)",
+        "qreply id-bits",
+        "≤2·E0·b",
+        "info id-bits",
+        "≤4n·b²",
+    ]);
     for n in sweep(quick) {
         // Denser graphs stress the |E0| term.
         let extra = 4 * n;
         let (d, graph) = run_once(n, extra, Variant::Oblivious, Config::paper(), 7 + n as u64);
         let m = d.runner().metrics();
         let b = m.id_bits();
-        let e0 = graph.edge_count() as u64;
-        let denom = (e0 * b + n as u64 * b * b) as f64;
-        budgets::check_lemma_5_9(m, e0).expect("Lemma 5.9 violated");
-        budgets::check_lemma_5_10(m, n as u64).expect("Lemma 5.10 violated");
-        budgets::check_theorem_7(m, n as u64, e0).expect("Theorem 7 violated");
-        // Subtract the fixed per-message overhead (aux + kind tag) so the
-        // budget columns compare id-bits against the paper's id-only bounds.
-        let qreply = m.kind("query reply");
-        let qreply_ids = qreply.bits - qreply.messages * (32 + 1 + 4);
-        let info = m.kind("info");
-        let info_ids = info.bits - info.messages * (8 + 4 * 32 + 4);
-        assert!(qreply_ids <= 2 * e0 * b, "Lemma 5.9 id-bits");
-        assert!(info_ids <= 4 * n as u64 * b * b, "Lemma 5.10 id-bits");
+        let e0 = graph.edge_count();
+        let denom = (e0 as u64 * b + n as u64 * b * b) as f64;
+        let rows = budget_rows(m, n, e0, Variant::Oblivious);
+        let [qreply, info, total] = ["Lemma 5.9", "Lemma 5.10", "Theorem 7"].map(|claim| {
+            let row = rows.iter().find(|r| r.claim == claim).expect("claim in the table");
+            row.check().unwrap_or_else(|e| panic!("n={n}: {e}"));
+            row
+        });
+        // The table carries a bit row's fixed per-message overhead (aux +
+        // kind tag) as slack on both sides; net of it the budget columns
+        // compare id-bits against the paper's id-only bounds.
         t.push_row(vec![
             n.to_string(),
             e0.to_string(),
-            m.total_bits().to_string(),
-            format!("{:.2}", m.total_bits() as f64 / denom),
-            qreply_ids.to_string(),
-            (2 * e0 * b).to_string(),
-            info_ids.to_string(),
-            (4 * n as u64 * b * b).to_string(),
+            total.measured.to_string(),
+            format!("{:.2}", total.measured as f64 / denom),
+            (qreply.measured - qreply.slack).to_string(),
+            (qreply.bound - qreply.slack).to_string(),
+            (info.measured - info.slack).to_string(),
+            (info.bound - info.slack).to_string(),
         ]);
     }
     t.push_note("b = ⌈log₂ n⌉; the budget columns are the paper's id-only bounds, compared against measured id-bits (total minus fixed per-message overhead)");
-    t
 }
 
 /// E5 — Theorem 1: the subtree-freezing adversary forces
 /// `≥ i·2^(i−1) − 2` messages on `T(i)` for the Oblivious problem.
-pub fn e5_tree_lower_bound(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e5",
-        "Theorem 1 — adversarial lower bound on rooted binary trees T(i), Oblivious algorithm",
-        &[
-            "levels i",
-            "n=2^i−1",
-            "forced msgs",
-            "bound i·2^(i−1)−2",
-            "forced/bound",
-            "msgs/(0.5·n·log n)",
-        ],
-    );
+pub fn e5_tree_lower_bound(quick: bool, t: &mut Table) {
+    t.set_header(&[
+        "levels i",
+        "n=2^i−1",
+        "forced msgs",
+        "bound i·2^(i−1)−2",
+        "forced/bound",
+        "msgs/(0.5·n·log n)",
+    ]);
     let max_levels = if quick { 8 } else { 12 };
     for levels in 2..=max_levels {
         let r = tree_adversary::run(levels);
@@ -229,25 +216,20 @@ pub fn e5_tree_lower_bound(quick: bool) -> Table {
         ]);
     }
     t.push_note("expect forced/bound ≥ 1 throughout (the adversary achieves the Ω(n log n) proof bound) and msgs/(0.5·n·log n) ~ constant");
-    t
 }
 
 /// E6 — Theorem 2 / Lemma 3.1: the Union-Find reduction; Ad-hoc messages
 /// track `N·α(N,N)` for `N = 2n − 1 + m`.
-pub fn e6_uf_reduction(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e6",
-        "Theorem 2 — Union-Find reduction: staged Ad-hoc execution over op sequences",
-        &[
-            "sets n",
-            "finds m",
-            "N=2n−1+m",
-            "messages",
-            "msgs/N",
-            "N·α(N,N)",
-            "msgs/(N·α)",
-        ],
-    );
+pub fn e6_uf_reduction(quick: bool, t: &mut Table) {
+    t.set_header(&[
+        "sets n",
+        "finds m",
+        "N=2n−1+m",
+        "messages",
+        "msgs/N",
+        "N·α(N,N)",
+        "msgs/(N·α)",
+    ]);
     let sizes: &[usize] = if quick {
         &[32, 64, 128]
     } else {
@@ -268,93 +250,57 @@ pub fn e6_uf_reduction(quick: bool) -> Table {
         ]);
     }
     t.push_note("expect msgs/N flat (matching the Ω(N·α) lower bound up to a constant): the algorithm is asymptotically message-optimal");
-    t
 }
 
 /// E7 — Lemmas 5.5–5.8: per-message-kind budgets on one representative run
 /// per size.
-pub fn e7_message_breakdown(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e7",
-        "Lemmas 5.5–5.8 — per-kind message budgets (Oblivious unless noted)",
-        &["n", "kind group", "measured", "bound", "lemma"],
-    );
+pub fn e7_message_breakdown(quick: bool, t: &mut Table) {
+    t.set_header(&["n", "kind group", "measured", "bound", "lemma"]);
+    // How E7 names the table's count rows (the ones before Lemma 5.9), and
+    // the Bounded run's Lemma 5.8 row after them.
+    let groups = [
+        ("query", "5.5"),
+        ("query reply", "5.5"),
+        ("search+release", "5.6 (O(n·α), C=16)"),
+        ("merge acc+info", "5.7"),
+        ("…+merge fail", "5.7 (corrected, see EXPERIMENTS.md)"),
+        ("conquer+more/done", "5.8 generic"),
+        ("conquer+more/done (Bounded)", "5.8 bounded"),
+    ];
     for n in sweep(quick) {
-        let nu = n as u64;
         let (d, _) = run_once(n, 2 * n, Variant::Oblivious, Config::paper(), 3 * n as u64);
-        let m = d.runner().metrics();
         let (db, _) = run_once(n, 2 * n, Variant::Bounded, Config::paper(), 3 * n as u64);
-        let mb = db.runner().metrics();
-        let rows: Vec<(String, u64, u64, &str)> = vec![
-            ("query".into(), m.kind("query").messages, 4 * nu, "5.5"),
-            (
-                "query reply".into(),
-                m.kind("query reply").messages,
-                4 * nu,
-                "5.5",
-            ),
-            (
-                "search+release".into(),
-                m.messages_of(&["search", "release"]),
-                16 * nu * (alpha(nu, nu) + 1),
-                "5.6 (O(n·α), C=16)",
-            ),
-            (
-                "merge acc+info".into(),
-                m.messages_of(&["merge accept", "info"]),
-                2 * nu,
-                "5.7",
-            ),
-            (
-                "…+merge fail".into(),
-                m.messages_of(&["merge accept", "merge fail", "info"]),
-                3 * nu,
-                "5.7 (corrected, see EXPERIMENTS.md)",
-            ),
-            (
-                "conquer+more/done".into(),
-                m.messages_of(&["conquer", "more/done"]),
-                2 * nu * (log2f(nu).ceil() as u64),
-                "5.8 generic",
-            ),
-            (
-                "conquer+more/done (Bounded)".into(),
-                mb.messages_of(&["conquer", "more/done"]),
-                2 * nu,
-                "5.8 bounded",
-            ),
-        ];
-        for (kind, measured, bound, lemma) in rows {
-            assert!(measured <= bound, "n={n} {kind}: {measured} > {bound}");
+        let generic = budget_rows(d.runner().metrics(), n, 0, Variant::Oblivious);
+        let bounded = budget_rows(db.runner().metrics(), n, 0, Variant::Bounded);
+        let counts = generic.iter().take_while(|r| r.claim != "Lemma 5.9");
+        let conquests = bounded.iter().filter(|r| r.claim == "Lemma 5.8");
+        for (row, (group, lemma)) in counts.chain(conquests).zip(groups) {
+            assert!(lemma.starts_with(&row.claim["Lemma ".len()..]), "E7 names the table's rows in order");
+            row.check().unwrap_or_else(|e| panic!("n={n}: {e}"));
             t.push_row(vec![
                 n.to_string(),
-                kind,
-                measured.to_string(),
-                bound.to_string(),
+                group.to_string(),
+                row.measured.to_string(),
+                row.bound.to_string(),
                 lemma.to_string(),
             ]);
         }
     }
     t.push_note("every group within its lemma budget; Lemma 5.7's literal 2n bound needs the 3n correction for repeated passive→conquered surrenders");
-    t
 }
 
 /// E8 — Theorem 8: dynamic additions cost `O(m·α)` marginal messages, far
 /// below re-running from scratch.
-pub fn e8_dynamic_additions(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e8",
-        "Theorem 8 — dynamic node/link additions (Ad-hoc): marginal cost vs full re-run",
-        &[
-            "base n",
-            "added nodes",
-            "added links",
-            "marginal msgs",
-            "re-run msgs",
-            "marginal/re-run",
-            "marginal/addition",
-        ],
-    );
+pub fn e8_dynamic_additions(quick: bool, t: &mut Table) {
+    t.set_header(&[
+        "base n",
+        "added nodes",
+        "added links",
+        "marginal msgs",
+        "re-run msgs",
+        "marginal/re-run",
+        "marginal/addition",
+    ]);
     let sizes: &[usize] = if quick {
         &[64, 128]
     } else {
@@ -411,16 +357,11 @@ pub fn e8_dynamic_additions(quick: bool) -> Table {
         ]);
     }
     t.push_note("expect marginal/addition ~ constant (Theorem 8: O(m·α) total) and marginal ≪ re-run: no need to restart the algorithm on change");
-    t
 }
 
 /// E9 — §1.1 context: the paper's algorithms vs Name-Dropper and flooding.
-pub fn e9_baseline_comparison(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e9",
-        "§1.1 comparison — messages/bits vs prior algorithms on shared random G(n, 3n)",
-        &["n", "algorithm", "messages", "bits", "time (rounds/causal)"],
-    );
+pub fn e9_baseline_comparison(quick: bool, t: &mut Table) {
+    t.set_header(&["n", "algorithm", "messages", "bits", "time (rounds/causal)"]);
     let sizes: &[usize] = if quick {
         &[64, 128]
     } else {
@@ -480,23 +421,18 @@ pub fn e9_baseline_comparison(quick: bool) -> Table {
         }
     }
     t.push_note("expect abraham-dolev ≪ name-dropper ≪ flooding in messages and especially bits; name-dropper additionally needs synchrony and known n; flooding above ~192 nodes exhausts simulator memory");
-    t
 }
 
 /// E10 — §4.5.2: amortized probe cost in the Ad-hoc variant.
-pub fn e10_probe_amortization(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e10",
-        "§4.5.2 — Ad-hoc probes: m leader requests cost O((m+n)·α(m,n)) total",
-        &[
-            "n",
-            "probes m",
-            "probe msgs",
-            "msgs/probe",
-            "(m+n)·α",
-            "total/(m+n)·α",
-        ],
-    );
+pub fn e10_probe_amortization(quick: bool, t: &mut Table) {
+    t.set_header(&[
+        "n",
+        "probes m",
+        "probe msgs",
+        "msgs/probe",
+        "(m+n)·α",
+        "total/(m+n)·α",
+    ]);
     let sizes: &[usize] = if quick {
         &[64, 128]
     } else {
@@ -527,19 +463,14 @@ pub fn e10_probe_amortization(quick: bool) -> Table {
         ]);
     }
     t.push_note("path compression on probe replies keeps msgs/probe ~ 2 (one hop each way) after the first few requests");
-    t
 }
 
 /// E11 — §7 discussion: asynchronous time. The paper notes the wake-up
 /// time complexity is `Ω(n)` and its algorithm's synchronous-model time is
 /// `O(T + n)`; the causal-depth measure (longest message chain ≈ rounds a
 /// synchronous network would need) should therefore be `Θ(n)`.
-pub fn e11_time_complexity(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e11",
-        "§7 — asynchronous time: causal depth (longest message chain) is Θ(n)",
-        &["n", "variant", "causal depth", "depth/n"],
-    );
+pub fn e11_time_complexity(quick: bool, t: &mut Table) {
+    t.set_header(&["n", "variant", "causal depth", "depth/n"]);
     for n in sweep(quick) {
         for variant in [Variant::Oblivious, Variant::Bounded, Variant::AdHoc] {
             let (d, _) = run_once(n, 2 * n, variant, Config::paper(), 31 + n as u64);
@@ -554,25 +485,20 @@ pub fn e11_time_complexity(quick: bool) -> Table {
         }
     }
     t.push_note("depth/n settles to a constant: time is linear, matching the Ω(n) wake-up argument of §1.2 and the O(T+n) discussion of §7");
-    t
 }
 
 /// E12 — §1 motivation: the end-to-end pipeline (discover → build a DHT →
 /// serve lookups) with `O(log n)` routing hops.
-pub fn e12_overlay_pipeline(quick: bool) -> Table {
+pub fn e12_overlay_pipeline(quick: bool, t: &mut Table) {
     use ard_overlay::{bootstrap, Key};
-    let mut t = Table::new(
-        "e12",
-        "§1 pipeline — overlay bootstrapped from discovery: lookup hops vs log n",
-        &[
-            "n",
-            "discovery msgs",
-            "lookups",
-            "avg hops",
-            "worst hops",
-            "log2 n",
-        ],
-    );
+    t.set_header(&[
+        "n",
+        "discovery msgs",
+        "lookups",
+        "avg hops",
+        "worst hops",
+        "log2 n",
+    ]);
     let sizes: &[usize] = if quick {
         &[64, 128]
     } else {
@@ -616,19 +542,14 @@ pub fn e12_overlay_pipeline(quick: bool) -> Table {
         ]);
     }
     t.push_note("every lookup verified against the offline ring oracle; avg hops ≈ 0.6·log₂ n (greedy finger routing)");
-    t
 }
 
 /// E13 — the counting argument inside Lemma 5.10's proof: "the number of
 /// leader nodes that reach phase i is at most n/2^(i−1)" (a phase-i leader
 /// commands ≥ 2^(i−1) members, and clusters are disjoint while their
 /// leaders live).
-pub fn e13_phase_distribution(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e13",
-        "Lemma 5.10 internals — leaders reaching phase i vs the n/2^(i−1) bound (Oblivious)",
-        &["n", "phase i", "nodes reaching i", "bound n/2^(i−1)"],
-    );
+pub fn e13_phase_distribution(quick: bool, t: &mut Table) {
+    t.set_header(&["n", "phase i", "nodes reaching i", "bound n/2^(i−1)"]);
     let sizes: &[usize] = if quick { &[256] } else { &[256, 1024, 4096] };
     for &n in sizes {
         let (d, _) = run_once(n, 2 * n, Variant::Oblivious, Config::paper(), 51 + n as u64);
@@ -656,27 +577,22 @@ pub fn e13_phase_distribution(quick: bool) -> Table {
         }
     }
     t.push_note("the halving pattern is the engine of both the message bound (conquer waves shrink geometrically) and the info-bit bound");
-    t
 }
 
 /// E14 — robustness: the message bounds are schedule- and
 /// topology-insensitive (the theorems quantify over *all* asynchronous
 /// executions; this samples hostile corners of that space).
-pub fn e14_schedule_sensitivity(quick: bool) -> Table {
+pub fn e14_schedule_sensitivity(quick: bool, t: &mut Table) {
     use ard_netsim::{BoundedDelayScheduler, FifoScheduler, LifoScheduler, Scheduler};
-    let mut t = Table::new(
-        "e14",
-        "Robustness — message counts across topologies × schedulers (Ad-hoc, n≈256)",
-        &[
-            "topology",
-            "|E0|",
-            "min msgs",
-            "mean msgs",
-            "max msgs",
-            "spread",
-            "bound ok",
-        ],
-    );
+    t.set_header(&[
+        "topology",
+        "|E0|",
+        "min msgs",
+        "mean msgs",
+        "max msgs",
+        "spread",
+        "bound ok",
+    ]);
     let n = if quick { 96 } else { 256 };
     let topologies: Vec<(&str, KnowledgeGraph)> = vec![
         ("random G(n,3n)", gen::random_weakly_connected(n, 2 * n, 5)),
@@ -724,29 +640,24 @@ pub fn e14_schedule_sensitivity(quick: bool) -> Table {
         ]);
     }
     t.push_note("7 schedulers per topology (fifo, lifo, bounded-delay, 4 random seeds); worst/best spread stays small - the complexity is a property of the algorithm, not of lucky schedules");
-    t
 }
 
 /// E15 — scale: the Theorem 5/6 message budgets re-verified at large `n`
 /// (single seed per point; a 10⁶-node run is minutes, so no repetition),
 /// plus the engine-side scale metrics the million-node engine targets:
 /// executed events and knowledge-set bytes per node under interval coding.
-pub fn e15_scale(quick: bool) -> Table {
-    let mut t = Table::new(
-        "e15",
-        "Scale — Theorem 5/6 budgets and engine memory at large n, random G(n, 3n), single seed",
-        &[
-            "variant",
-            "n",
-            "|E0|",
-            "messages",
-            "msgs/n",
-            "msgs/(n·log n)",
-            "msgs/(n·α)",
-            "events",
-            "knowledge B/node",
-        ],
-    );
+pub fn e15_scale(quick: bool, t: &mut Table) {
+    t.set_header(&[
+        "variant",
+        "n",
+        "|E0|",
+        "messages",
+        "msgs/n",
+        "msgs/(n·log n)",
+        "msgs/(n·α)",
+        "events",
+        "knowledge B/node",
+    ]);
     // All sizes sit above the dense-knowledge cutoff, so every run
     // exercises the run-coded representation.
     let sizes: &[usize] = if quick { &[16_384] } else { &[65_536, 1_048_576] };
@@ -761,11 +672,7 @@ pub fn e15_scale(quick: bool) -> Table {
                 started.elapsed().as_secs_f64()
             );
             let m = d.runner().metrics();
-            let check = match variant {
-                Variant::Oblivious => budgets::check_theorem_5(m, n as u64),
-                _ => budgets::check_theorem_6(m, n as u64),
-            };
-            check.expect("theorem bound violated at scale");
+            check_total_messages(m, n, variant);
             let msgs = m.total_messages() as f64;
             let nf = n as f64;
             let a = alpha(n as u64, n as u64);
@@ -783,16 +690,11 @@ pub fn e15_scale(quick: bool) -> Table {
         }
     }
     t.push_note("same budget checks as E1-E3 (check_theorem_5/6), applied at the scale the interval-coded engine unlocks; knowledge B/node would be n/8 bytes (8 KiB at 65536, 128 KiB at 10^6) under dense bitsets");
-    t
 }
 
 /// F1 — Figure 1: the observed transition set equals the diagram exactly.
-pub fn f1_transition_coverage(quick: bool) -> Table {
-    let mut t = Table::new(
-        "f1",
-        "Figure 1 — state-transition coverage over the whole experiment sweep",
-        &["transition", "observed count", "in diagram"],
-    );
+pub fn f1_transition_coverage(quick: bool, t: &mut Table) {
+    t.set_header(&["transition", "observed count", "in diagram"]);
     let mut counts: BTreeMap<Transition, u64> = BTreeMap::new();
     let seeds = if quick { 10 } else { 60 };
     for seed in 0..seeds {
@@ -834,17 +736,12 @@ pub fn f1_transition_coverage(quick: bool) -> Table {
         "diagram coverage: every expected transition observed = {all_expected_seen}; transitions outside the diagram = {unexpected}"
     ));
     assert_eq!(unexpected, 0, "observed a transition outside Figure 1");
-    t
 }
 
 /// A1 — ablation: path compression on releases/probe replies, on the
 /// staged find-heavy reduction workload where pointer chains get deep.
-pub fn a1_path_compression(quick: bool) -> Table {
-    let mut t = Table::new(
-        "a1",
-        "Ablation — path compression (the union-find mechanism behind Theorem 6), adversarial staged workload",
-        &["sets n", "N", "config", "search+release msgs", "total msgs", "msgs/N"],
-    );
+pub fn a1_path_compression(quick: bool, t: &mut Table) {
+    t.set_header(&["sets n", "N", "config", "search+release msgs", "total msgs", "msgs/N"]);
     let sizes: &[usize] = if quick {
         &[128, 256]
     } else {
@@ -868,17 +765,12 @@ pub fn a1_path_compression(quick: bool) -> Table {
         }
     }
     t.push_note("with compression msgs/N stays flat (O(α) amortized); without it searches retrace ever-deeper pointer chains and msgs/N grows with n");
-    t
 }
 
 /// A2 — ablation: balanced queries (`|more|+|done|+1` vs fetch-everything),
 /// on complete graphs where Lemma 5.10's invariant is load-bearing.
-pub fn a2_balanced_queries(quick: bool) -> Table {
-    let mut t = Table::new(
-        "a2",
-        "Ablation — balanced queries (the §4.1 mechanism that makes Lemma 5.10 true), complete graphs",
-        &["n", "|E0|", "config", "info bits", "max single info", "Lemma 5.10", "total bits"],
-    );
+pub fn a2_balanced_queries(quick: bool, t: &mut Table) {
+    t.set_header(&["n", "|E0|", "config", "info bits", "max single info", "Lemma 5.10", "total bits"]);
     let sizes: &[usize] = if quick { &[48, 96] } else { &[64, 128, 256] };
     for &n in sizes {
         let graph = gen::complete(n);
@@ -908,17 +800,12 @@ pub fn a2_balanced_queries(quick: bool) -> Table {
         }
     }
     t.push_note("fetch-all drains whole local sets into unbounded unexplored sets, which conquered leaders then re-ship: info bits break the 4n·log²n budget (and grow ~quadratically), exactly what the balanced rule prevents");
-    t
 }
 
 /// A3 — ablation: union-find policy variants (context for the Theorem 2/6
 /// connection).
-pub fn a3_union_find_variants(quick: bool) -> Table {
-    let mut t = Table::new(
-        "a3",
-        "Ablation — Tarjan union-find policies on the reduction's op sequences",
-        &["n", "policy", "pointer traversals", "traversals/op"],
-    );
+pub fn a3_union_find_variants(quick: bool, t: &mut Table) {
+    t.set_header(&["n", "policy", "pointer traversals", "traversals/op"]);
     let sizes: &[usize] = if quick {
         &[1 << 10]
     } else {
@@ -947,7 +834,6 @@ pub fn a3_union_find_variants(quick: bool) -> Table {
         }
     }
     t.push_note("rank+compression achieves O(α) amortized — the data-structure twin of the Ad-hoc algorithm's message bound; naive policies degrade toward the log/linear regimes");
-    t
 }
 
 /// Helper for tests: a tiny representative metrics run.
@@ -971,8 +857,8 @@ mod tests {
 
     #[test]
     fn table_lookup_by_id() {
-        assert!(crate::table_by_id("e5", true).is_some());
-        assert!(crate::table_by_id("F1", true).is_some());
+        assert_eq!(crate::table_by_id("e5", true).unwrap().id, "e5");
+        assert_eq!(crate::table_by_id("F1", true).unwrap().id, "f1");
         assert!(crate::table_by_id("zz", true).is_none());
     }
 
@@ -988,9 +874,9 @@ mod tests {
     fn sweep_tables_are_identical_across_job_counts() {
         let before = crate::parallel::jobs();
         crate::parallel::set_jobs(1);
-        let sequential = e1_generic_messages(true).render();
+        let sequential = crate::table_by_id("e1", true).unwrap().render();
         crate::parallel::set_jobs(4);
-        let parallelized = e1_generic_messages(true).render();
+        let parallelized = crate::table_by_id("e1", true).unwrap().render();
         crate::parallel::set_jobs(before);
         assert_eq!(sequential, parallelized);
     }

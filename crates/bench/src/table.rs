@@ -28,6 +28,11 @@ impl Table {
         }
     }
 
+    /// Names the columns (before the first row is pushed).
+    pub fn set_header(&mut self, header: &[&str]) {
+        self.header = header.iter().map(|s| s.to_string()).collect();
+    }
+
     /// Appends a row (must match the header width).
     pub fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(

@@ -133,20 +133,38 @@ commands:
     .to_string()
 }
 
-/// Parses `--key value` pairs.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
+/// The flags each command takes; any other `--flag` is an error.
+const DISCOVER_FLAGS: &[&str] = &[
+    "topology", "variant", "scheduler", "max-steps", "trace", "dot", "stats", "record", "faults",
+    "byzantine", "churn", "sweep", "jobs", "shards",
+];
+const ADVERSARY_FLAGS: &[&str] = &["levels"];
+const REDUCTION_FLAGS: &[&str] = &["sets", "finds", "adversarial", "seed"];
+const OVERLAY_FLAGS: &[&str] = &["n", "lookups", "seed"];
+const BASELINES_FLAGS: &[&str] = &["n", "seed", "seeds", "jobs"];
+const EXPLORE_FLAGS: &[&str] = &[
+    "topology", "variant", "system", "budget", "walks", "depth", "seed", "faults", "byzantine",
+    "churn", "out", "jobs", "reduce", "stats", "check-snapshots",
+];
+const REPLAY_FLAGS: &[&str] = &["shrink", "jobs", "out"];
+
+/// Parses the `--key value` pairs (and bare switches) of `command`, which
+/// takes exactly the flags in `known`.
+fn parse_flags(
+    command: &str,
+    known: &[&str],
+    args: &[String],
+) -> Result<HashMap<String, String>, CliError> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| CliError(format!("expected --flag, got `{}`", args[i])))?;
-        if key == "adversarial"
-            || key == "check"
-            || key == "stats"
-            || key == "check-snapshots"
-            || key == "shrink"
-        {
+        if !known.contains(&key) {
+            return Err(CliError(format!("{command} does not take --{key}")));
+        }
+        if key == "adversarial" || key == "stats" || key == "check-snapshots" || key == "shrink" {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
             continue;
@@ -175,20 +193,12 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
     Ok(flags)
 }
 
-fn flag_usize(
+/// The numeric value of `--key`, or `default` when the flag is absent.
+fn flag<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     key: &str,
-    default: usize,
-) -> Result<usize, CliError> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError(format!("--{key}: `{v}` is not a number"))),
-    }
-}
-
-fn flag_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, CliError> {
+    default: T,
+) -> Result<T, CliError> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v
@@ -207,14 +217,15 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Ok(usage());
     };
+    let flags = |known| parse_flags(command, known, rest);
     match command.as_str() {
         "help" | "--help" | "-h" => Ok(usage()),
-        "discover" => discover(parse_flags(rest)?),
-        "adversary" => adversary(parse_flags(rest)?),
-        "reduction" => reduction(parse_flags(rest)?),
-        "overlay" => overlay(parse_flags(rest)?),
-        "baselines" => baselines(parse_flags(rest)?),
-        "explore" => explore_cmd(parse_flags(rest)?),
+        "discover" => discover(flags(DISCOVER_FLAGS)?),
+        "adversary" => adversary(flags(ADVERSARY_FLAGS)?),
+        "reduction" => reduction(flags(REDUCTION_FLAGS)?),
+        "overlay" => overlay(flags(OVERLAY_FLAGS)?),
+        "baselines" => baselines(flags(BASELINES_FLAGS)?),
+        "explore" => explore_cmd(flags(EXPLORE_FLAGS)?),
         "replay" => replay_cmd(rest),
         other => Err(CliError(format!(
             "unknown command `{other}`\n\n{}",
@@ -294,7 +305,7 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
         if flags.get("scheduler").map(String::as_str) != Some("fifo") {
             return Err(CliError("--shards needs --scheduler fifo".into()));
         }
-        if flag_usize(&flags, "shards", 0)? == 0 {
+        if flag::<usize>(&flags, "shards", 0)? == 0 {
             return Err(CliError("--shards must be ≥ 1".into()));
         }
         if flags.contains_key("faults") {
@@ -333,14 +344,14 @@ fn discover_on<P: Layer>(
     plans: &Plans,
     mut sched: Box<dyn Scheduler>,
 ) -> Result<String, CliError> {
-    let trace_limit = flag_usize(flags, "trace", 0)?;
+    let trace_limit = flag::<usize>(flags, "trace", 0)?;
     let want_stats = flags.contains_key("stats");
     let mut d = DiscoveryOn::<P>::under(graph, variant, plans);
     if trace_limit > 0 || want_stats {
         d.runner_mut().enable_trace();
     }
     if flags.contains_key("max-steps") {
-        d.cap_steps(flag_u64(flags, "max-steps", 0)?);
+        d.cap_steps(flag(flags, "max-steps", 0)?);
     }
 
     let result = if let Some(path) = flags.get("record") {
@@ -466,8 +477,8 @@ fn discover_sweep(
     variant: Variant,
     graph: &KnowledgeGraph,
 ) -> Result<String, CliError> {
-    let trials = flag_usize(flags, "sweep", 0)?;
-    let jobs = flag_usize(flags, "jobs", 1)?;
+    let trials = flag::<usize>(flags, "sweep", 0)?;
+    let jobs = flag::<usize>(flags, "jobs", 1)?;
     if trials == 0 {
         return Err(CliError("--sweep must be ≥ 1".into()));
     }
@@ -499,7 +510,7 @@ fn discover_sweep(
         let outcome = d
             .run_all(&mut RandomScheduler::seeded(seed))
             .map_err(|e| CliError(format!("seed {seed}: simulation failed: {e}")))?;
-        d.check_requirements(graph)
+        d.check(&outcome)
             .map_err(|e| CliError(format!("seed {seed}: requirements violated: {e}")))?;
         Ok(format!(
             "seed {seed:>4}: leaders {:?}, {} steps, {} msgs, {} bits",
@@ -520,7 +531,7 @@ fn discover_sweep(
 }
 
 fn adversary(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let levels = flag_usize(&flags, "levels", 8)? as u32;
+    let levels = flag::<u32>(&flags, "levels", 8)?;
     if !(2..=16).contains(&levels) {
         return Err(CliError("--levels must be in 2..=16".into()));
     }
@@ -535,9 +546,9 @@ fn adversary(flags: HashMap<String, String>) -> Result<String, CliError> {
 }
 
 fn reduction(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let sets = flag_usize(&flags, "sets", 64)?;
-    let finds = flag_usize(&flags, "finds", 32)?;
-    let seed = flag_u64(&flags, "seed", 0)?;
+    let sets = flag::<usize>(&flags, "sets", 64)?;
+    let finds = flag::<usize>(&flags, "finds", 32)?;
+    let seed = flag::<u64>(&flags, "seed", 0)?;
     if sets == 0 {
         return Err(CliError("--sets must be ≥ 1".into()));
     }
@@ -560,9 +571,9 @@ fn reduction(flags: HashMap<String, String>) -> Result<String, CliError> {
 }
 
 fn overlay(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let n = flag_usize(&flags, "n", 64)?;
-    let lookups = flag_usize(&flags, "lookups", 100)?;
-    let seed = flag_u64(&flags, "seed", 0)?;
+    let n = flag::<usize>(&flags, "n", 64)?;
+    let lookups = flag::<usize>(&flags, "lookups", 100)?;
+    let seed = flag::<u64>(&flags, "seed", 0)?;
     if n == 0 {
         return Err(CliError("--n must be ≥ 1".into()));
     }
@@ -598,10 +609,10 @@ fn overlay(flags: HashMap<String, String>) -> Result<String, CliError> {
 }
 
 fn baselines(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let n = flag_usize(&flags, "n", 64)?;
-    let seed = flag_u64(&flags, "seed", 0)?;
-    let seeds = flag_usize(&flags, "seeds", 1)?;
-    let jobs = flag_usize(&flags, "jobs", 1)?;
+    let n = flag::<usize>(&flags, "n", 64)?;
+    let seed = flag::<u64>(&flags, "seed", 0)?;
+    let seeds = flag::<usize>(&flags, "seeds", 1)?;
+    let jobs = flag::<usize>(&flags, "jobs", 1)?;
     if seeds == 0 {
         return Err(CliError("--seeds must be ≥ 1".into()));
     }
@@ -855,16 +866,16 @@ impl System {
 }
 
 fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let budget = flag_u64(&flags, "budget", 64)?;
-    let walks = flag_u64(&flags, "walks", budget / 2)?;
+    let budget = flag::<u64>(&flags, "budget", 64)?;
+    let walks = flag::<u64>(&flags, "walks", budget / 2)?;
     if walks > budget {
         return Err(CliError(format!(
             "--walks {walks} exceeds the --budget of {budget}"
         )));
     }
-    let depth = flag_usize(&flags, "depth", 4)?;
-    let seed = flag_u64(&flags, "seed", 0)?;
-    let jobs = flag_usize(&flags, "jobs", 1)?;
+    let depth = flag::<usize>(&flags, "depth", 4)?;
+    let seed = flag::<u64>(&flags, "seed", 0)?;
+    let jobs = flag::<usize>(&flags, "jobs", 1)?;
     if jobs == 0 {
         return Err(CliError("--jobs must be ≥ 1".into()));
     }
@@ -992,14 +1003,9 @@ fn replay_cmd(args: &[String]) -> Result<String, CliError> {
     if path.starts_with("--") {
         return Err(CliError("replay needs a schedule file: ard replay <file>".into()));
     }
-    let flags = parse_flags(rest)?;
-    for key in flags.keys() {
-        if key != "shrink" && key != "jobs" && key != "out" {
-            return Err(CliError(format!("replay does not take --{key}")));
-        }
-    }
+    let flags = parse_flags("replay", REPLAY_FLAGS, rest)?;
     let want_shrink = flags.contains_key("shrink");
-    let jobs = flag_usize(&flags, "jobs", 1)?;
+    let jobs = flag::<usize>(&flags, "jobs", 1)?;
     if jobs == 0 {
         return Err(CliError("--jobs must be ≥ 1".into()));
     }
@@ -1194,6 +1200,26 @@ mod tests {
     fn flag_parsing_rejects_orphans() {
         assert!(run_line("discover --topology").is_err());
         assert!(run_line("discover topology ring:5").is_err());
+    }
+
+    #[test]
+    fn flags_a_command_does_not_take_are_named() {
+        // A misspelling must not fall back to the default topology.
+        let err = run_line("discover --tpology ring:5").unwrap_err();
+        assert_eq!(err.0, "discover does not take --tpology");
+        for (line, complaint) in [
+            ("discover --topology ring:5 --budget 8", "discover does not take --budget"),
+            ("discover --check", "discover does not take --check"),
+            ("adversary --level 4", "adversary does not take --level"),
+            ("reduction --sets 8 --lookups 3", "reduction does not take --lookups"),
+            ("overlay --n 8 --adversarial", "overlay does not take --adversarial"),
+            ("baselines --n 8 --trials 2", "baselines does not take --trials"),
+            ("explore --system racy:2 --sweep 3", "explore does not take --sweep"),
+            ("replay some.schedule --turbo 9", "replay does not take --turbo"),
+        ] {
+            assert_eq!(run_line(line).unwrap_err().0, complaint, "{line}");
+        }
+        assert!(run_line("adversary --levels 99999999999").unwrap_err().0.contains("not a number"));
     }
 
     #[test]

@@ -11,7 +11,8 @@ use crate::node::{ArdNode, AsArdNode};
 use crate::plans::Plans;
 use crate::reliable::Reliable;
 use crate::status::Transition;
-use crate::{budgets, invariants, Config, Variant};
+use crate::budgets::{self, Netting};
+use crate::{invariants, Config, Variant};
 
 /// The node layer a discovery network is built from: the bare protocol
 /// node, or the protocol node inside a delivery envelope. Everything the
@@ -27,6 +28,10 @@ pub trait Layer: Protocol + AsArdNode + Sized + sealed::Sealed {
     /// How many fault-free step budgets a run on this layer may spend.
     const BUDGET_FACTOR: u64;
 
+    /// What this layer's metering adds to the protocol's own traffic, for
+    /// the budget table to net out.
+    const NETTING: Netting;
+
     /// Puts a freshly built protocol node into this layer.
     fn wrap(node: ArdNode) -> Self;
 
@@ -40,14 +45,6 @@ pub trait Layer: Protocol + AsArdNode + Sized + sealed::Sealed {
     ///
     /// Describes what the layer still has outstanding.
     fn check_quiescent(&self) -> Result<(), String>;
-
-    /// The paper's budget lemmas and theorems as they apply to traffic
-    /// metered on this layer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first violated bound.
-    fn check_budgets(metrics: &Metrics, n: u64, e0: u64, variant: Variant) -> Result<(), String>;
 }
 
 mod sealed {
@@ -59,6 +56,7 @@ mod sealed {
 impl Layer for ArdNode {
     type Livelock = LivelockError;
     const BUDGET_FACTOR: u64 = 1;
+    const NETTING: Netting = Netting::NONE;
 
     fn wrap(node: ArdNode) -> Self {
         node
@@ -71,10 +69,6 @@ impl Layer for ArdNode {
     fn check_quiescent(&self) -> Result<(), String> {
         Ok(())
     }
-
-    fn check_budgets(metrics: &Metrics, n: u64, e0: u64, variant: Variant) -> Result<(), String> {
-        budgets::check_all(metrics, n, e0, variant)
-    }
 }
 
 impl Layer for Reliable<ArdNode> {
@@ -83,6 +77,7 @@ impl Layer for Reliable<ArdNode> {
     /// step count by a large factor, but a correct run still terminates far
     /// below this.
     const BUDGET_FACTOR: u64 = 100;
+    const NETTING: Netting = Netting::RELIABLE;
 
     fn wrap(node: ArdNode) -> Self {
         Reliable::new(node)
@@ -100,10 +95,6 @@ impl Layer for Reliable<ArdNode> {
                 self.ard().id()
             )),
         }
-    }
-
-    fn check_budgets(metrics: &Metrics, n: u64, e0: u64, variant: Variant) -> Result<(), String> {
-        budgets::check_all_faulty(metrics, n, e0, variant)
     }
 }
 
@@ -549,11 +540,12 @@ impl<P: Layer> DiscoveryOn<P> {
             return Ok(());
         }
         self.check_requirements(&self.graph)?;
-        P::check_budgets(
+        budgets::check(
             &outcome.metrics,
             self.runner.len() as u64,
             self.graph.edge_count() as u64,
             self.variant,
+            &P::NETTING,
         )
     }
 

@@ -36,11 +36,16 @@
 //! per-kind budgets still see every logical send exactly once.
 //! Retransmissions and acks are metered under the dedicated kinds
 //! `"retransmit"` and `"rd-ack"` ([`OVERHEAD_KINDS`](crate::budgets::OVERHEAD_KINDS)),
-//! which the faulty budget checks subtract as explicit overhead.
+//! which the budget table subtracts as explicit overhead
+//! ([`Netting::RELIABLE`](crate::budgets::Netting::RELIABLE)).
 
 use std::collections::BTreeMap;
 
 use ard_netsim::{Context, Envelope, NodeId, Protocol, StateDigest};
+
+/// Width of the sequence number every [`ReliableMsg`] carries: what the
+/// envelope adds to a message's metered aux bits.
+pub(crate) const SEQ_BITS: u64 = 32;
 
 /// Wire format of the reliable-delivery layer: the inner protocol's message
 /// wrapped with a sequence number, or a bare acknowledgement.
@@ -96,8 +101,8 @@ impl<M: Envelope> Envelope for ReliableMsg<M> {
 
     fn aux_bits(&self) -> u64 {
         match self {
-            ReliableMsg::Data { payload, .. } => payload.aux_bits() + 32,
-            ReliableMsg::Ack { .. } => 32,
+            ReliableMsg::Data { payload, .. } => payload.aux_bits() + SEQ_BITS,
+            ReliableMsg::Ack { .. } => SEQ_BITS,
         }
     }
 

@@ -26,7 +26,10 @@
 # comparison, then benchmark/ci-smoke.sh: `benchmark/` is a Cargo
 # workspace of its own, so nothing above compiles it — the smoke builds
 # it against this checkout and runs all seven workloads at 1/16 size with
-# their correctness checks, plus the BENCHMARK.json schema check. See
+# their correctness checks, plus the BENCHMARK.json schema check; the
+# build must leave benchmark/Cargo.lock as checked in (the dependency
+# graph under `ard-cli` is part of the freeze). Last, the checked-in
+# BENCH_throughput.json must carry the keys scripts/bench.sh writes. See
 # docs/testing.md for the tiers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -198,8 +201,17 @@ cargo test --release --offline --test round_fifo -- --ignored
 
 # The frozen benchmark crate: outside the workspace, so only this step
 # notices a public-API change that stops it compiling, or a workload whose
-# checks (requirements, budgets, cross-engine digests) stop passing.
+# checks (requirements, budgets, cross-engine digests) stop passing. Its
+# lock file is frozen with it: cargo rewrites it when a crate reachable
+# from `ard-cli` gains or drops a dependency, and the benchmark driver
+# must not build against a graph nobody reviewed.
+lock_before="$(cksum < benchmark/Cargo.lock)"
 benchmark/ci-smoke.sh > /dev/null
+if [[ "$(cksum < benchmark/Cargo.lock)" != "$lock_before" ]]; then
+    echo "verify: benchmark/ci-smoke.sh rewrote benchmark/Cargo.lock" >&2
+    echo "verify: a crate under ard-cli changed its dependency list; restore it (git checkout benchmark/Cargo.lock)" >&2
+    exit 1
+fi
 
 # Checked-in bench artifact schema: the throughput JSON must carry the
 # payload metrics that scripts/bench.sh writes (a stale artifact means the
@@ -212,4 +224,4 @@ for key in '"payload_bytes_per_event"' '"payload_peak_bytes"'; do
     fi
 done
 
-echo "verify: OK (tier-1 green on the whole workspace, docs warning-free, explore smoke deterministic, --jobs 4 byte-identical, snapshots verified, chaos smoke matches snapshot, byzantine smoke found+shrunk and matches snapshot, dpor smoke reduced=full and matches snapshot, n=100000 round loop equals the FifoScheduler run, benchmark/ci-smoke.sh green, bench JSON schema ok)"
+echo "verify: OK (tier-1 green on the whole workspace, docs warning-free, explore smoke deterministic, --jobs 4 byte-identical, snapshots verified, chaos smoke matches snapshot, byzantine smoke found+shrunk and matches snapshot, dpor smoke reduced=full and matches snapshot, n=100000 round loop equals the FifoScheduler run, benchmark/ci-smoke.sh green with benchmark/Cargo.lock untouched, bench JSON schema ok)"
