@@ -645,7 +645,7 @@ pub fn e14_schedule_sensitivity(quick: bool, t: &mut Table) {
 /// E15 — scale: the Theorem 5/6 message budgets re-verified at large `n`
 /// (single seed per point; a 10⁶-node run is minutes, so no repetition),
 /// plus the engine-side scale metrics the million-node engine targets:
-/// executed events and knowledge-set bytes per node under interval coding.
+/// executed events and knowledge-set bytes per node (`IdSet`s at these sizes).
 pub fn e15_scale(quick: bool, t: &mut Table) {
     t.set_header(&[
         "variant",
@@ -659,7 +659,7 @@ pub fn e15_scale(quick: bool, t: &mut Table) {
         "knowledge B/node",
     ]);
     // All sizes sit above the dense-knowledge cutoff, so every run
-    // exercises the run-coded representation.
+    // exercises the sparse representation.
     let sizes: &[usize] = if quick { &[16_384] } else { &[65_536, 1_048_576] };
     for &n in sizes {
         for variant in [Variant::Oblivious, Variant::Bounded, Variant::AdHoc] {
@@ -689,7 +689,7 @@ pub fn e15_scale(quick: bool, t: &mut Table) {
             ]);
         }
     }
-    t.push_note("same budget checks as E1-E3 (check_theorem_5/6), applied at the scale the interval-coded engine unlocks; knowledge B/node would be n/8 bytes (8 KiB at 65536, 128 KiB at 10^6) under dense bitsets");
+    t.push_note("same budget checks as E1-E3 (check_theorem_5/6), applied at the scale the sparse knowledge sets unlock; knowledge B/node would be n/8 bytes (8 KiB at 65536, 128 KiB at 10^6) under dense bitsets");
 }
 
 /// F1 — Figure 1: the observed transition set equals the diagram exactly.

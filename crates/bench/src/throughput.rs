@@ -13,8 +13,9 @@ use ard_graph::gen;
 use ard_netsim::{FifoScheduler, RandomScheduler, Scheduler};
 
 /// Network sizes the throughput sweep covers. The large tail exercises the
-/// SoA node table and interval-coded knowledge (n > 8192 switches the
-/// runner to run-coded sets); `measure` drops to one repetition there.
+/// SoA node table and sparse knowledge (n > 8192 switches the runner's
+/// per-node sets from bitsets to `IdSet`s); `measure` drops to one
+/// repetition there.
 pub const THROUGHPUT_SIZES: [usize; 5] = [256, 1024, 4096, 65536, 1_048_576];
 
 /// Sizes above this measure with a single repetition (a full 10⁶-node
@@ -36,7 +37,7 @@ pub struct ThroughputPoint {
     /// `events / secs` for the best repetition.
     pub events_per_sec: f64,
     /// Heap bytes of per-node knowledge at quiescence, divided by `n` —
-    /// the memory metric the interval-coded representation targets.
+    /// the memory metric the sparse knowledge representation targets.
     pub knowledge_bytes_per_node: f64,
     /// Payload heap bytes enqueued per executed event — the message-size
     /// metric the run-length payload coding targets.

@@ -132,6 +132,30 @@ impl IdSet {
         }
     }
 
+    /// Inserts every id of the half-open index run `[start, end)` — how a
+    /// delivery absorbs a run-coded payload. A sorted set splices the run
+    /// in with one move of its tail, and a run it already covers (a
+    /// redelivery) costs two binary searches and no write.
+    pub fn insert_run(&mut self, start: u32, end: u32) {
+        match &mut self.repr {
+            Repr::Sorted(ids) => {
+                // Ascending streams append without the first search.
+                let lo = match ids.last() {
+                    Some(&max) if start <= max => ids.partition_point(|&i| i < start),
+                    _ => ids.len(),
+                };
+                let hi = lo + ids[lo..].partition_point(|&i| i < end);
+                if hi - lo < end.saturating_sub(start) as usize {
+                    ids.splice(lo..hi, start..end);
+                    self.settle();
+                }
+            }
+            Repr::Bits(bits) => (start..end).for_each(|i| {
+                bits.insert(i as usize);
+            }),
+        }
+    }
+
     /// Removes `id`. Returns `true` if it was present.
     pub fn remove(&mut self, id: NodeId) -> bool {
         match &mut self.repr {

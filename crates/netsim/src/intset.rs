@@ -9,6 +9,14 @@
 //! instead of the O(n) bits a dense [`BitSet`](crate::BitSet) pays per
 //! node. At n = 10⁶ that is the difference between ~125 GB of bitset
 //! words and a few MB of run pairs.
+//!
+//! **No in-tree user.** The engine's knowledge sets moved onto
+//! [`IdSet`](crate::IdSet) (one heap, binary search, runs spliced by
+//! `IdSet::insert_run`); this module and its oracle
+//! `tests/intset_equiv.rs` are kept, unchanged, only because the frozen
+//! `benchmark/` crate times the type (`netsim.intset.*` in
+//! `benchmark/src/layers.rs`). Delete both when `benchmark/` is thawed
+//! (ROADMAP item 1(a)).
 
 /// A sorted-run set of `usize` indices below `u32::MAX`.
 ///

@@ -25,8 +25,9 @@
 //! other scheduler stay with [`Runner::run`].
 
 use crate::envelope::Envelope;
+use crate::linkq::LinkQueues;
 use crate::record::Schedule;
-use crate::runner::{LivelockError, Protocol, Runner, Sink};
+use crate::runner::{link_key, LivelockError, Protocol, Runner, Sink};
 use crate::scheduler::{Choice, SendToken};
 use crate::NodeId;
 
@@ -41,9 +42,6 @@ enum Ev<M> {
         dst: NodeId,
         msg: M,
         depth: u64,
-        /// Interned slot of the link, captured at send time (slots are
-        /// append-only for the life of the run).
-        slot: u32,
     },
     /// A timer tick armed by the node.
     Tick(NodeId),
@@ -63,9 +61,10 @@ impl<M> Ev<M> {
 /// The round sink: sends and ticks become events of the next round.
 struct NextRound<M> {
     events: Vec<Ev<M>>,
-    /// In-flight messages per interned link slot — what the link queue's
-    /// length would be, for `max_link_queue`.
-    in_flight: Vec<u32>,
+    /// One placeholder per event of `events` (and of the round being
+    /// drained) on its link: the lengths the link queues would have, for
+    /// `max_link_queue`.
+    in_flight: LinkQueues<()>,
 }
 
 impl<P: Protocol> Sink<P> for NextRound<P::Message> {
@@ -73,23 +72,17 @@ impl<P: Protocol> Sink<P> for NextRound<P::Message> {
         &mut self,
         _runner: &mut Runner<P>,
         token: SendToken,
-        slot: u32,
+        key: u64,
         msg: P::Message,
         depth: u64,
     ) -> usize {
-        let link = slot as usize;
-        if link >= self.in_flight.len() {
-            self.in_flight.resize(link + 1, 0);
-        }
-        self.in_flight[link] += 1;
         self.events.push(Ev::Deliver {
             src: token.src,
             dst: token.dst,
             msg,
             depth,
-            slot,
         });
-        self.in_flight[link] as usize
+        self.in_flight.push_back(key, ())
     }
 
     fn tick(&mut self, node: NodeId) {
@@ -172,7 +165,7 @@ impl<P: Protocol> Runner<P> {
             .collect();
         let mut next = NextRound {
             events: Vec::new(),
-            in_flight: Vec::new(),
+            in_flight: LinkQueues::new(),
         };
         let mut executed: u64 = 0;
         while !round.is_empty() {
@@ -190,9 +183,8 @@ impl<P: Protocol> Runner<P> {
                         dst,
                         msg,
                         depth,
-                        slot,
                     } => {
-                        next.in_flight[slot as usize] -= 1;
+                        next.in_flight.pop_front(link_key(src, dst));
                         self.note_payload_dequeued(msg.payload_heap_bytes());
                         self.deliver(src, dst, msg, depth, &mut next);
                     }

@@ -1,133 +1,17 @@
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::envelope::Envelope;
 use crate::linkq::LinkQueues;
 use crate::scheduler::{Choice, Footprint, Scheduler, SendToken, StateDigest};
-use crate::table::{Knowledge, NodeTable};
+use crate::table::NodeTable;
 use crate::trace::{Trace, TraceEvent};
 use crate::{Context, Metrics, NodeId};
 
-/// Multiply-mix hasher for the link-slot map.
-///
-/// Keys are two dense node indices packed into one `u64`, hashed on every
-/// send and delivery; SipHash's DoS resistance buys nothing for
-/// deterministic simulation state, so a two-instruction mix is used
-/// instead.
-#[derive(Clone, Copy, Default)]
-struct LinkHasher(u64);
-
-impl Hasher for LinkHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        let mut x = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 32;
-        self.0 = x;
-    }
-}
-
-/// Packs a directed link into the slot map's key.
-fn link_key(src: NodeId, dst: NodeId) -> u64 {
+/// Packs a directed link into its [`LinkQueues`] key; keys order like
+/// `(src, dst)`.
+pub(crate) fn link_key(src: NodeId, dst: NodeId) -> u64 {
     ((src.index() as u64) << 32) | dst.index() as u64
-}
-
-/// Compressed-sparse-row adjacency over the *initial* knowledge graph
-/// `E₀ ∪ reverse(E₀)`, with a lazily interned link-slot per entry.
-///
-/// Most of a run's traffic flows over links both ends knew from the start,
-/// so resolving `(src, dst)` to its queue slot is a binary search in a
-/// short sorted row instead of a hash probe. Links learned at runtime (and
-/// links of dynamically added nodes) miss the CSR and fall back to the
-/// `link_slots` hash map.
-#[derive(Clone, Default)]
-struct Csr {
-    /// Row boundaries: node `i`'s neighbors live in
-    /// `targets[offsets[i]..offsets[i + 1]]`. Empty for networks built
-    /// without up-front topology.
-    offsets: Vec<u32>,
-    /// Sorted, deduplicated neighbor indices per row.
-    targets: Vec<u32>,
-    /// Link slot per `targets` entry; `u32::MAX` until the first send
-    /// interns a queue for the link.
-    slots: Vec<u32>,
-}
-
-impl Csr {
-    /// Builds the bidirectional adjacency from each node's initial
-    /// out-edges. Rows are sorted and deduplicated — a duplicate entry
-    /// would intern two queues for one link and silently break per-link
-    /// FIFO.
-    fn build<'a>(n: usize, neighbors: &impl Fn(NodeId) -> &'a [NodeId]) -> Csr {
-        u32::try_from(n).expect("node count fits u32");
-        let mut offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            for &v in neighbors(NodeId::new(i)) {
-                offsets[i + 1] += 1;
-                offsets[v.index() + 1] += 1;
-            }
-        }
-        for k in 1..=n {
-            offsets[k] = offsets[k]
-                .checked_add(offsets[k - 1])
-                .expect("CSR entry count fits u32");
-        }
-        let total = offsets[n] as usize;
-        let mut raw = vec![0u32; total];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for i in 0..n {
-            for &v in neighbors(NodeId::new(i)) {
-                raw[cursor[i] as usize] = v.index() as u32;
-                cursor[i] += 1;
-                raw[cursor[v.index()] as usize] = i as u32;
-                cursor[v.index()] += 1;
-            }
-        }
-        let mut targets = Vec::with_capacity(total);
-        let mut compact = vec![0u32; n + 1];
-        for i in 0..n {
-            let row = &mut raw[offsets[i] as usize..offsets[i + 1] as usize];
-            row.sort_unstable();
-            let mut prev = u32::MAX;
-            for &t in row.iter() {
-                if t != prev {
-                    targets.push(t);
-                    prev = t;
-                }
-            }
-            compact[i + 1] = targets.len() as u32;
-        }
-        let slots = vec![u32::MAX; targets.len()];
-        Csr {
-            offsets: compact,
-            targets,
-            slots,
-        }
-    }
-
-    /// Position of `(src, dst)` in `targets`/`slots`, if the link is part
-    /// of the initial topology.
-    #[inline]
-    fn find(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        let i = src.index();
-        if i + 1 >= self.offsets.len() {
-            return None;
-        }
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        self.targets[lo..hi]
-            .binary_search(&(dst.index() as u32))
-            .ok()
-            .map(|p| lo + p)
-    }
 }
 
 /// Behaviour of one node in the simulated network.
@@ -220,13 +104,13 @@ impl Error for LivelockError {}
 /// [`crate::round`] appending to the next round.
 pub(crate) trait Sink<P: Protocol> {
     /// Holds `msg` — already checked, metered, traced and numbered — until
-    /// its delivery on the link interned at `slot`; returns how many
-    /// messages are now in flight on that link.
+    /// its delivery on the link `key` (the [`link_key`] of the token's
+    /// ends); returns how many messages are now in flight on that link.
     fn send(
         &mut self,
         runner: &mut Runner<P>,
         token: SendToken,
-        slot: u32,
+        key: u64,
         msg: P::Message,
         depth: u64,
     ) -> usize;
@@ -244,14 +128,14 @@ impl<P: Protocol> Sink<P> for Scheduled<'_> {
         &mut self,
         runner: &mut Runner<P>,
         token: SendToken,
-        slot: u32,
+        key: u64,
         msg: P::Message,
         depth: u64,
     ) -> usize {
         if runner.fp_on {
-            runner.fp.touch_link(link_key(token.src, token.dst));
+            runner.fp.touch_link(key);
         }
-        let queued = runner.links.push_back(slot, (msg, depth));
+        let queued = runner.links.push_back(key, (msg, depth));
         self.0.note_send(token);
         queued
     }
@@ -269,16 +153,16 @@ impl<P: Protocol> Sink<P> for Scheduled<'_> {
 /// [`run_rounds`](Runner::run_rounds)); the runner guarantees per-link FIFO
 /// delivery regardless of the scheduler's choices.
 ///
-/// Internally the engine is allocation-free per event: knowledge sets live
-/// in a struct-of-arrays `NodeTable` (dense bitsets below ~8 K nodes,
-/// interval-coded runs above), metering uses the non-allocating
-/// [`Envelope`] visitor, and each directed link is interned into a dense
-/// slot on first send — resolved through a CSR adjacency when the topology
-/// was known up front, with a hash-map fallback for links learned at
-/// runtime. A slot is a 12-byte list head in [`LinkQueues`]; the messages
-/// themselves live in one slab shared by all links, whose cells are
-/// recycled newest-first, so in-flight storage is sized by the peak number
-/// of messages in flight, not by the number of links.
+/// Internally the engine is allocation-free per event and its state is
+/// sized by what is live: knowledge sets live in a struct-of-arrays
+/// `NodeTable` (dense bitsets up to 8,192 nodes, [`IdSet`](crate::IdSet)s
+/// above), metering uses the non-allocating [`Envelope`] visitor, and a
+/// directed link exists only while it carries a message — [`LinkQueues`]
+/// indexes the live links by their packed `(src, dst)` key and drops a
+/// link's entry with its last message. The messages themselves live in one
+/// slab shared by all links, whose cells are recycled newest-first, so
+/// in-flight storage is sized by the peak number of messages in flight and
+/// nothing grows with the number of links a run ever used.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 ///
@@ -290,12 +174,8 @@ pub struct Runner<P: Protocol> {
     nodes: Vec<P>,
     /// Packed flags + knowledge sets, struct-of-arrays over node index.
     table: NodeTable,
-    /// Initial-topology fast path for link-slot resolution.
-    csr: Csr,
-    /// Fallback interning of `(src, dst)` to a dense slot in `links`, for
-    /// links outside the initial topology.
-    link_slots: HashMap<u64, u32, BuildHasherDefault<LinkHasher>>,
-    /// Every in-flight message with its causal depth, FIFO per link slot.
+    /// Every in-flight message with its causal depth, FIFO per
+    /// [`link_key`].
     links: LinkQueues<(P::Message, u64)>,
     metrics: Metrics,
     seq: u64,
@@ -346,9 +226,8 @@ impl<P: Protocol> Runner<P> {
     /// `neighbors(id)`.
     ///
     /// This is the allocation-light constructor for large networks: no
-    /// per-node temporary `Vec`s, knowledge sets pre-sized (and
-    /// representation-selected) for `n`, and the CSR link-slot index built
-    /// in the same pass. [`Runner::new`] delegates here.
+    /// per-node temporary `Vec`s, and knowledge sets pre-sized (and
+    /// representation-selected) for `n`. [`Runner::new`] delegates here.
     ///
     /// # Panics
     ///
@@ -362,7 +241,7 @@ impl<P: Protocol> Runner<P> {
         let mut table = NodeTable::new(n);
         for i in 0..n {
             let me = NodeId::new(i);
-            let mut set = Knowledge::for_network(n);
+            let mut set = table.empty_knowledge(n);
             for &v in neighbors(me) {
                 assert!(
                     v.index() < n,
@@ -373,12 +252,9 @@ impl<P: Protocol> Runner<P> {
             set.insert(i);
             table.knowledge.push(set);
         }
-        let csr = Csr::build(n, &neighbors);
         Runner {
             nodes,
             table,
-            csr,
-            link_slots: HashMap::default(),
             links: LinkQueues::new(),
             metrics: Metrics::new(id_bits),
             seq: 0,
@@ -506,7 +382,7 @@ impl<P: Protocol> Runner<P> {
     /// wakes up at that time" — wake the returned id to bring it online.
     pub fn add_node(&mut self, node: P, known: Vec<NodeId>) -> NodeId {
         let id = NodeId::new(self.len());
-        let mut set = Knowledge::for_network(self.len() + 1);
+        let mut set = self.table.empty_knowledge(self.len() + 1);
         for v in known {
             assert!(
                 v.index() < self.len(),
@@ -621,7 +497,7 @@ impl<P: Protocol> Runner<P> {
     }
 
     /// Puts `msg` in flight on `src → dst`: numbers it, accounts its
-    /// payload, interns the link and hands it to `sink`.
+    /// payload and hands it to `sink`.
     fn enqueue<S: Sink<P>>(
         &mut self,
         src: NodeId,
@@ -638,8 +514,7 @@ impl<P: Protocol> Runner<P> {
         };
         self.seq += 1;
         self.note_payload_enqueued(msg.payload_heap_bytes());
-        let slot = self.intern_link_slot(src, dst);
-        let queued = sink.send(self, token, slot, msg, depth);
+        let queued = sink.send(self, token, link_key(src, dst), msg, depth);
         self.metrics.observe_link_queue(queued);
     }
 
@@ -718,9 +593,9 @@ impl<P: Protocol> Runner<P> {
             });
         }
         // Knowledge-graph growth: the receiver learns the sender and every
-        // id in the payload (visited, not collected; run-coded sets absorb
-        // whole payload runs, so a run-coded handover costs O(runs), not
-        // O(ids)).
+        // id in the payload (visited, not collected; a sparse set splices
+        // each shipped run in with one move, and skips one it already
+        // covers).
         let n = self.nodes.len();
         let know = &mut self.table.knowledge[dst.index()];
         know.insert(src.index());
@@ -759,47 +634,16 @@ impl<P: Protocol> Runner<P> {
         self.dispatch(node, 1, sink, |n, ctx| n.on_tick(ctx));
     }
 
-    /// Resolves `(src, dst)` to its queue slot, interning a fresh queue on
-    /// the link's first send. Initial-topology links resolve through the
-    /// CSR row (binary search, no hashing); runtime-learned links fall back
-    /// to the hash map.
-    fn intern_link_slot(&mut self, src: NodeId, dst: NodeId) -> u32 {
-        if let Some(pos) = self.csr.find(src, dst) {
-            let slot = self.csr.slots[pos];
-            if slot != u32::MAX {
-                return slot;
-            }
-            let slot = self.links.new_link();
-            self.csr.slots[pos] = slot;
-            return slot;
-        }
-        match self.link_slots.entry(link_key(src, dst)) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => *e.insert(self.links.new_link()),
-        }
-    }
-
-    /// Slot of a link that has already sent at least once, if any.
-    fn existing_link_slot(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        if let Some(pos) = self.csr.find(src, dst) {
-            let slot = self.csr.slots[pos];
-            return (slot != u32::MAX).then_some(slot);
-        }
-        self.link_slots.get(&link_key(src, dst)).copied()
-    }
-
     /// Removes the oldest in-flight message on `src → dst`.
     fn pop_link(&mut self, src: NodeId, dst: NodeId) -> (P::Message, u64) {
-        let slot = self
-            .existing_link_slot(src, dst)
-            .unwrap_or_else(|| panic!("scheduler bug: no pending messages on {src} → {dst}"));
+        let key = link_key(src, dst);
         if self.fp_on {
-            self.fp.touch_link(link_key(src, dst));
+            self.fp.touch_link(key);
         }
         let popped = self
             .links
-            .pop_front(slot)
-            .unwrap_or_else(|| panic!("scheduler bug: empty link {src} → {dst}"));
+            .pop_front(key)
+            .unwrap_or_else(|| panic!("scheduler bug: no pending messages on {src} → {dst}"));
         self.note_payload_dequeued(popped.0.payload_heap_bytes());
         popped
     }
@@ -875,14 +719,13 @@ impl<P: Protocol> Runner<P> {
             }
             Choice::Duplicate { src, dst } => {
                 self.steps += 1;
-                let slot = self.existing_link_slot(src, dst).unwrap_or_else(|| {
-                    panic!("scheduler bug: no pending messages on {src} → {dst}")
-                });
                 let (msg, depth) = self
                     .links
-                    .front(slot)
+                    .front(link_key(src, dst))
                     .cloned()
-                    .unwrap_or_else(|| panic!("scheduler bug: empty link {src} → {dst}"));
+                    .unwrap_or_else(|| {
+                        panic!("scheduler bug: no pending messages on {src} → {dst}")
+                    });
                 self.metrics.record_duplicate();
                 if let Some(trace) = &mut self.trace {
                     trace.push(TraceEvent::Duplicate {
@@ -1068,13 +911,13 @@ impl<P: Protocol> Runner<P> {
 
     /// Canonical digest of the complete observable simulation state: per
     /// node its liveness flags, knowledge membership and protocol state
-    /// (via [`Protocol::digest_state`]); every non-empty link queue with
-    /// its in-flight messages, iterated in `(src, dst)` key order so the
-    /// digest is independent of slot-interning history; and the metrics
+    /// (via [`Protocol::digest_state`]); every live link with its in-flight
+    /// messages, in `(src, dst)` key order so the digest is independent of
+    /// where the link index happens to hold them; and the metrics
     /// (violation checks read them, so branch dedup must honour them).
     ///
     /// Excluded on purpose: the step counter and trace (observational),
-    /// and link-queue *capacity* or slot layout (execution-history
+    /// and link-index or slab *capacity* and layout (execution-history
     /// artifacts with no behavioural effect).
     pub fn state_digest(&self) -> u64 {
         let mut d = StateDigest::new();
@@ -1088,34 +931,13 @@ impl<P: Protocol> Runner<P> {
             self.table.knowledge[i].digest_into(&mut d);
             node.digest_state(&mut d);
         }
-        // Non-empty queues in canonical key order: a drained link must hash
-        // like a never-interned one (whether a slot exists is history, not
-        // state). With nothing in flight — every terminal state — there is
-        // none to find, and the walk over every interned link is skipped.
-        let mut keyed: Vec<(u64, u32)> = Vec::new();
-        if !self.links_empty() {
-            for i in 0..self.csr.offsets.len().saturating_sub(1) {
-                let lo = self.csr.offsets[i] as usize;
-                let hi = self.csr.offsets[i + 1] as usize;
-                for p in lo..hi {
-                    let slot = self.csr.slots[p];
-                    if slot != u32::MAX && !self.links.is_empty(slot) {
-                        keyed.push((((i as u64) << 32) | u64::from(self.csr.targets[p]), slot));
-                    }
-                }
-            }
-            for (&key, &slot) in &self.link_slots {
-                if !self.links.is_empty(slot) {
-                    keyed.push((key, slot));
-                }
-            }
-            keyed.sort_unstable_by_key(|&(key, _)| key);
-        }
-        d.mix(keyed.len() as u64);
-        for (key, slot) in keyed {
+        let mut live: Vec<u64> = self.links.links().collect();
+        live.sort_unstable();
+        d.mix(live.len() as u64);
+        for key in live {
             d.mix(key);
-            d.mix(self.links.len(slot) as u64);
-            for (msg, depth) in self.links.iter(slot) {
+            d.mix(self.links.len(key) as u64);
+            for (msg, depth) in self.links.iter(key) {
                 msg.digest(&mut d);
                 d.mix(*depth);
             }
@@ -1153,7 +975,7 @@ mod tests {
 
     /// Flood protocol: on wake or first sighting of a token, forward it to
     /// all initially-known peers.
-    #[derive(Debug)]
+    #[derive(Clone, Debug)]
     struct Flood {
         peers: Vec<NodeId>,
         seen: bool,
@@ -1419,6 +1241,219 @@ mod tests {
         r.enqueue_wake(newcomer, &mut s);
         r.run(&mut s, 100).unwrap();
         assert!(r.is_awake(newcomer));
+    }
+
+    #[test]
+    fn a_drained_link_leaves_no_entry() {
+        let mut r = sender_and_receiver();
+        let mut s = FifoScheduler::new();
+        r.enqueue_wake(NodeId::new(0), &mut s);
+        assert!(r.step(&mut s));
+        assert_eq!((r.in_flight(), r.links.live_links()), (10, 1));
+        r.run(&mut s, 100).unwrap();
+        assert_eq!(r.links.live_links(), 0, "quiescent: no link is live");
+        assert_eq!(received(&r).len(), 10);
+        // The round loop never queues on the runner's links at all.
+        let mut r = line(40);
+        r.run_rounds(1_000).unwrap();
+        assert_eq!((r.links.live_links(), r.links.slab_cells()), (0, 0));
+    }
+
+    /// Gossip carrying both scattered ids and an index run, so deliveries
+    /// drive `insert` and `insert_run` alike.
+    #[derive(Clone, Debug)]
+    struct Ids {
+        ids: Vec<NodeId>,
+        run: (u32, u32),
+    }
+
+    impl Envelope for Ids {
+        fn kind(&self) -> &'static str {
+            "ids"
+        }
+        fn for_each_carried_id(&self, f: &mut dyn FnMut(NodeId)) {
+            self.ids.iter().copied().for_each(&mut *f);
+            (self.run.0..self.run.1).for_each(|i| f(NodeId::new(i as usize)));
+        }
+        fn for_each_carried_run(&self, f: &mut dyn FnMut(u32, u32)) {
+            self.ids.iter().for_each(|id| {
+                let i = id.index() as u32;
+                f(i, i + 1);
+            });
+            f(self.run.0, self.run.1);
+        }
+        fn aux_bits(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Tells its peers everyone it has heard of, once on waking and once
+    /// on the first message.
+    #[derive(Clone, Debug)]
+    struct Gossip {
+        peers: Vec<NodeId>,
+        heard: Vec<NodeId>,
+        relayed: bool,
+    }
+
+    impl Gossip {
+        fn tell(&self, ctx: &mut Context<'_, Ids>) {
+            let me = ctx.me().index() as u32;
+            for &p in &self.peers {
+                let ids = self.peers.iter().chain(&self.heard).copied().collect();
+                let run = (me.saturating_sub(5), me + 1);
+                ctx.send(p, Ids { ids, run });
+            }
+        }
+    }
+
+    impl Protocol for Gossip {
+        type Message = Ids;
+        fn on_wake(&mut self, ctx: &mut Context<'_, Ids>) {
+            self.tell(ctx);
+        }
+        fn on_message(&mut self, from: NodeId, msg: Ids, ctx: &mut Context<'_, Ids>) {
+            self.heard.push(from);
+            self.heard.extend(msg.ids);
+            if !std::mem::replace(&mut self.relayed, true) {
+                self.tell(ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_and_sparse_knowledge_agree_on_every_pair() {
+        use crate::table::Knowledge;
+        const N: usize = 300;
+        let peers = |i: usize| vec![NodeId::new((i * 7 + 1) % N), NodeId::new((i * i + 3) % N)];
+        let build = || {
+            let nodes = (0..N)
+                .map(|i| Gossip {
+                    peers: peers(i),
+                    heard: Vec::new(),
+                    relayed: false,
+                })
+                .collect();
+            Runner::new(nodes, (0..N).map(peers).collect())
+        };
+        let dense = build();
+        let mut sparse = build();
+        // Re-house the same initial knowledge the way a network of more
+        // than 8,192 nodes would hold it.
+        for set in &mut sparse.table.knowledge {
+            assert!(matches!(set, Knowledge::Dense(_)));
+            let mut moved = Knowledge::Sparse(crate::IdSet::new());
+            (0..N).filter(|&v| set.contains(v)).for_each(|v| {
+                moved.insert(v);
+            });
+            *set = moved;
+        }
+        // The same seeded schedule drives both: what a handler does never
+        // depends on how the engine stores knowledge.
+        let run = |mut r: Runner<Gossip>| {
+            let mut s = crate::RandomScheduler::seeded(17);
+            r.enqueue_wake_all(&mut s);
+            r.run(&mut s, 100_000).unwrap();
+            r
+        };
+        let (dense, sparse) = (run(dense), run(sparse));
+        assert_eq!(dense.steps_executed(), sparse.steps_executed());
+        assert_eq!(dense.metrics(), sparse.metrics());
+        let mut known = 0;
+        for u in dense.ids() {
+            for v in dense.ids() {
+                assert_eq!(dense.knows(u, v), sparse.knows(u, v), "{u} → {v}");
+                known += usize::from(dense.knows(u, v));
+            }
+        }
+        assert!(known > 10 * N, "the gossip spread: {known} edges");
+    }
+
+    /// A network keeps the knowledge representation it was built with as
+    /// `add_node` grows it across [`DENSE_KNOWLEDGE_MAX`]: picking it per
+    /// call from the current size left dense sets beside run-coded ones,
+    /// and one `state_digest` mixing two membership formats.
+    #[test]
+    fn a_network_grown_across_the_dense_limit_keeps_one_knowledge_mode() {
+        use crate::table::{Knowledge, DENSE_KNOWLEDGE_MAX};
+        use std::collections::BTreeSet;
+        const START: usize = DENSE_KNOWLEDGE_MAX - 2;
+        let peers = |i: usize| vec![NodeId::new((i * 31 + 7) % START)];
+        let nodes = (0..START)
+            .map(|i| Flood {
+                peers: peers(i),
+                seen: false,
+            })
+            .collect();
+        let mut r = Runner::new(nodes, (0..START).map(peers).collect());
+        let mut model: BTreeSet<(usize, usize)> = (0..START)
+            .flat_map(|i| [(i, i), (i, peers(i)[0].index())])
+            .collect();
+        let mut fork = r.clone();
+
+        // Five joiners (8,191 … 8,195 nodes), each known to an old node and
+        // to its predecessor, then everyone floods: a delivery teaches the
+        // receiver its sender.
+        let grow = |r: &mut Runner<Flood>, mut learn: Option<&mut BTreeSet<(usize, usize)>>| {
+            let mut learn = |u: usize, v: usize| {
+                if let Some(model) = learn.as_deref_mut() {
+                    model.insert((u, v));
+                }
+            };
+            for j in 0..5 {
+                let known = vec![NodeId::new(j * 1000), NodeId::new(START + j - 1)];
+                let id = r.add_node(
+                    Flood {
+                        peers: known.clone(),
+                        seen: false,
+                    },
+                    known.clone(),
+                );
+                assert_eq!(id.index(), START + j);
+                learn(id.index(), id.index());
+                known.iter().for_each(|v| learn(id.index(), v.index()));
+                r.add_link(NodeId::new(j * 1000), id);
+                learn(j * 1000, id.index());
+            }
+            let mut s = FifoScheduler::new();
+            r.enqueue_wake_all(&mut s);
+            r.run(&mut s, 100_000).unwrap();
+            for u in r.ids() {
+                r.node(u)
+                    .peers
+                    .iter()
+                    .for_each(|p| learn(p.index(), u.index()));
+            }
+        };
+        grow(&mut r, Some(&mut model));
+        grow(&mut fork, None);
+
+        assert_eq!(r.len(), DENSE_KNOWLEDGE_MAX + 3);
+        assert!(r
+            .table
+            .knowledge
+            .iter()
+            .all(|set| matches!(set, Knowledge::Dense(_))));
+        // Whole rows of every node the growth touched, and the diagonal
+        // band of everyone else.
+        let touched = (START - 1..r.len()).chain((0..5).map(|j| j * 1000));
+        for u in touched {
+            for v in 0..r.len() {
+                let (a, b) = (NodeId::new(u), NodeId::new(v));
+                assert_eq!(r.knows(a, b), model.contains(&(u, v)), "{a} → {b}");
+            }
+        }
+        for u in 0..r.len() {
+            for v in u.saturating_sub(2)..(u + 3).min(r.len()) {
+                let (a, b) = (NodeId::new(u), NodeId::new(v));
+                assert_eq!(r.knows(a, b), model.contains(&(u, v)), "{a} → {b}");
+            }
+        }
+        let edges = (0..r.len())
+            .map(|u| r.ids().filter(|&v| r.knows(NodeId::new(u), v)).count())
+            .sum::<usize>();
+        assert_eq!(edges, model.len());
+        assert_eq!(r.state_digest(), fork.state_digest());
     }
 
     #[test]

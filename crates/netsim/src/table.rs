@@ -5,17 +5,20 @@
 //! sets. At n = 10⁶ that layout wastes 7/8 of every flag byte and pays a
 //! dense bitset word array per node. [`NodeTable`] packs each flag plane
 //! into `u64` words (one cache line covers 512 nodes) and stores knowledge
-//! behind [`Knowledge`], which switches to interval coding above
+//! behind [`Knowledge`], which is an [`IdSet`] in networks above
 //! [`DENSE_KNOWLEDGE_MAX`] nodes.
 
 use crate::bitset::BitSet;
-use crate::intset::IntervalSet;
+use crate::idset::IdSet;
+use crate::NodeId;
 
 /// Largest network size for which knowledge sets stay dense bitsets.
 ///
 /// Below this, a knowledge set costs at most 1 KiB of words and dense
-/// operations are fastest; above it, per-node O(n) bits stops scaling
-/// (n = 10⁶ would need ~125 GB) and runs win.
+/// operations are fastest (measured: folding this mode onto [`IdSet`] too
+/// costs the n = 1,024 sweep 10–15 %); above it, per-node O(n) bits stops
+/// scaling (n = 10⁶ would need ~125 GB) and a set sized by its members
+/// wins.
 pub(crate) const DENSE_KNOWLEDGE_MAX: usize = 8192;
 
 /// One packed plane of per-node boolean flags.
@@ -66,118 +69,26 @@ impl Flags {
 
 /// A node's knowledge set — the ids it may address.
 ///
-/// Representation is chosen once per network size: dense [`BitSet`] up to
-/// [`DENSE_KNOWLEDGE_MAX`] nodes, interval-coded [`RunsKnowledge`] beyond.
-/// Both answer the same queries, so the engine treats them uniformly.
+/// The representation is chosen once per network
+/// ([`NodeTable::empty_knowledge`]): dense [`BitSet`] for networks built
+/// with up to [`DENSE_KNOWLEDGE_MAX`] nodes, [`IdSet`] beyond. Both answer
+/// the same queries, so the engine treats them uniformly.
 #[derive(Clone, Debug)]
 pub(crate) enum Knowledge {
     /// Dense bit words — O(1) everything, O(n) bits per node.
     Dense(BitSet),
-    /// Sorted runs plus a small unsorted overflow — O(1) amortized insert,
-    /// memory ≈ runs, O(runs) union.
-    Runs(RunsKnowledge),
-}
-
-/// Once the overflow buffer reaches this many ids it is sorted and merged
-/// into the run vector as one union. Batching turns the per-id cost of a
-/// scattered insert stream from O(runs) (a tail-memmove per new interior
-/// run) into O(runs / PENDING_MAX + 1) amortized, while keeping lookups
-/// cheap: a miss scans at most this many extra words.
-const PENDING_MAX: usize = 64;
-
-/// Interval-coded knowledge with insert batching: `set` holds the merged
-/// runs, `pending` buffers up to [`PENDING_MAX`] recently learned ids that
-/// are not yet worth a run-vector rebuild. `contains` consults both, so
-/// the buffered ids are observable immediately.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RunsKnowledge {
-    set: IntervalSet,
-    pending: Vec<u32>,
-}
-
-impl RunsKnowledge {
-    /// Inserts `index`; `true` if it was not already present.
-    #[inline]
-    pub(crate) fn insert(&mut self, index: usize) -> bool {
-        if self.contains(index) {
-            return false;
-        }
-        let i = u32::try_from(index).expect("knowledge index fits u32");
-        self.pending.push(i);
-        if self.pending.len() >= PENDING_MAX {
-            self.flush();
-        }
-        true
-    }
-
-    /// Whether `index` is present (merged or still buffered).
-    #[inline]
-    pub(crate) fn contains(&self, index: usize) -> bool {
-        self.set.contains(index)
-            || u32::try_from(index).is_ok_and(|i| self.pending.contains(&i))
-    }
-
-    /// Inserts the whole half-open run `[start, end)`. Tiny runs go
-    /// through the buffered per-id path; longer ones are first checked
-    /// for coverage (one binary search — the common redelivery case) and
-    /// otherwise merged into the run vector directly, so absorbing a
-    /// run-coded payload is O(runs), never O(ids).
-    pub(crate) fn insert_run(&mut self, start: u32, end: u32) {
-        if end.saturating_sub(start) <= 2 {
-            for i in start..end {
-                self.insert(i as usize);
-            }
-        } else if !self.set.covers(start, end) {
-            self.flush();
-            self.set.insert_run(start, end);
-        }
-    }
-
-    /// Merges the overflow buffer into the run vector: sorted, then one
-    /// `insert_run` per maximal consecutive stretch (allocation-free —
-    /// this runs on the delivery hot path).
-    fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending.sort_unstable();
-        let mut i = 0;
-        while i < self.pending.len() {
-            let start = self.pending[i];
-            let mut end = start + 1;
-            i += 1;
-            while i < self.pending.len() && self.pending[i] <= end {
-                end = end.max(self.pending[i] + 1);
-                i += 1;
-            }
-            self.set.insert_run(start, end);
-        }
-        self.pending.clear();
-    }
-
-    /// Heap bytes backing the set.
-    fn heap_bytes(&self) -> usize {
-        self.set.heap_bytes() + self.pending.capacity() * std::mem::size_of::<u32>()
-    }
+    /// Sorted ids, or a bitmap once that is no larger — memory ≈ members,
+    /// a shipped run spliced in one move.
+    Sparse(IdSet),
 }
 
 impl Knowledge {
-    /// An empty set sized (and representation-selected) for an `n`-node
-    /// network.
-    pub(crate) fn for_network(n: usize) -> Self {
-        if n > DENSE_KNOWLEDGE_MAX {
-            Knowledge::Runs(RunsKnowledge::default())
-        } else {
-            Knowledge::Dense(BitSet::with_capacity(n))
-        }
-    }
-
     /// Inserts `index`; `true` if it was not already present.
     #[inline]
     pub(crate) fn insert(&mut self, index: usize) -> bool {
         match self {
             Knowledge::Dense(s) => s.insert(index),
-            Knowledge::Runs(s) => s.insert(index),
+            Knowledge::Sparse(s) => s.insert(NodeId::new(index)),
         }
     }
 
@@ -186,7 +97,7 @@ impl Knowledge {
     pub(crate) fn contains(&self, index: usize) -> bool {
         match self {
             Knowledge::Dense(s) => s.contains(index),
-            Knowledge::Runs(s) => s.contains(index),
+            Knowledge::Sparse(s) => s.contains(NodeId::new(index)),
         }
     }
 
@@ -194,14 +105,15 @@ impl Knowledge {
     pub(crate) fn heap_bytes(&self) -> usize {
         match self {
             Knowledge::Dense(s) => s.heap_bytes(),
-            Knowledge::Runs(s) => s.heap_bytes(),
+            Knowledge::Sparse(s) => s.heap_bytes(),
         }
     }
 
     /// Mixes the set's *membership* into `d`, independent of insertion
     /// order and internal layout: dense sets digest their sorted members,
-    /// run-coded sets digest their merged runs (flushing a clone of the
-    /// overflow buffer first, so a buffered id and a merged id hash alike).
+    /// sparse sets the maximal runs `[lo, hi)` of theirs (count first) —
+    /// the value the run-coded representation they replaced digested, so
+    /// recorded digests above [`DENSE_KNOWLEDGE_MAX`] nodes still match.
     pub(crate) fn digest_into(&self, d: &mut crate::scheduler::StateDigest) {
         match self {
             Knowledge::Dense(s) => {
@@ -210,29 +122,38 @@ impl Knowledge {
                     d.mix(i as u64);
                 }
             }
-            Knowledge::Runs(s) => {
-                let canonical;
-                let set = if s.pending.is_empty() {
-                    &s.set
-                } else {
-                    let mut merged = s.clone();
-                    merged.flush();
-                    canonical = merged.set;
-                    &canonical
+            Knowledge::Sparse(s) => {
+                // Ascending walk, one call per maximal run.
+                let for_each_run = |f: &mut dyn FnMut(u64, u64)| {
+                    let mut run: Option<(u64, u64)> = None;
+                    s.for_each(|id| {
+                        let i = id.index() as u64;
+                        match &mut run {
+                            Some((_, hi)) if *hi == i => *hi += 1,
+                            _ => {
+                                if let Some((lo, hi)) = run.replace((i, i + 1)) {
+                                    f(lo, hi);
+                                }
+                            }
+                        }
+                    });
+                    if let Some((lo, hi)) = run {
+                        f(lo, hi);
+                    }
                 };
-                d.mix(set.runs().len() as u64);
-                for &(lo, hi) in set.runs() {
-                    d.mix(u64::from(lo));
-                    d.mix(u64::from(hi));
-                }
+                let mut runs = 0u64;
+                for_each_run(&mut |_, _| runs += 1);
+                d.mix(runs);
+                for_each_run(&mut |lo, hi| {
+                    d.mix(lo);
+                    d.mix(hi);
+                });
             }
         }
     }
 
     /// Inserts the half-open run `[start, end)` — how a delivery absorbs
-    /// a run-coded payload: O(runs per message), never O(ids), with no
-    /// staging set in between (this replaced an `IntervalSet` scratch
-    /// rebuilt per delivery, which dominated large-n absorption cost).
+    /// a run-coded payload, with no staging set in between.
     #[inline]
     pub(crate) fn insert_run(&mut self, start: u32, end: u32) {
         match self {
@@ -241,12 +162,12 @@ impl Knowledge {
                     s.insert(i as usize);
                 }
             }
-            Knowledge::Runs(s) => s.insert_run(start, end),
+            Knowledge::Sparse(s) => s.insert_run(start, end),
         }
     }
 }
 
-/// Struct-of-arrays state for every node: three packed flag planes plus the
+/// Struct-of-arrays state for every node: four packed flag planes plus the
 /// knowledge sets, indexed by dense node index.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeTable {
@@ -254,6 +175,11 @@ pub(crate) struct NodeTable {
     wake_enqueued: Flags,
     crashed: Flags,
     left: Flags,
+    /// Whether this network's knowledge sets are [`Knowledge::Sparse`]:
+    /// decided by the size the network was built with and kept as it
+    /// grows, so one network never mixes the two (and one state digest
+    /// never mixes their two membership formats).
+    sparse: bool,
     pub(crate) knowledge: Vec<Knowledge>,
 }
 
@@ -265,7 +191,18 @@ impl NodeTable {
             wake_enqueued: Flags::new(n),
             crashed: Flags::new(n),
             left: Flags::new(n),
+            sparse: n > DENSE_KNOWLEDGE_MAX,
             knowledge: Vec::with_capacity(n),
+        }
+    }
+
+    /// An empty knowledge set in this network's representation; a dense
+    /// one is pre-sized for ids below `capacity`.
+    pub(crate) fn empty_knowledge(&self, capacity: usize) -> Knowledge {
+        if self.sparse {
+            Knowledge::Sparse(IdSet::new())
+        } else {
+            Knowledge::Dense(BitSet::with_capacity(capacity))
         }
     }
 
@@ -357,19 +294,33 @@ mod tests {
 
     #[test]
     fn knowledge_representation_follows_network_size() {
-        assert!(matches!(
-            Knowledge::for_network(DENSE_KNOWLEDGE_MAX),
-            Knowledge::Dense(_)
-        ));
-        assert!(matches!(
-            Knowledge::for_network(DENSE_KNOWLEDGE_MAX + 1),
-            Knowledge::Runs(_)
-        ));
-        let mut k = Knowledge::for_network(1 << 20);
+        let of = |n: usize| NodeTable::new(n).empty_knowledge(n);
+        assert!(matches!(of(DENSE_KNOWLEDGE_MAX), Knowledge::Dense(_)));
+        assert!(matches!(of(DENSE_KNOWLEDGE_MAX + 1), Knowledge::Sparse(_)));
+        let mut k = of(1 << 20);
         assert!(k.insert(7));
         assert!(!k.insert(7));
         assert!(k.contains(7));
         assert!(!k.contains(8));
-        assert!(k.heap_bytes() < 1024, "interval coding stays tiny");
+        assert!(k.heap_bytes() < 1024, "sized by its members");
+    }
+
+    /// A sparse set digests as the run-coded sets it replaced did: the
+    /// number of maximal runs, then each `[lo, hi)`.
+    #[test]
+    fn sparse_digest_is_the_run_digest() {
+        use crate::scheduler::StateDigest;
+        let mut k = NodeTable::new(1 << 20).empty_knowledge(0);
+        for i in [9, 3, 4, 5, 700_000, 10] {
+            k.insert(i);
+        }
+        k.insert_run(699_990, 700_000);
+        let mut got = StateDigest::new();
+        k.digest_into(&mut got);
+        let mut want = StateDigest::new();
+        for x in [3, 3, 6, 9, 11, 699_990, 700_001] {
+            want.mix(x);
+        }
+        assert_eq!(got.finish(), want.finish());
     }
 }

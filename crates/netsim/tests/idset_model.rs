@@ -7,6 +7,12 @@
 //! and require the same answer from every observable: the "did it change"
 //! results, `contains`, `len`, `first`, `pop_first`, the ids `take_prefix`
 //! hands out, ascending iteration by `iter` and by `for_each`, equality.
+//! `insert_run` — how the engine's per-node knowledge (an `IdSet` above
+//! 8,192 nodes) absorbs a run-coded payload — is driven the same way on
+//! all three streams, and its named cases (a run contained in, overlapping,
+//! adjacent to and disjoint from the members, and one whose splice crosses
+//! the promotion rule) are enumerated in both modes by
+//! `insert_run_cases_match_the_model`.
 //!
 //! The universes are small on purpose: with at most 128–2,048 distinct ids
 //! a few batched inserts reach the promotion rule (the ids outweigh the
@@ -52,7 +58,7 @@ impl Stream {
 type Op = (u8, u32, usize);
 
 fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0..16u8, any::<u32>(), 0..48usize), 0..max)
+    proptest::collection::vec((0..18u8, any::<u32>(), 0..48usize), 0..max)
 }
 
 /// The set beside its model.
@@ -104,9 +110,19 @@ impl Pair {
                 self.real.extend(batch.clone());
                 self.model.extend(batch);
             }
-            _ => {
+            15 => {
                 self.real.clear();
                 self.model.clear();
+            }
+            _ => {
+                // An index run starting at one of the stream's ids: inside
+                // a contiguous block, across stripes, or over whatever the
+                // hash left nearby.
+                let start = id.index() as u32;
+                let end = start + k as u32;
+                self.real.insert_run(start, end);
+                self.model
+                    .extend((start..end).map(|i| NodeId::new(i as usize)));
             }
         }
         self.track_rule();
@@ -215,7 +231,7 @@ fn op_mix_crosses_both_boundaries() {
             state
         };
         let ops: Vec<Op> = (0..4000)
-            .map(|_| ((next() % 16) as u8, next() as u32, (next() % 48) as usize))
+            .map(|_| ((next() % 18) as u8, next() as u32, (next() % 48) as usize))
             .collect();
         let pair = run(stream, ops).expect("model and set agree");
         assert!(
@@ -224,5 +240,50 @@ fn op_mix_crosses_both_boundaries() {
             pair.promotions,
             pair.demotions
         );
+    }
+}
+
+/// Every way a run can lie against the members, spliced into a set in
+/// sorted mode (four scattered blocks under a far maximum) and into the
+/// same members in bitmap mode, plus the splice that itself crosses the
+/// promotion rule.
+#[test]
+fn insert_run_cases_match_the_model() {
+    let blocks = [10..20u32, 40..44, 100..101, 300..310];
+    let cases: [(&str, std::ops::Range<u32>); 10] = [
+        ("empty", 50..50),
+        ("contained", 12..18),
+        ("exactly a block", 40..44),
+        ("overlapping a block's end", 15..30),
+        ("overlapping a block's start", 5..12),
+        ("adjacent below and above", 20..40),
+        ("disjoint, between blocks", 60..70),
+        ("disjoint, past the maximum", 5000..5003),
+        ("swallowing several blocks", 8..105),
+        ("promoting mid-splice", 400..1100),
+    ];
+    // Whether the set is a bitmap: it then owns at least the words up to
+    // its maximum (the sorted sets here own far less, slack included).
+    let is_bitmap = |pair: &Pair| {
+        let max = pair.model.last().expect("never empty here").index();
+        pair.real.heap_bytes() >= 8 * (max / 64 + 1) + std::mem::size_of::<BitSet>()
+    };
+    for far in [Some(20_000u32), None] {
+        for (what, run) in cases.clone() {
+            let members = blocks.iter().cloned().flatten().chain(far);
+            let mut pair = Pair::new(Stream::Contiguous);
+            pair.real = members.clone().map(|i| NodeId::new(i as usize)).collect();
+            pair.model = members.map(|i| NodeId::new(i as usize)).collect();
+            // 25 ids under a maximum of 309 make a bitmap; under 20,000
+            // they stay sorted until a 700-id run outweighs its 2.5 KB.
+            assert_eq!(is_bitmap(&pair), far.is_none(), "{what}");
+            pair.real.insert_run(run.start, run.end);
+            pair.model
+                .extend(run.clone().map(|i| NodeId::new(i as usize)));
+            pair.check()
+                .unwrap_or_else(|e| panic!("{what} (far = {far:?}): {e}"));
+            let promoted = far.is_none() || what == "promoting mid-splice";
+            assert_eq!(is_bitmap(&pair), promoted, "{what}");
+        }
     }
 }

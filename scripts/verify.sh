@@ -31,6 +31,11 @@
 # graph under `ard-cli` is part of the freeze). Last, the checked-in
 # BENCH_throughput.json must carry the keys scripts/bench.sh writes. See
 # docs/testing.md for the tiers.
+#
+# Everything here builds into target/. Cargo trusts file mtimes, so a
+# target/ left over from other sources (an unmerged branch, files restored
+# with old timestamps) can pass for fresh and the gate then runs a binary
+# that is in no tree: `cargo clean` first when in doubt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -119,6 +119,34 @@ fn round_loop_livelock_cuts_off_at_the_same_step() {
     );
 }
 
+/// Above 8,192 nodes the engine keeps knowledge in `IdSet`s and addresses
+/// link queues by key; neither may move a digest. The three values are what
+/// the build before that change printed (run-coded knowledge, interned link
+/// slots) for the same graph: mid-run under a random scheduler with
+/// thousands of messages in flight, at its quiescence, and at the round
+/// loop's.
+#[test]
+fn state_digest_is_pinned_above_the_dense_knowledge_limit() {
+    use asynchronous_resource_discovery::netsim::RandomScheduler;
+    let graph = gen::random_weakly_connected(10_000, 20_000, 5);
+
+    let mut random = Discovery::new(&graph, Variant::Oblivious);
+    let mut sched = RandomScheduler::seeded(9);
+    random.enqueue_wake_all(&mut sched);
+    for _ in 0..60_000 {
+        assert!(random.runner_mut().step(&mut sched));
+    }
+    assert_eq!(random.runner().in_flight(), 2414);
+    assert_eq!(random.runner().state_digest(), 0x1f7a_509e_13b7_35b6);
+    random.run(&mut sched).unwrap();
+    assert_eq!(random.runner().steps_executed(), 153_812);
+    assert_eq!(random.runner().state_digest(), 0x46e9_142a_c220_ec9c);
+
+    let mut rounds = Discovery::new(&graph, Variant::Oblivious);
+    rounds.run_all_rounds().unwrap();
+    assert_eq!(rounds.runner().state_digest(), 0x55a3_e599_9461_d22a);
+}
+
 /// The large-n gate `scripts/verify.sh` runs in release mode: a 10⁵-node
 /// discovery completes inside a capped step budget and the round loop
 /// agrees with the scheduler-driven run on everything a report prints.
