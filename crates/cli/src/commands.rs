@@ -123,7 +123,8 @@ commands:
                            state-deduped)
              --check-snapshots
                            debug: re-execute every checkpoint-resumed DFS
-                           run from scratch and panic on divergence
+                           run from scratch and panic on divergence (the
+                           forkable fixture systems only)
   replay     re-execute a recorded schedule file byte-for-byte
              ard replay <file> [--shrink [--jobs N] [--out PATH]]
              --shrink      ddmin-minimize the replayed failure and write
@@ -709,6 +710,9 @@ fn baseline_trial(n: usize, seed: u64) -> Result<String, CliError> {
 enum System {
     Discovery {
         topology: String,
+        /// `topology`, parsed once: every candidate schedule builds its
+        /// network from this graph.
+        graph: KnowledgeGraph,
         variant: Variant,
         /// Wrap every node in the reliable-delivery layer and tolerate
         /// injected faults (set when `--faults` is given, or when a replayed
@@ -749,6 +753,7 @@ impl System {
         let (reliable, plans) = Plans::from_schedule(schedule).map_err(CliError)?;
         Ok(System::Discovery {
             topology: topology.to_string(),
+            graph: spec::parse_topology(topology)?,
             variant,
             reliable,
             plans,
@@ -785,12 +790,12 @@ impl System {
     }
 
     /// Number of nodes in the system — the domain crash events draw from.
-    fn node_count(&self) -> Result<usize, CliError> {
+    fn node_count(&self) -> usize {
         match self {
-            System::Discovery { topology, .. } => Ok(spec::parse_topology(topology)?.len()),
+            System::Discovery { graph, .. } => graph.len(),
             // The fixtures are one hub/coordinator/voter plus K clients.
-            System::Racy { clients } | System::Fragile { clients } => Ok(clients + 1),
-            System::Equiv { candidates } => Ok(candidates + 1),
+            System::Racy { clients } | System::Fragile { clients } => clients + 1,
+            System::Equiv { candidates } => candidates + 1,
         }
     }
 
@@ -829,15 +834,15 @@ impl System {
     fn run_one(&self, sched: &mut dyn Scheduler) -> Result<(), String> {
         match self {
             System::Discovery {
-                topology,
+                graph,
                 variant,
                 reliable,
                 plans,
+                ..
             } => {
-                let graph = spec::parse_topology(topology).map_err(|e| e.to_string())?;
                 // Under a Byzantine or churn plan any survivor guarantee
                 // that fails under this schedule counts as the violation.
-                ard_core::run_checked(&graph, *variant, *reliable, plans, sched)?.verdict()
+                ard_core::run_checked(graph, *variant, *reliable, plans, sched)?.verdict()
             }
             System::Racy { clients } => fixtures::run_racy(*clients, sched),
             System::Fragile { clients } => fixtures::run_fragile(*clients, sched),
@@ -883,31 +888,41 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         .get("out")
         .map(String::as_str)
         .unwrap_or("ard-failure.schedule");
-    let fixture = match flags.get("system").map(String::as_str) {
-        None | Some("discovery") => None,
-        Some(other) => Some(System::parse_fixture(other)?),
+    let (system, plans) = match flags.get("system").map(String::as_str) {
+        None | Some("discovery") => {
+            if flags.contains_key("check-snapshots") {
+                return Err(CliError(
+                    "--check-snapshots verifies checkpoint/fork snapshots, which discovery \
+                     runs do not take: use a forkable --system (racy:K, fragile:K, equiv:K)"
+                        .into(),
+                ));
+            }
+            let topology = flags
+                .get("topology")
+                .map(String::as_str)
+                .unwrap_or("random:n=16,extra=24");
+            // Parsed once, and eagerly, so a bad spec fails before any
+            // exploration.
+            let graph = spec::parse_topology(topology)?;
+            let plans = parse_plans(&flags, graph.len())?;
+            let system = System::Discovery {
+                topology: topology.to_string(),
+                graph,
+                variant: spec::parse_variant(
+                    flags.get("variant").map(String::as_str).unwrap_or("adhoc"),
+                )?,
+                reliable: plans.reliable(),
+                plans: plans.clone(),
+            };
+            (system, plans)
+        }
+        Some(other) => {
+            let fixture = System::parse_fixture(other)?;
+            let plans = parse_plans(&flags, fixture.node_count())?;
+            (fixture, plans)
+        }
     };
-    let topology = flags
-        .get("topology")
-        .map(String::as_str)
-        .unwrap_or("random:n=16,extra=24");
-    // Parsed eagerly so bad specs fail before any exploration.
-    let n = match &fixture {
-        Some(fixture) => fixture.node_count()?,
-        None => spec::parse_topology(topology)?.len(),
-    };
-    let plans = parse_plans(&flags, n)?;
-    let system = match fixture {
-        Some(fixture) => fixture,
-        None => System::Discovery {
-            topology: topology.to_string(),
-            variant: spec::parse_variant(
-                flags.get("variant").map(String::as_str).unwrap_or("adhoc"),
-            )?,
-            reliable: plans.reliable(),
-            plans: plans.clone(),
-        },
-    };
+    let n = system.node_count();
     let reduce = match flags.get("reduce").map(String::as_str) {
         None | Some("none") => ReduceMode::None,
         Some("sleep") => ReduceMode::Sleep,
@@ -1246,8 +1261,13 @@ mod tests {
 
     #[test]
     fn explore_same_flags_same_stdout() {
-        let line = "explore --topology ring:6 --variant adhoc --budget 6 --depth 2 --seed 7";
-        assert_eq!(run_line(line).unwrap(), run_line(line).unwrap());
+        // The command line the gate used to run from the shell: the same
+        // flags print the same bytes, clean, at any job count.
+        let line = "explore --topology random:n=12,extra=16 --budget 16 --depth 3 --seed 7";
+        let first = run_line(&format!("{line} --jobs 1")).unwrap();
+        assert!(first.contains("no violation found"), "{first}");
+        assert_eq!(first, run_line(&format!("{line} --jobs 1")).unwrap());
+        assert_eq!(first, run_line(&format!("{line} --jobs 4")).unwrap());
     }
 
     #[test]
@@ -1593,6 +1613,12 @@ mod tests {
         assert!(run_line("explore --system racy:0").is_err());
         assert!(run_line("explore --system warp").is_err());
         assert!(run_line("explore --topology blob:5").is_err());
+        // Discovery runs are not forkable: there is no snapshot to check.
+        for system in ["", "--system discovery "] {
+            let line = format!("explore {system}--budget 4 --check-snapshots");
+            let err = run_line(&line).unwrap_err();
+            assert!(err.0.contains("racy:K, fragile:K, equiv:K"), "{}", err.0);
+        }
         assert!(run_line("replay").is_err());
         assert!(run_line("replay --flag").is_err());
         assert!(run_line("replay /nonexistent/ard.schedule").is_err());

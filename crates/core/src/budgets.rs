@@ -285,31 +285,6 @@ fn check_claim(claim: &str, metrics: &Metrics, n: u64, e0: u64, variant: Variant
     rows.iter().filter(|row| row.claim == claim).try_for_each(Row::check)
 }
 
-/// Lemma 5.5 alone: both of its rows.
-pub fn check_lemma_5_5(metrics: &Metrics, n: u64) -> Result<(), String> {
-    check_claim("Lemma 5.5", metrics, n, 0, Variant::Oblivious)
-}
-
-/// Lemma 5.6 alone.
-pub fn check_lemma_5_6(metrics: &Metrics, n: u64) -> Result<(), String> {
-    check_claim("Lemma 5.6", metrics, n, 0, Variant::Oblivious)
-}
-
-/// Lemma 5.7 alone: the paper's `2n`, then the corrected `3n`.
-pub fn check_lemma_5_7(metrics: &Metrics, n: u64) -> Result<(), String> {
-    check_claim("Lemma 5.7", metrics, n, 0, Variant::Oblivious)
-}
-
-/// Lemma 5.8 alone.
-pub fn check_lemma_5_8(metrics: &Metrics, n: u64, variant: Variant) -> Result<(), String> {
-    check_claim("Lemma 5.8", metrics, n, 0, variant)
-}
-
-/// Lemma 5.9 alone.
-pub fn check_lemma_5_9(metrics: &Metrics, e0: u64) -> Result<(), String> {
-    check_claim("Lemma 5.9", metrics, 0, e0, Variant::Oblivious)
-}
-
 /// Lemma 5.10 alone.
 pub fn check_lemma_5_10(metrics: &Metrics, n: u64) -> Result<(), String> {
     check_claim("Lemma 5.10", metrics, n, 0, Variant::Oblivious)
@@ -323,11 +298,6 @@ pub fn check_theorem_5(metrics: &Metrics, n: u64) -> Result<(), String> {
 /// Theorem 6 alone.
 pub fn check_theorem_6(metrics: &Metrics, n: u64) -> Result<(), String> {
     check_claim("Theorem 6", metrics, n, 0, Variant::Bounded)
-}
-
-/// Theorem 7 alone.
-pub fn check_theorem_7(metrics: &Metrics, n: u64, e0: u64) -> Result<(), String> {
-    check_claim("Theorem 7", metrics, n, e0, Variant::Oblivious)
 }
 
 #[cfg(test)]
@@ -383,7 +353,7 @@ mod tests {
     #[test]
     fn adhoc_sends_no_conquers() {
         let (m, n, _) = run(32, 64, Variant::AdHoc, 3);
-        check_lemma_5_8(&m, n, Variant::AdHoc).unwrap();
+        check_claim("Lemma 5.8", &m, n, 0, Variant::AdHoc).unwrap();
         assert_eq!(m.kind("conquer").messages, 0);
     }
 
@@ -546,13 +516,7 @@ mod tests {
                 let of = |claim: &str| -> Vec<Row> {
                     honest.iter().filter(|r| r.claim == claim).copied().collect()
                 };
-                prop_assert_eq!(check_lemma_5_5(&m, n), first_violation(&of("Lemma 5.5")));
-                prop_assert_eq!(check_lemma_5_6(&m, n), first_violation(&of("Lemma 5.6")));
-                prop_assert_eq!(check_lemma_5_7(&m, n), first_violation(&of("Lemma 5.7")));
-                prop_assert_eq!(check_lemma_5_8(&m, n, variant), first_violation(&of("Lemma 5.8")));
-                prop_assert_eq!(check_lemma_5_9(&m, e0), first_violation(&of("Lemma 5.9")));
                 prop_assert_eq!(check_lemma_5_10(&m, n), first_violation(&of("Lemma 5.10")));
-                prop_assert_eq!(check_theorem_7(&m, n, e0), first_violation(&of("Theorem 7")));
                 let messages = |claim| table(&m, n, e0, claim, &Netting::NONE)[8];
                 prop_assert_eq!(check_theorem_5(&m, n), messages(Variant::Oblivious).check());
                 prop_assert_eq!(check_theorem_6(&m, n), messages(Variant::AdHoc).check());

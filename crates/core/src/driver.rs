@@ -10,7 +10,6 @@ use ard_netsim::{
 use crate::node::{ArdNode, AsArdNode};
 use crate::plans::Plans;
 use crate::reliable::Reliable;
-use crate::status::Transition;
 use crate::budgets::{self, Netting};
 use crate::{invariants, Config, Variant};
 
@@ -631,15 +630,6 @@ impl<P: Layer> DiscoveryOn<P> {
             },
             &pointer_edges,
         )
-    }
-
-    /// The union of all nodes' observed state transitions (for the Figure 1
-    /// coverage experiment).
-    pub fn observed_transitions(&self) -> BTreeSet<Transition> {
-        self.runner
-            .nodes()
-            .flat_map(|n| n.ard().transitions().iter().copied())
-            .collect()
     }
 }
 

@@ -51,11 +51,6 @@ impl FreezeScheduler {
         }
     }
 
-    /// Number of nodes still frozen.
-    pub fn frozen_count(&self) -> usize {
-        self.thaw_order.len() - self.next_thaw
-    }
-
     fn thaw_next(&mut self) -> bool {
         let Some(&v) = self.thaw_order.get(self.next_thaw) else {
             return false;

@@ -45,14 +45,6 @@ impl<T> MessageArena<T> {
         }
     }
 
-    /// An empty arena holding at most `cap` spare buffers.
-    pub fn with_pool_cap(cap: usize) -> Self {
-        MessageArena {
-            pool: Vec::new(),
-            cap,
-        }
-    }
-
     /// Hands out an empty buffer, reusing a recycled one when available.
     pub fn alloc(&mut self) -> Vec<T> {
         self.pool.pop().unwrap_or_default()
@@ -96,7 +88,10 @@ mod tests {
 
     #[test]
     fn pool_is_bounded_and_buffers_cleared() {
-        let mut arena: MessageArena<u8> = MessageArena::with_pool_cap(2);
+        let mut arena: MessageArena<u8> = MessageArena {
+            pool: Vec::new(),
+            cap: 2,
+        };
         arena.recycle(Vec::with_capacity(4));
         arena.recycle(Vec::with_capacity(4));
         arena.recycle(Vec::with_capacity(4)); // over cap: dropped

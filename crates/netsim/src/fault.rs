@@ -638,11 +638,6 @@ impl<S: Scheduler> FaultScheduler<S> {
         &mut self.inner
     }
 
-    /// Consumes the wrapper, returning the inner scheduler.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     fn bump(&mut self, choice: Choice) -> Option<Choice> {
         self.choice_index += 1;
         Some(choice)

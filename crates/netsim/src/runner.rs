@@ -401,18 +401,6 @@ impl<P: Protocol> Runner<P> {
         self.table.awake(id.index())
     }
 
-    /// Whether the node is currently crashed (between a
-    /// [`Choice::Crash`] and its [`Choice::Restart`]).
-    pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.table.crashed(id.index())
-    }
-
-    /// Whether the node has permanently left the network
-    /// ([`Choice::Leave`]); all events targeting it are discarded.
-    pub fn has_left(&self, id: NodeId) -> bool {
-        self.table.left(id.index())
-    }
-
     /// Enqueues a wake-up event for `node`; the scheduler decides when it
     /// fires relative to message deliveries. Idempotent for nodes that are
     /// already awake or already enqueued.

@@ -211,11 +211,6 @@ impl OverlayNode {
         self.store.len()
     }
 
-    /// Number of replica pairs held for this node's ring predecessor.
-    pub fn replica_len(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Whether this node has been failed.
     pub fn is_failed(&self) -> bool {
         self.failed

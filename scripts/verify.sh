@@ -5,32 +5,21 @@
 #
 # Runs the build + test + lint gate from ROADMAP.md (with the tests of
 # every workspace crate, not only the root package) and `cargo doc` with
-# warnings denied (a dangling intra-doc link fails), then a small bounded
-# `ard explore` run twice with a fixed budget and seed, asserting the two
-# runs are byte-identical (the explorer is deterministic) and clean (no
-# violation on a healthy build), then the same exploration at --jobs 4
-# (parallel search must be byte-identical to sequential) and a
-# checkpoint/fork snapshot-equivalence run, then a chaos smoke: one seeded lossy
-# discovery run per variant, diffed against the pinned snapshot
-# scripts/chaos-smoke.snapshot (regenerate it with
-# scripts/verify.sh --regen-chaos after an intentional engine change and
-# review the diff), then a Byzantine smoke: the explorer must find and
-# shrink the planted equivocation bug under a one-traitor plan, and a
-# seeded traitor + churn run must match its pinned guarantee-survival
-# report in scripts/byzantine-smoke.snapshot (regenerate with
-# --regen-byzantine), then a DPOR smoke: the sleep-set-reduced DFS
-# (--reduce) must find the same planted violations the unreduced DFS
-# finds on the racy and equivocation fixtures, and its output must match
-# the pinned snapshot scripts/dpor-smoke.snapshot (regenerate with
-# --regen-dpor), then the n = 100,000 round-loop-vs-FifoScheduler
-# comparison, then benchmark/ci-smoke.sh: `benchmark/` is a Cargo
-# workspace of its own, so nothing above compiles it — the smoke builds
-# it against this checkout and runs all seven workloads at 1/16 size with
-# their correctness checks, plus the BENCHMARK.json schema check; the
-# build must leave benchmark/Cargo.lock as checked in (the dependency
-# graph under `ard-cli` is part of the freeze). Last, the checked-in
-# BENCH_throughput.json must carry the keys scripts/bench.sh writes. See
-# docs/testing.md for the tiers.
+# warnings denied (a dangling intra-doc link fails), then three seeded CLI
+# smokes, each diffed against a pinned snapshot under scripts/ (regenerate
+# one with --regen-chaos, --regen-byzantine or --regen-dpor after an
+# intentional change and review the diff): chaos — one lossy discovery run
+# per variant; byzantine — the explorer must find and shrink the planted
+# equivocation bug, and a traitor + churn run must report its pinned
+# guarantee-survival verdicts; dpor — the sleep-set-reduced DFS must find
+# the violations the unreduced DFS finds. Then the n = 100,000
+# round-loop-vs-FifoScheduler comparison, then benchmark/ci-smoke.sh:
+# `benchmark/` is a Cargo workspace of its own, so nothing above compiles
+# it, and its Cargo.lock is part of the freeze. Last, the checked-in
+# BENCH_throughput.json must carry the keys scripts/bench.sh writes. The
+# explorer's determinism, --jobs and --check-snapshots checks are cargo
+# tests (`explore_*` in crates/cli/src/commands.rs). See docs/testing.md
+# for the tiers.
 #
 # Everything here builds into target/. Cargo trusts file mtimes, so a
 # target/ left over from other sources (an unmerged branch, files restored
@@ -48,37 +37,6 @@ cargo clippy --workspace -- -D warnings
 # Doc comments link to types by name; nothing above notices when a refactor
 # deletes or renames one.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
-
-explore=(cargo run --offline --release -p ard-cli --bin ard -- \
-    explore --topology random:n=12,extra=16 --budget 16 --depth 3 --seed 7)
-a="$("${explore[@]}")"
-b="$("${explore[@]}")"
-if [[ "$a" != "$b" ]]; then
-    echo "verify: explore smoke run is not deterministic" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-fi
-if ! grep -q "no violation found" <<<"$a"; then
-    echo "verify: explore smoke run reported a violation:" >&2
-    printf '%s\n' "$a" >&2
-    exit 1
-fi
-
-# Parallel search must leave the output byte-identical to sequential.
-p="$("${explore[@]}" --jobs 4)"
-if [[ "$a" != "$p" ]]; then
-    echo "verify: explore --jobs 4 diverged from the sequential run" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$p") >&2 || true
-    exit 1
-fi
-
-# Checkpoint/fork prefix reuse self-check: every resumed snapshot is
-# re-verified against a from-scratch replay (panics on divergence).
-snap_out="$(mktemp /tmp/ard-verify-snapshots.XXXXXX)"
-cargo run --offline --release -p ard-cli --bin ard -- \
-    explore --system racy:3 --budget 64 --depth 6 --seed 3 \
-    --jobs 4 --check-snapshots --out "$snap_out" > /dev/null
-rm -f "$snap_out"
 
 # Chaos smoke: one seeded lossy/crashy run per variant, byte-compared
 # against the pinned snapshot (everything is seeded, so the output is
@@ -110,16 +68,20 @@ fi
 # discovery run must report the pinned guarantee-survival verdicts. Both
 # are fully seeded, so the combined output is byte-compared against the
 # pinned snapshot.
-byz_out=/tmp/ard-verify-equiv.schedule
+# The schedule lands in a file of this run's own (two gates on one host
+# must not clobber each other); the snapshot carries the fixed name.
+byz_out="$(mktemp "${TMPDIR:-/tmp}/ard-verify-equiv.XXXXXX")"
 byzantine() {
-    echo "=== byzantine explore equiv:3 ==="
-    cargo run --offline --release -p ard-cli --bin ard -- \
-        explore --system equiv:3 --byzantine f=1,seed=3,class=equivocate \
-        --budget 64 --seed 0 --out "$byz_out"
-    echo "=== byzantine discover ring:12 ==="
-    cargo run --offline --release -p ard-cli --bin ard -- \
-        discover --topology ring:12 --scheduler random:5 \
-        --byzantine f=2,seed=7 --churn rate=0.2,seed=11
+    {
+        echo "=== byzantine explore equiv:3 ==="
+        cargo run --offline --release -p ard-cli --bin ard -- \
+            explore --system equiv:3 --byzantine f=1,seed=3,class=equivocate \
+            --budget 64 --seed 0 --out "$byz_out"
+        echo "=== byzantine discover ring:12 ==="
+        cargo run --offline --release -p ard-cli --bin ard -- \
+            discover --topology ring:12 --scheduler random:5 \
+            --byzantine f=2,seed=7 --churn rate=0.2,seed=11
+    } | sed "s|$byz_out|/tmp/ard-verify-equiv.schedule|g"
 }
 byz_snapshot=scripts/byzantine-smoke.snapshot
 if [[ "${1:-}" == "--regen-byzantine" ]]; then
@@ -152,7 +114,7 @@ fi
 # violation line the unreduced DFS prints — reduction prunes redundant
 # interleavings, never the witnesses. The reduced output is fully seeded,
 # so it is byte-compared against the pinned snapshot.
-dpor_out=/tmp/ard-verify-dpor.schedule
+dpor_out="$(mktemp "${TMPDIR:-/tmp}/ard-verify-dpor.XXXXXX")"
 dpor_racy=(cargo run --offline --release -p ard-cli --bin ard -- \
     explore --system racy:3 --budget 64 --walks 0 --depth 7 --seed 0 \
     --stats --out "$dpor_out")
@@ -160,10 +122,12 @@ dpor_equiv=(cargo run --offline --release -p ard-cli --bin ard -- \
     explore --system equiv:3 --byzantine f=1,seed=3,class=equivocate \
     --budget 64 --walks 0 --depth 4 --seed 0 --stats --out "$dpor_out")
 dpor_reduced() {
-    echo "=== dpor explore racy:3 (reduced) ==="
-    "${dpor_racy[@]}" --reduce
-    echo "=== dpor explore equiv:3 (reduced) ==="
-    "${dpor_equiv[@]}" --reduce
+    {
+        echo "=== dpor explore racy:3 (reduced) ==="
+        "${dpor_racy[@]}" --reduce
+        echo "=== dpor explore equiv:3 (reduced) ==="
+        "${dpor_equiv[@]}" --reduce
+    } | sed "s|$dpor_out|/tmp/ard-verify-dpor.schedule|g"
 }
 dpor_snapshot=scripts/dpor-smoke.snapshot
 if [[ "${1:-}" == "--regen-dpor" ]]; then
@@ -229,4 +193,4 @@ for key in '"payload_bytes_per_event"' '"payload_peak_bytes"'; do
     fi
 done
 
-echo "verify: OK (tier-1 green on the whole workspace, docs warning-free, explore smoke deterministic, --jobs 4 byte-identical, snapshots verified, chaos smoke matches snapshot, byzantine smoke found+shrunk and matches snapshot, dpor smoke reduced=full and matches snapshot, n=100000 round loop equals the FifoScheduler run, benchmark/ci-smoke.sh green with benchmark/Cargo.lock untouched, bench JSON schema ok)"
+echo "verify: OK (workspace tests, clippy and docs clean; chaos, byzantine and dpor smokes match their snapshots; n=100000 round loop equals the FifoScheduler run; benchmark/ci-smoke.sh green with benchmark/Cargo.lock untouched; bench JSON schema ok)"
