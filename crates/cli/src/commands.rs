@@ -185,8 +185,11 @@ fn parse_flags(
             }
             continue;
         }
+        // No declared flag takes a negative number, so a following `--flag`
+        // is never this one's value.
         let value = args
             .get(i + 1)
+            .filter(|value| !value.starts_with("--"))
             .ok_or_else(|| CliError(format!("--{key} needs a value")))?;
         flags.insert(key.to_string(), value.clone());
         i += 2;
@@ -1231,6 +1234,9 @@ mod tests {
             ("baselines --n 8 --trials 2", "baselines does not take --trials"),
             ("explore --system racy:2 --sweep 3", "explore does not take --sweep"),
             ("replay some.schedule --turbo 9", "replay does not take --turbo"),
+            // A value-taking flag does not swallow the switch after it.
+            ("discover --dot --stats", "--dot needs a value"),
+            ("discover --topology ring:5 --trace", "--trace needs a value"),
         ] {
             assert_eq!(run_line(line).unwrap_err().0, complaint, "{line}");
         }

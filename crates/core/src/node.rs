@@ -28,7 +28,7 @@
 
 use std::collections::VecDeque;
 
-use ard_netsim::{Context, Envelope, IdSeq, IdSet, MessageArena, NodeId, Protocol, StateDigest};
+use ard_netsim::{Context, Envelope, IdSeq, IdSet, NodeId, Protocol, StateDigest};
 
 use crate::msg::{InfoPayload, Message, Verdict};
 use crate::status::{Status, Transition};
@@ -108,10 +108,6 @@ pub struct ArdNode {
     transitions: Vec<Transition>,
     probe_results: Vec<Vec<NodeId>>,
     probes_outstanding: usize,
-
-    /// Recycled word buffers for outgoing [`IdSeq`] payloads (query
-    /// replies, info handovers); consumed payloads are returned here.
-    arena: MessageArena<u64>,
 }
 
 impl ArdNode {
@@ -150,7 +146,6 @@ impl ArdNode {
             transitions: Vec::new(),
             probe_results: Vec::new(),
             probes_outstanding: 0,
-            arena: MessageArena::new(),
         }
     }
 
@@ -308,7 +303,6 @@ impl ArdNode {
                 // We are our own (possibly provisional) leader.
                 let snap = self.snapshot();
                 self.probe_results.push(snap.to_vec());
-                self.arena.recycle(snap.into_words());
             }
             Status::Inactive => {
                 self.probes_outstanding += 1;
@@ -453,13 +447,12 @@ impl ArdNode {
     /// `local` iterates ascending, so the payload run-codes maximally.
     fn take_local(&mut self, want: u32) -> (IdSeq, bool) {
         // `WANT_ALL` exceeds every set size, so it needs no case of its own.
-        let mut ids = IdSeq::with_buffer(self.arena.alloc());
+        let mut ids = IdSeq::new();
         self.local.take_prefix(want as usize, |v| ids.push(v));
         (ids, self.local.is_empty())
     }
 
-    /// Leader-side bookkeeping for a query reply from `w`. The consumed id
-    /// buffer is recycled into this node's arena.
+    /// Leader-side bookkeeping for a query reply from `w`.
     fn absorb_query_reply(&mut self, w: NodeId, ids: IdSeq, exhausted: bool) {
         if exhausted {
             self.more.remove(w);
@@ -470,7 +463,6 @@ impl ArdNode {
                 self.unexplored.insert(v);
             }
         });
-        self.arena.recycle(ids.into_words());
     }
 
     /// Bounded variant: check `|done| = n` and, if reached, broadcast the
@@ -726,8 +718,8 @@ impl ArdNode {
 
     /// The ids this (possibly provisional) leader knows of its component.
     /// Three ascending segments, so the sequence run-codes well.
-    fn snapshot(&mut self) -> IdSeq {
-        let mut ids = IdSeq::with_buffer(self.arena.alloc());
+    fn snapshot(&self) -> IdSeq {
+        let mut ids = IdSeq::new();
         for set in [&self.more, &self.done, &self.unaware] {
             set.for_each(|v| ids.push(v));
         }
@@ -766,12 +758,8 @@ impl ArdNode {
                 // Ownership of the sets transfers with the info: each is
                 // streamed into its payload and gives up its buffer, so an
                 // inactive node keeps no heap behind for them.
-                let arena = &mut self.arena;
-                let mut ship = |set: &mut IdSet| {
-                    if set.is_empty() {
-                        return IdSeq::new();
-                    }
-                    let mut ids = IdSeq::with_buffer(arena.alloc());
+                let ship = |set: &mut IdSet| {
+                    let mut ids = IdSeq::new();
                     set.for_each(|v| ids.push(v));
                     set.clear();
                     ids
@@ -892,11 +880,6 @@ impl ArdNode {
         for v in l_more.iter().chain(l_done.iter()).chain(l_unaware.iter()) {
             self.unexplored.remove(v);
         }
-        // The shipped buffers are consumed; keep them for future payloads.
-        self.arena.recycle(l_more.into_words());
-        self.arena.recycle(l_done.into_words());
-        self.arena.recycle(l_unaware.into_words());
-        self.arena.recycle(l_unexplored.into_words());
         // Phase advance (doubling rule, Lemma 5.10's invariant).
         if self.phase == l_phase || self.cluster_size() as u64 >= 1u64 << (self.phase + 1) {
             self.phase += 1;
@@ -1007,7 +990,6 @@ impl ArdNode {
                         self.next = leader;
                     }
                     self.probe_results.push(ids.to_vec());
-                    self.arena.recycle(ids.into_words());
                 } else {
                     self.route_reply_back(
                         leader,
@@ -1331,12 +1313,11 @@ mod tests {
 
     /// Per-node state is what the large-n runs stream through the cache
     /// (docs/perf.md: "suspect anything that … fattens per-node state").
-    /// An `IdSet` is three words, as the tree set it replaced, so the
-    /// node stayed at 320 B; a later field or a fatter set representation
-    /// has to show up in this number.
+    /// An `IdSet` is three words; a later field or a fatter set
+    /// representation has to show up in this number.
     #[test]
     fn node_size_is_pinned() {
         assert_eq!(std::mem::size_of::<IdSet>(), 24);
-        assert_eq!(std::mem::size_of::<ArdNode>(), 320);
+        assert_eq!(std::mem::size_of::<ArdNode>(), 288);
     }
 }

@@ -84,8 +84,7 @@ pub struct CrashEvent {
     pub restart_after: u64,
 }
 
-/// Congruential step shared by every seeded plan generator (same constants
-/// as [`FaultPlan::with_spread_crashes`]).
+/// Congruential step shared by every seeded plan generator.
 fn lcg(x: u64) -> u64 {
     x.wrapping_mul(6_364_136_223_846_793_005)
         .wrapping_add(1_442_695_040_888_963_407)
@@ -468,11 +467,9 @@ impl FaultPlan {
         if count > 0 {
             assert!(n > 0, "cannot crash nodes in an empty network");
         }
-        let mut x = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut x = lcg_seed(self.seed);
         for k in 0..count {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
+            x = lcg(x);
             let node = NodeId::new(((x >> 33) as usize) % n);
             self = self.with_crash(node, 20 + 40 * k as u64, 25);
         }

@@ -72,18 +72,6 @@ impl IdSeq {
         IdSeq::default()
     }
 
-    /// Creates an empty sequence reusing `buf`'s capacity (the buffer is
-    /// cleared). Pair with [`into_words`](IdSeq::into_words) to recycle
-    /// payload buffers through a [`MessageArena`](crate::MessageArena).
-    pub fn with_buffer(mut buf: Vec<u64>) -> Self {
-        buf.clear();
-        IdSeq {
-            words: buf,
-            len: 0,
-            run_coded: false,
-        }
-    }
-
     /// Appends `id` to the sequence.
     ///
     /// # Panics
@@ -221,11 +209,6 @@ impl IdSeq {
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
-
-    /// Consumes the sequence, returning its word buffer for recycling.
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
-    }
 }
 
 impl PartialEq for IdSeq {
@@ -343,18 +326,6 @@ mod tests {
         assert!(!short_dense.run_coded && short_runs.run_coded);
         assert_eq!(short_dense, short_runs);
         assert_ne!(short_dense, ids(&[1, 3, 2]).into_iter().collect::<IdSeq>());
-    }
-
-    #[test]
-    fn buffer_recycling_round_trips() {
-        let seq: IdSeq = (0..10).map(NodeId::new).collect();
-        let words = seq.into_words();
-        let cap = words.capacity();
-        let mut reused = IdSeq::with_buffer(words);
-        assert!(reused.is_empty());
-        assert_eq!(reused.words.capacity(), cap);
-        reused.push(NodeId::new(42));
-        assert_eq!(reused.to_vec(), ids(&[42]));
     }
 
     #[test]

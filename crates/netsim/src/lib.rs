@@ -70,7 +70,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod bitset;
 mod context;
 mod envelope;
@@ -92,7 +91,6 @@ pub mod sync;
 mod table;
 pub mod trace;
 
-pub use arena::MessageArena;
 pub use bitset::BitSet;
 pub use context::Context;
 pub use envelope::{Envelope, KIND_TAG_BITS};
@@ -106,6 +104,6 @@ pub use metrics::{ByzantineCounts, FaultCounts, KindCounts, Metrics};
 pub use record::{RecordingScheduler, ReplayScheduler, Schedule, ScheduleParseError};
 pub use runner::{LivelockError, Protocol, Runner};
 pub use scheduler::{
-    BoundedDelayScheduler, Choice, FifoScheduler, Footprint, LifoScheduler, RandomScheduler,
-    Scheduler, SendToken, StateDigest,
+    BoundedDelayScheduler, Choice, FifoScheduler, Footprint, Kind, KindRow, LifoScheduler,
+    RandomScheduler, Scheduler, SendToken, Shape, StateDigest,
 };

@@ -1,5 +1,7 @@
 use std::fmt;
 
+use crate::scheduler::Kind;
+
 /// Message and bit counters for one message kind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KindCounts {
@@ -117,12 +119,17 @@ pub struct Metrics {
     // vector scanned by pointer equality beats a string-keyed map. Kept
     // sorted by kind name so read-side iteration is in kind order.
     per_kind: Vec<(&'static str, KindCounts)>,
-    deliveries: u64,
-    wakeups: u64,
+    /// Events executed, per [`Kind`]: wake-ups, deliveries and every fault,
+    /// Byzantine and churn event, behind the accessors' named fields.
+    executed: [u64; Kind::TABLE.len()],
     max_causal_depth: u64,
     max_link_queue: usize,
-    faults: FaultCounts,
-    byzantine: ByzantineCounts,
+    /// Events discarded because their target node was crashed.
+    crash_discards: u64,
+    /// Events discarded because their target node had left.
+    leave_discards: u64,
+    forged_bits: u64,
+    forge_noops: u64,
 }
 
 impl Metrics {
@@ -187,11 +194,11 @@ impl Metrics {
             d.mix(counts.bits);
             d.mix(counts.max_bits);
         }
-        d.mix(self.deliveries);
-        d.mix(self.wakeups);
+        d.mix(self.deliveries());
+        d.mix(self.wakeups());
         d.mix(self.max_causal_depth);
         d.mix(self.max_link_queue as u64);
-        let f = &self.faults;
+        let (f, b) = (self.faults(), self.byzantine());
         for v in [
             f.drops,
             f.duplicates,
@@ -199,11 +206,6 @@ impl Metrics {
             f.restarts,
             f.ticks,
             f.crash_discards,
-        ] {
-            d.mix(v);
-        }
-        let b = &self.byzantine;
-        for v in [
             b.forged,
             b.forged_bits,
             b.forge_noops,
@@ -217,80 +219,66 @@ impl Metrics {
         }
     }
 
-    pub(crate) fn record_delivery(&mut self, causal_depth: u64) {
-        self.deliveries += 1;
-        self.max_causal_depth = self.max_causal_depth.max(causal_depth);
+    /// Counts one executed event of `kind`.
+    pub(crate) fn count(&mut self, kind: Kind) {
+        self.executed[kind as usize] += 1;
     }
 
-    pub(crate) fn record_wakeup(&mut self) {
-        self.wakeups += 1;
+    fn executed(&self, kind: Kind) -> u64 {
+        self.executed[kind as usize]
+    }
+
+    pub(crate) fn observe_causal_depth(&mut self, depth: u64) {
+        self.max_causal_depth = self.max_causal_depth.max(depth);
     }
 
     pub(crate) fn observe_link_queue(&mut self, len: usize) {
         self.max_link_queue = self.max_link_queue.max(len);
     }
 
-    pub(crate) fn record_drop(&mut self) {
-        self.faults.drops += 1;
+    /// Counts an event discarded because its target had left the network
+    /// (`left`) or was crashed.
+    pub(crate) fn record_discard(&mut self, left: bool) {
+        if left {
+            self.leave_discards += 1;
+        } else {
+            self.crash_discards += 1;
+        }
     }
 
-    pub(crate) fn record_duplicate(&mut self) {
-        self.faults.duplicates += 1;
-    }
-
-    pub(crate) fn record_crash(&mut self) {
-        self.faults.crashes += 1;
-    }
-
-    pub(crate) fn record_restart(&mut self) {
-        self.faults.restarts += 1;
-    }
-
-    pub(crate) fn record_tick(&mut self) {
-        self.faults.ticks += 1;
-    }
-
-    pub(crate) fn record_crash_discard(&mut self) {
-        self.faults.crash_discards += 1;
-    }
-
-    pub(crate) fn record_forge(&mut self, bits: u64) {
-        self.byzantine.forged += 1;
-        self.byzantine.forged_bits += bits;
+    /// Adds the bits of an executed forgery (itself counted by kind).
+    pub(crate) fn record_forged_bits(&mut self, bits: u64) {
+        self.forged_bits += bits;
     }
 
     pub(crate) fn record_forge_noop(&mut self) {
-        self.byzantine.forge_noops += 1;
-    }
-
-    pub(crate) fn record_silence(&mut self) {
-        self.byzantine.silenced += 1;
-    }
-
-    pub(crate) fn record_stale_restart(&mut self) {
-        self.byzantine.stale_restarts += 1;
-    }
-
-    pub(crate) fn record_join(&mut self) {
-        self.byzantine.joins += 1;
-    }
-
-    pub(crate) fn record_leave(&mut self) {
-        self.byzantine.leaves += 1;
-    }
-
-    pub(crate) fn record_leave_discard(&mut self) {
-        self.byzantine.leave_discards += 1;
+        self.forge_noops += 1;
     }
 
     /// Per-fault counters (all zero on a fault-free run).
     pub fn faults(&self) -> FaultCounts {
-        self.faults
+        FaultCounts {
+            drops: self.executed(Kind::Drop),
+            duplicates: self.executed(Kind::Duplicate),
+            crashes: self.executed(Kind::Crash),
+            restarts: self.executed(Kind::Restart),
+            ticks: self.executed(Kind::Tick),
+            crash_discards: self.crash_discards,
+        }
     }
 
     /// Byzantine/churn counters (all zero on a benign run).
     pub fn byzantine(&self) -> ByzantineCounts {
-        self.byzantine
+        ByzantineCounts {
+            forged: self.executed(Kind::Forge),
+            forged_bits: self.forged_bits,
+            forge_noops: self.forge_noops,
+            silenced: self.executed(Kind::Silence),
+            stale_restarts: self.executed(Kind::StaleRestart),
+            joins: self.executed(Kind::Join),
+            leaves: self.executed(Kind::Leave),
+            leave_discards: self.leave_discards,
+        }
     }
 
     /// Total messages sent, over all kinds.
@@ -328,12 +316,12 @@ impl Metrics {
 
     /// Number of messages actually delivered so far.
     pub fn deliveries(&self) -> u64 {
-        self.deliveries
+        self.executed(Kind::Deliver)
     }
 
     /// Number of node wake-ups processed.
     pub fn wakeups(&self) -> u64 {
-        self.wakeups
+        self.executed(Kind::Wake)
     }
 
     /// Length of the longest message-causality chain observed.
@@ -369,31 +357,33 @@ impl fmt::Display for Metrics {
                 kind, counts.messages, counts.bits
             )?;
         }
-        if self.faults.any() {
+        let faults = self.faults();
+        if faults.any() {
             writeln!(
                 f,
                 "faults: {} drops, {} dups, {} crashes, {} restarts, {} ticks, {} crash-discards",
-                self.faults.drops,
-                self.faults.duplicates,
-                self.faults.crashes,
-                self.faults.restarts,
-                self.faults.ticks,
-                self.faults.crash_discards
+                faults.drops,
+                faults.duplicates,
+                faults.crashes,
+                faults.restarts,
+                faults.ticks,
+                faults.crash_discards
             )?;
         }
-        if self.byzantine.any() {
+        let byzantine = self.byzantine();
+        if byzantine.any() {
             writeln!(
                 f,
                 "byzantine: {} forged ({} bits), {} forge-noops, {} silenced, \
                  {} stale-restarts, {} joins, {} leaves, {} leave-discards",
-                self.byzantine.forged,
-                self.byzantine.forged_bits,
-                self.byzantine.forge_noops,
-                self.byzantine.silenced,
-                self.byzantine.stale_restarts,
-                self.byzantine.joins,
-                self.byzantine.leaves,
-                self.byzantine.leave_discards
+                byzantine.forged,
+                byzantine.forged_bits,
+                byzantine.forge_noops,
+                byzantine.silenced,
+                byzantine.stale_restarts,
+                byzantine.joins,
+                byzantine.leaves,
+                byzantine.leave_discards
             )?;
         }
         Ok(())
@@ -431,8 +421,10 @@ mod tests {
     #[test]
     fn causal_depth_is_max() {
         let mut m = Metrics::new(4);
-        m.record_delivery(3);
-        m.record_delivery(1);
+        for depth in [3, 1] {
+            m.count(Kind::Deliver);
+            m.observe_causal_depth(depth);
+        }
         assert_eq!(m.max_causal_depth(), 3);
         assert_eq!(m.deliveries(), 2);
     }

@@ -82,9 +82,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write};
 
-use crate::scheduler::{Choice, Scheduler, SendToken};
+use crate::scheduler::{Choice, Kind, Scheduler, SendToken, Shape, Token};
 use crate::NodeId;
 
 /// The header line every version-1 schedule file starts with.
@@ -92,18 +92,6 @@ pub const SCHEDULE_HEADER: &str = "ard-schedule v1";
 
 /// The header line of a version-2 schedule file (Byzantine/churn alphabet).
 pub const SCHEDULE_HEADER_V2: &str = "ard-schedule v2";
-
-/// Whether a choice is expressible in the version-1 format.
-fn is_v1_choice(choice: &Choice) -> bool {
-    !matches!(
-        choice,
-        Choice::Forge { .. }
-            | Choice::Silence { .. }
-            | Choice::StaleRestart(_)
-            | Choice::Join(_)
-            | Choice::Leave(_)
-    )
-}
 
 /// A recorded sequence of scheduler choices plus free-form metadata.
 ///
@@ -173,7 +161,7 @@ impl Schedule {
     /// occurs, so pre-v2 recordings stay byte-identical.
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(16 + 8 * self.choices.len());
-        if self.choices.iter().all(is_v1_choice) {
+        if self.choices.iter().all(|c| c.kind().row().version == 1) {
             out.push_str(SCHEDULE_HEADER);
         } else {
             out.push_str(SCHEDULE_HEADER_V2);
@@ -187,44 +175,15 @@ impl Schedule {
             out.push('\n');
         }
         for choice in &self.choices {
-            match *choice {
-                Choice::Wake(node) => {
-                    out.push_str(&format!("w {}\n", node.index()));
-                }
-                Choice::Deliver { src, dst } => {
-                    out.push_str(&format!("d {} {}\n", src.index(), dst.index()));
-                }
-                Choice::Drop { src, dst } => {
-                    out.push_str(&format!("x {} {}\n", src.index(), dst.index()));
-                }
-                Choice::Duplicate { src, dst } => {
-                    out.push_str(&format!("u {} {}\n", src.index(), dst.index()));
-                }
-                Choice::Crash(node) => {
-                    out.push_str(&format!("c {}\n", node.index()));
-                }
-                Choice::Restart(node) => {
-                    out.push_str(&format!("r {}\n", node.index()));
-                }
-                Choice::Tick(node) => {
-                    out.push_str(&format!("t {}\n", node.index()));
-                }
-                Choice::Forge { src, dst, salt } => {
-                    out.push_str(&format!("f {} {} {}\n", src.index(), dst.index(), salt));
-                }
-                Choice::Silence { src, dst } => {
-                    out.push_str(&format!("s {} {}\n", src.index(), dst.index()));
-                }
-                Choice::StaleRestart(node) => {
-                    out.push_str(&format!("z {}\n", node.index()));
-                }
-                Choice::Join(node) => {
-                    out.push_str(&format!("j {}\n", node.index()));
-                }
-                Choice::Leave(node) => {
-                    out.push_str(&format!("l {}\n", node.index()));
-                }
+            let row = choice.kind().row();
+            let (a, b, salt) = choice.operands();
+            let (letter, a, b) = (row.letter, a.index(), b.index());
+            match row.shape {
+                Shape::Node => writeln!(out, "{letter} {a}"),
+                Shape::Link => writeln!(out, "{letter} {a} {b}"),
+                Shape::LinkSalt => writeln!(out, "{letter} {a} {b} {salt}"),
             }
+            .expect("writing to a String cannot fail");
         }
         out
     }
@@ -277,71 +236,46 @@ impl Schedule {
                     };
                     schedule.meta.insert(key.to_string(), value.to_string());
                 }
-                d @ ("w" | "c" | "r" | "t" | "z" | "j" | "l") => {
-                    let node = parts
-                        .next()
-                        .ok_or_else(|| fail(line, format!("{d} needs a node")))?;
-                    if parts.next().is_some() {
-                        return Err(fail(line, format!("{d} takes exactly one operand")));
-                    }
-                    let node = parse_node(line, node, "node")?;
-                    schedule.choices.push(match d {
-                        "w" => Choice::Wake(node),
-                        "c" => Choice::Crash(node),
-                        "r" => Choice::Restart(node),
-                        "z" => Choice::StaleRestart(node),
-                        "j" => Choice::Join(node),
-                        "l" => Choice::Leave(node),
-                        _ => Choice::Tick(node),
-                    });
-                }
-                d @ ("d" | "x" | "u" | "s") => {
-                    let src = parts
-                        .next()
-                        .ok_or_else(|| fail(line, format!("{d} needs src and dst")))?;
-                    let dst = parts
-                        .next()
-                        .ok_or_else(|| fail(line, format!("{d} needs src and dst")))?;
-                    if parts.next().is_some() {
-                        return Err(fail(line, format!("{d} takes exactly two operands")));
-                    }
-                    let src = parse_node(line, src, "src")?;
-                    let dst = parse_node(line, dst, "dst")?;
-                    schedule.choices.push(match d {
-                        "d" => Choice::Deliver { src, dst },
-                        "x" => Choice::Drop { src, dst },
-                        "s" => Choice::Silence { src, dst },
-                        _ => Choice::Duplicate { src, dst },
-                    });
-                }
-                "f" => {
-                    let src = parts
-                        .next()
-                        .ok_or_else(|| fail(line, "f needs src, dst and salt".to_string()))?;
-                    let dst = parts
-                        .next()
-                        .ok_or_else(|| fail(line, "f needs src, dst and salt".to_string()))?;
-                    let salt = parts
-                        .next()
-                        .ok_or_else(|| fail(line, "f needs src, dst and salt".to_string()))?;
-                    if parts.next().is_some() {
-                        return Err(fail(line, "f takes exactly three operands".to_string()));
-                    }
-                    let src = parse_node(line, src, "src")?;
-                    let dst = parse_node(line, dst, "dst")?;
-                    let salt = salt
-                        .parse::<u32>()
-                        .map_err(|_| fail(line, format!("salt: `{salt}` is not a u32")))?;
-                    schedule.choices.push(Choice::Forge { src, dst, salt });
-                }
-                other => {
-                    return Err(fail(
-                        line,
-                        format!(
-                            "unknown directive `{other}` \
-                             (expected meta, w, d, x, u, c, r, t, f, s, z, j or l)"
+                d => {
+                    let row = Kind::TABLE
+                        .iter()
+                        .find(|row| d.chars().eq([row.letter]))
+                        .ok_or_else(|| {
+                            let letters = Kind::TABLE.map(|row| row.letter.to_string());
+                            let (last, rest) = letters.split_last().expect("kinds exist");
+                            let known = format!("meta, {} or {last}", rest.join(", "));
+                            fail(line, format!("unknown directive `{d}` (expected {known})"))
+                        })?;
+                    let (names, needs, takes): (&[&str], _, _) = match row.shape {
+                        Shape::Node => (&["node"], "a node", "one operand"),
+                        Shape::Link => (&["src", "dst"], "src and dst", "two operands"),
+                        Shape::LinkSalt => (
+                            &["src", "dst", "salt"],
+                            "src, dst and salt",
+                            "three operands",
                         ),
-                    ))
+                    };
+                    let operands: [Option<&str>; 4] = std::array::from_fn(|_| parts.next());
+                    if operands[names.len() - 1].is_none() {
+                        return Err(fail(line, format!("{d} needs {needs}")));
+                    }
+                    if operands[names.len()].is_some() {
+                        return Err(fail(line, format!("{d} takes exactly {takes}")));
+                    }
+                    let a = parse_node(line, operands[0].expect("checked"), names[0])?;
+                    let b = match operands[1] {
+                        Some(s) => parse_node(line, s, names[1])?,
+                        None => a,
+                    };
+                    let salt = match operands[2] {
+                        Some(s) => s
+                            .parse::<u32>()
+                            .map_err(|_| fail(line, format!("salt: `{s}` is not a u32")))?,
+                        None => 0,
+                    };
+                    schedule
+                        .choices
+                        .push(Choice::from_parts(row.kind, a, b, salt));
                 }
             }
         }
@@ -548,20 +482,12 @@ impl ReplayScheduler {
     /// `note_send`, growing the multiset by one).
     fn enabledness(&self, choice: Choice) -> Result<Option<usize>, ()> {
         let find = |want: Choice| self.pending.iter().position(|&p| p == want).ok_or(());
-        match choice {
-            Choice::Wake(_) | Choice::Deliver { .. } | Choice::Tick(_) => {
-                find(choice).map(Some)
-            }
-            Choice::Drop { src, dst } | Choice::Silence { src, dst } => {
-                find(Choice::Deliver { src, dst }).map(Some)
-            }
-            Choice::Duplicate { src, dst } => find(Choice::Deliver { src, dst }).map(|_| None),
-            Choice::Crash(_)
-            | Choice::Restart(_)
-            | Choice::Forge { .. }
-            | Choice::StaleRestart(_)
-            | Choice::Join(_)
-            | Choice::Leave(_) => Ok(None),
+        let (src, dst, _) = choice.operands();
+        match choice.kind().row().token {
+            Token::Own => find(choice).map(Some),
+            Token::Takes => find(Choice::Deliver { src, dst }).map(Some),
+            Token::Needs => find(Choice::Deliver { src, dst }).map(|_| None),
+            Token::Free => Ok(None),
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::envelope::Envelope;
 use crate::linkq::LinkQueues;
 use crate::scheduler::{Choice, Footprint, Scheduler, SendToken, StateDigest};
 use crate::table::NodeTable;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent, What};
 use crate::{Context, Metrics, NodeId};
 
 /// Packs a directed link into its [`LinkQueues`] key; keys order like
@@ -466,15 +466,12 @@ impl<P: Protocol> Runner<P> {
             );
             self.metrics
                 .record(msg.kind(), msg.carried_id_count(), msg.aux_bits());
-            if let Some(trace) = &mut self.trace {
-                trace.push(TraceEvent::Send {
-                    src: node,
-                    dst,
-                    kind: msg.kind(),
-                    seq: self.seq,
-                    step: self.steps,
-                });
-            }
+            let sent = What::Send {
+                src: node,
+                dst,
+                seq: self.seq,
+            };
+            self.log(sent, Some(msg.kind()));
             self.enqueue(node, dst, msg, depth, sink);
         }
         self.outbox = outbox;
@@ -506,6 +503,35 @@ impl<P: Protocol> Runner<P> {
         self.metrics.observe_link_queue(queued);
     }
 
+    /// Appends to the trace, when one is kept.
+    fn log(&mut self, what: What, kind: Option<&'static str>) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEvent {
+                step: self.steps,
+                what,
+                kind,
+            });
+        }
+    }
+
+    /// Counts the executed `choice` under its kind and logs it; `kind` is
+    /// that of the message it concerns, if any.
+    fn note(&mut self, choice: Choice, kind: Option<&'static str>) {
+        self.metrics.count(choice.kind());
+        self.log(What::Did(choice), kind);
+    }
+
+    /// Whether `node` has left or is crashed, so that the event aimed at it
+    /// is discarded — counted here as the one or the other.
+    fn discards(&mut self, node: NodeId) -> bool {
+        let left = self.table.left(node.index());
+        let gone = left || self.table.crashed(node.index());
+        if gone {
+            self.metrics.record_discard(left);
+        }
+        gone
+    }
+
     /// Wakes `node` unless it already woke; its `on_wake` sends leave at
     /// `depth + 1`.
     fn wake_inner<S: Sink<P>>(&mut self, node: NodeId, depth: u64, sink: &mut S) {
@@ -515,29 +541,17 @@ impl<P: Protocol> Runner<P> {
             return;
         }
         self.table.set_awake(i, true);
-        self.metrics.record_wakeup();
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::Wake {
-                node,
-                step: self.steps,
-            });
-        }
+        self.note(Choice::Wake(node), None);
         self.dispatch(node, depth + 1, sink, |n, ctx| n.on_wake(ctx));
     }
 
     /// Executes the wake-up event of `node`.
     pub(crate) fn wake<S: Sink<P>>(&mut self, node: NodeId, sink: &mut S) {
         self.steps += 1;
-        if self.table.left(node.index()) {
-            self.table.set_wake_enqueued(node.index(), false);
-            self.metrics.record_leave_discard();
-            return;
-        }
-        if self.table.crashed(node.index()) {
+        if self.discards(node) {
             // A crashed node loses its pending wake-up; Restart
             // re-enqueues one so the node is not stranded asleep.
             self.table.set_wake_enqueued(node.index(), false);
-            self.metrics.record_crash_discard();
             return;
         }
         self.wake_inner(node, 0, sink);
@@ -554,32 +568,13 @@ impl<P: Protocol> Runner<P> {
         sink: &mut S,
     ) {
         self.steps += 1;
-        if self.table.left(dst.index()) || self.table.crashed(dst.index()) {
+        if self.discards(dst) {
             // Delivery to a departed or crashed node: the message is lost.
-            if self.table.left(dst.index()) {
-                self.metrics.record_leave_discard();
-            } else {
-                self.metrics.record_crash_discard();
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.push(TraceEvent::Drop {
-                    src,
-                    dst,
-                    kind: msg.kind(),
-                    step: self.steps,
-                });
-            }
+            self.log(What::Did(Choice::Drop { src, dst }), Some(msg.kind()));
             return;
         }
-        self.metrics.record_delivery(depth);
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::Deliver {
-                src,
-                dst,
-                kind: msg.kind(),
-                step: self.steps,
-            });
-        }
+        self.note(Choice::Deliver { src, dst }, Some(msg.kind()));
+        self.metrics.observe_causal_depth(depth);
         // Knowledge-graph growth: the receiver learns the sender and every
         // id in the payload (visited, not collected; a sparse set splices
         // each shipped run in with one move, and skips one it already
@@ -603,22 +598,16 @@ impl<P: Protocol> Runner<P> {
     /// Executes a timer tick armed by `node`.
     pub(crate) fn tick<S: Sink<P>>(&mut self, node: NodeId, sink: &mut S) {
         self.steps += 1;
-        if self.table.left(node.index()) {
-            self.metrics.record_leave_discard();
+        if self.discards(node) {
             return;
         }
-        if self.table.crashed(node.index()) || !self.table.awake(node.index()) {
-            // A tick armed before the crash fires into the void.
-            self.metrics.record_crash_discard();
+        if !self.table.awake(node.index()) {
+            // Nor does a tick reach a node that is not up: it fires into
+            // the void like one armed before a crash.
+            self.metrics.record_discard(false);
             return;
         }
-        self.metrics.record_tick();
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::Tick {
-                node,
-                step: self.steps,
-            });
-        }
+        self.note(Choice::Tick(node), None);
         self.dispatch(node, 1, sink, |n, ctx| n.on_tick(ctx));
     }
 
@@ -657,19 +646,8 @@ impl<P: Protocol> Runner<P> {
             // The only node whose state a step can touch is the stepped /
             // targeted one (dispatch never reaches into other nodes); link
             // mutations are recorded at the pop/push sites.
-            match choice {
-                Choice::Wake(n)
-                | Choice::Crash(n)
-                | Choice::Restart(n)
-                | Choice::Tick(n)
-                | Choice::StaleRestart(n)
-                | Choice::Join(n)
-                | Choice::Leave(n) => self.fp.touch_node(n),
-                Choice::Deliver { dst, .. } => self.fp.touch_node(dst),
-                Choice::Drop { .. }
-                | Choice::Duplicate { .. }
-                | Choice::Silence { .. }
-                | Choice::Forge { .. } => {}
+            if let Some(node) = choice.touched_node() {
+                self.fp.touch_node(node);
             }
         }
         self.execute(choice, sched);
@@ -692,18 +670,11 @@ impl<P: Protocol> Runner<P> {
                 self.deliver(src, dst, msg, depth, sink);
             }
             Choice::Tick(node) => self.tick(node, sink),
-            Choice::Drop { src, dst } => {
+            // A link fault, or a Byzantine sender withholding its message.
+            Choice::Drop { src, dst } | Choice::Silence { src, dst } => {
                 self.steps += 1;
                 let (msg, _depth) = self.pop_link(src, dst);
-                self.metrics.record_drop();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Drop {
-                        src,
-                        dst,
-                        kind: msg.kind(),
-                        step: self.steps,
-                    });
-                }
+                self.note(choice, Some(msg.kind()));
             }
             Choice::Duplicate { src, dst } => {
                 self.steps += 1;
@@ -714,48 +685,39 @@ impl<P: Protocol> Runner<P> {
                     .unwrap_or_else(|| {
                         panic!("scheduler bug: no pending messages on {src} → {dst}")
                     });
-                self.metrics.record_duplicate();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Duplicate {
-                        src,
-                        dst,
-                        kind: msg.kind(),
-                        step: self.steps,
-                    });
-                }
+                self.note(choice, Some(msg.kind()));
                 // The copy gets its own token (and thus its own delivery
                 // choice); it is metered only as a fault, not per kind.
                 self.enqueue(src, dst, msg, depth, sink);
             }
-            Choice::Crash(node) => {
+            Choice::Crash(node) | Choice::Leave(node) => {
                 self.steps += 1;
-                self.table.set_crashed(node.index(), true);
-                self.metrics.record_crash();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Crash {
-                        node,
-                        step: self.steps,
-                    });
+                if matches!(choice, Choice::Leave(_)) {
+                    self.table.set_left(node.index(), true);
+                } else {
+                    self.table.set_crashed(node.index(), true);
                 }
+                self.note(choice, None);
             }
-            Choice::Restart(node) => {
+            Choice::Restart(node) | Choice::StaleRestart(node) => {
                 self.steps += 1;
                 let i = node.index();
                 if self.table.left(i) {
                     // A departed node never comes back.
-                    self.metrics.record_leave_discard();
+                    self.metrics.record_discard(true);
                     return;
                 }
                 self.table.set_crashed(i, false);
-                self.metrics.record_restart();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Restart {
-                        node,
-                        step: self.steps,
-                    });
-                }
+                self.note(choice, None);
                 if self.table.awake(i) {
-                    self.dispatch(node, 1, sink, |n, ctx| n.on_restart(ctx));
+                    let stale = matches!(choice, Choice::StaleRestart(_));
+                    self.dispatch(node, 1, sink, |n, ctx| {
+                        if stale {
+                            n.on_stale_restart(ctx);
+                        } else {
+                            n.on_restart(ctx);
+                        }
+                    });
                 } else if !self.table.wake_enqueued(i) {
                     // The node's wake-up was discarded while it was down:
                     // re-enqueue it so liveness survives the crash window.
@@ -776,91 +738,25 @@ impl<P: Protocol> Runner<P> {
                 // addresses whoever it likes. It is metered per kind like
                 // any send — and tracked in the Byzantine counters so
                 // budget checks can net the adversarial traffic out.
-                let kind = msg.kind();
-                let bits = msg.bits(self.metrics.id_bits());
                 self.metrics
-                    .record(kind, msg.carried_id_count(), msg.aux_bits());
-                self.metrics.record_forge(bits);
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Forge {
-                        src,
-                        dst,
-                        kind,
-                        step: self.steps,
-                    });
-                }
+                    .record(msg.kind(), msg.carried_id_count(), msg.aux_bits());
+                self.metrics
+                    .record_forged_bits(msg.bits(self.metrics.id_bits()));
+                self.note(choice, Some(msg.kind()));
                 self.enqueue(src, dst, msg, 0, sink);
-            }
-            Choice::Silence { src, dst } => {
-                self.steps += 1;
-                let (msg, _depth) = self.pop_link(src, dst);
-                self.metrics.record_silence();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Silence {
-                        src,
-                        dst,
-                        kind: msg.kind(),
-                        step: self.steps,
-                    });
-                }
-            }
-            Choice::StaleRestart(node) => {
-                self.steps += 1;
-                let i = node.index();
-                if self.table.left(i) {
-                    self.metrics.record_leave_discard();
-                    return;
-                }
-                self.table.set_crashed(i, false);
-                self.metrics.record_stale_restart();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::StaleRestart {
-                        node,
-                        step: self.steps,
-                    });
-                }
-                if self.table.awake(i) {
-                    self.dispatch(node, 1, sink, |n, ctx| n.on_stale_restart(ctx));
-                } else if !self.table.wake_enqueued(i) {
-                    self.table.set_wake_enqueued(i, true);
-                    sink.0.note_wake(node);
-                }
             }
             Choice::Join(node) => {
                 self.steps += 1;
-                let i = node.index();
-                if self.table.left(i) {
-                    self.metrics.record_leave_discard();
+                if self.discards(node) {
                     return;
                 }
-                if self.table.crashed(i) {
-                    self.metrics.record_crash_discard();
-                    return;
-                }
-                self.metrics.record_join();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Join {
-                        node,
-                        step: self.steps,
-                    });
-                }
+                self.note(choice, None);
                 // §6: "there is no difference between a node joining the
                 // system at a certain time and a node that wakes up at that
                 // time" — a join is a token-free wake of a node whose
                 // initial wake-up the churn plan withheld. No-op if the
                 // node already woke (e.g. via an incoming message).
                 self.wake_inner(node, 0, sink);
-            }
-            Choice::Leave(node) => {
-                self.steps += 1;
-                self.table.set_left(node.index(), true);
-                self.metrics.record_leave();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Leave {
-                        node,
-                        step: self.steps,
-                    });
-                }
             }
         }
     }

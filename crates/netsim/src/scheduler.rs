@@ -97,9 +97,176 @@ pub enum Choice {
     Leave(NodeId),
 }
 
+/// The operands a [`Kind`] takes, in a [`Choice`] and on a schedule line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// One node.
+    Node,
+    /// A directed link `src → dst`.
+    Link,
+    /// A directed link plus a protocol-interpreted salt.
+    LinkSalt,
+}
+
+/// Which scheduler token a recorded choice needs in order to be enabled
+/// on replay (see [`ReplayScheduler`](crate::ReplayScheduler)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Token {
+    /// The token announced for exactly this choice (`note_wake`,
+    /// `note_send`, `note_tick`); executing consumes it.
+    Own,
+    /// The link's delivery token, which it consumes (the message is gone).
+    Takes,
+    /// The link's delivery token, which it leaves (the runner announces
+    /// the copy with a token of its own).
+    Needs,
+    /// None: injected by a plan, never announced.
+    Free,
+}
+
+/// One row of [`Kind::TABLE`].
+#[derive(Clone, Copy, Debug)]
+pub struct KindRow {
+    /// The kind the row describes; `kind as usize` is the row's index and
+    /// its canonical order tag.
+    pub kind: Kind,
+    /// Directive letter of the schedule file format
+    /// ([`Schedule::to_text`](crate::Schedule::to_text)).
+    pub letter: char,
+    /// Lowest schedule format version that can express the kind.
+    pub version: u8,
+    /// Verb of a rendered trace line, padded as printed.
+    pub verb: &'static str,
+    /// The operands it takes.
+    pub shape: Shape,
+    /// Whether executing it runs a handler on its node (for a link, on the
+    /// receiver), which may then send on any of that node's out-links.
+    pub(crate) steps: bool,
+    /// What must be pending for a replay to execute it.
+    pub(crate) token: Token,
+}
+
+/// Declares [`Kind`] and [`Kind::TABLE`] from one listing, so a kind's
+/// discriminant is its row's index by construction.
+macro_rules! kinds {
+    ($($kind:ident $letter:literal $version:literal $verb:literal $shape:ident $steps:literal $token:ident)*) => {
+        /// The kind of a [`Choice`] without its operands: the simulator's
+        /// event alphabet. The paper's model has the first two (a wake-up,
+        /// a per-link FIFO delivery); the other ten let faults, traitors
+        /// and churn replay byte-exactly.
+        ///
+        /// Declaration order is the canonical order of
+        /// [`Choice::sort_key`] and the row order of [`Kind::TABLE`],
+        /// which states everything else that depends on the kind alone.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Kind {
+            $(#[doc = concat!("[`Choice::", stringify!($kind), "`].")] $kind,)*
+        }
+
+        impl Kind {
+            /// The event alphabet, one row per kind in canonical order.
+            pub const TABLE: [KindRow; 12] = [$(KindRow {
+                kind: Kind::$kind,
+                letter: $letter,
+                version: $version,
+                verb: $verb,
+                shape: Shape::$shape,
+                steps: $steps,
+                token: Token::$token,
+            }),*];
+
+            /// This kind's row of [`Kind::TABLE`].
+            pub fn row(self) -> &'static KindRow {
+                &Self::TABLE[self as usize]
+            }
+        }
+    };
+}
+
+kinds! {
+    // kind      letter  v  trace verb       operands  steps  token
+    Wake          'w'    1  "wake   "        Node      true   Own
+    Deliver       'd'    1  "deliver"        Link      true   Own
+    Drop          'x'    1  "drop   "        Link      false  Takes
+    Duplicate     'u'    1  "dup    "        Link      false  Needs
+    Crash         'c'    1  "crash  "        Node      false  Free
+    Restart       'r'    1  "restart"        Node      true   Free
+    Tick          't'    1  "tick   "        Node      true   Own
+    Forge         'f'    2  "forge  "        LinkSalt  false  Free
+    Silence       's'    2  "silence"        Link      false  Takes
+    StaleRestart  'z'    2  "stale-restart"  Node      true   Free
+    Join          'j'    2  "join   "        Node      true   Free
+    Leave         'l'    2  "leave  "        Node      false  Free
+}
+
 impl Choice {
+    /// Kind and operands in one match; a node-shaped choice repeats its
+    /// node as the second operand, and only a forgery has a salt.
+    fn parts(&self) -> (Kind, NodeId, NodeId, u32) {
+        match *self {
+            Choice::Wake(a) => (Kind::Wake, a, a, 0),
+            Choice::Deliver { src, dst } => (Kind::Deliver, src, dst, 0),
+            Choice::Drop { src, dst } => (Kind::Drop, src, dst, 0),
+            Choice::Duplicate { src, dst } => (Kind::Duplicate, src, dst, 0),
+            Choice::Crash(a) => (Kind::Crash, a, a, 0),
+            Choice::Restart(a) => (Kind::Restart, a, a, 0),
+            Choice::Tick(a) => (Kind::Tick, a, a, 0),
+            Choice::Forge { src, dst, salt } => (Kind::Forge, src, dst, salt),
+            Choice::Silence { src, dst } => (Kind::Silence, src, dst, 0),
+            Choice::StaleRestart(a) => (Kind::StaleRestart, a, a, 0),
+            Choice::Join(a) => (Kind::Join, a, a, 0),
+            Choice::Leave(a) => (Kind::Leave, a, a, 0),
+        }
+    }
+
+    /// The choice's kind.
+    pub fn kind(&self) -> Kind {
+        self.parts().0
+    }
+
+    /// The choice's operands as `(a, b, salt)`: the node twice for a
+    /// [`Shape::Node`] kind, `(src, dst)` for a link; `salt` is zero unless
+    /// the kind is [`Shape::LinkSalt`].
+    pub fn operands(&self) -> (NodeId, NodeId, u32) {
+        let (_, a, b, salt) = self.parts();
+        (a, b, salt)
+    }
+
+    /// The choice of `kind` over the given operands — the inverse of
+    /// [`kind`](Choice::kind) + [`operands`](Choice::operands). Operands
+    /// the kind's shape does not take are ignored.
+    pub fn from_parts(kind: Kind, a: NodeId, b: NodeId, salt: u32) -> Choice {
+        let (src, dst) = (a, b);
+        match kind {
+            Kind::Wake => Choice::Wake(a),
+            Kind::Deliver => Choice::Deliver { src, dst },
+            Kind::Drop => Choice::Drop { src, dst },
+            Kind::Duplicate => Choice::Duplicate { src, dst },
+            Kind::Crash => Choice::Crash(a),
+            Kind::Restart => Choice::Restart(a),
+            Kind::Tick => Choice::Tick(a),
+            Kind::Forge => Choice::Forge { src, dst, salt },
+            Kind::Silence => Choice::Silence { src, dst },
+            Kind::StaleRestart => Choice::StaleRestart(a),
+            Kind::Join => Choice::Join(a),
+            Kind::Leave => Choice::Leave(a),
+        }
+    }
+
+    /// The node whose state executing the choice reads or writes, if any:
+    /// a node-shaped choice's node, a delivery's receiver. The other link
+    /// kinds touch queues only.
+    pub(crate) fn touched_node(&self) -> Option<NodeId> {
+        let (kind, a, b, _) = self.parts();
+        let row = kind.row();
+        match row.shape {
+            Shape::Node => Some(a),
+            _ => row.steps.then_some(b),
+        }
+    }
+
     /// A total order over choices that depends only on the choice itself
-    /// (never on arrival order): variant tag, then node ids, then salt.
+    /// (never on arrival order): kind, then node ids, then salt.
     ///
     /// The explorer's reduced mode drains the tail beyond the decision
     /// window in this canonical order so that two schedules reaching the
@@ -108,19 +275,10 @@ impl Choice {
     /// terminal-state checks.
     pub fn sort_key(&self) -> (u8, u32, u32, u32) {
         let n = |id: NodeId| u32::try_from(id.index()).expect("node id fits u32");
-        match *self {
-            Choice::Wake(a) => (0, n(a), 0, 0),
-            Choice::Deliver { src, dst } => (1, n(src), n(dst), 0),
-            Choice::Drop { src, dst } => (2, n(src), n(dst), 0),
-            Choice::Duplicate { src, dst } => (3, n(src), n(dst), 0),
-            Choice::Crash(a) => (4, n(a), 0, 0),
-            Choice::Restart(a) => (5, n(a), 0, 0),
-            Choice::Tick(a) => (6, n(a), 0, 0),
-            Choice::Forge { src, dst, salt } => (7, n(src), n(dst), salt),
-            Choice::Silence { src, dst } => (8, n(src), n(dst), 0),
-            Choice::StaleRestart(a) => (9, n(a), 0, 0),
-            Choice::Join(a) => (10, n(a), 0, 0),
-            Choice::Leave(a) => (11, n(a), 0, 0),
+        let (kind, a, b, salt) = self.parts();
+        match kind.row().shape {
+            Shape::Node => (kind as u8, n(a), 0, 0),
+            _ => (kind as u8, n(a), n(b), salt),
         }
     }
 }
@@ -168,37 +326,22 @@ impl Footprint {
     /// runner records on execution.
     pub fn may(choice: Choice) -> Self {
         let n = |id: NodeId| u32::try_from(id.index()).expect("node id fits u32");
-        let key = |src: NodeId, dst: NodeId| ((n(src) as u64) << 32) | n(dst) as u64;
+        let row = choice.kind().row();
         let mut fp = Footprint::new();
-        match choice {
-            Choice::Wake(a)
-            | Choice::Tick(a)
-            | Choice::Restart(a)
-            | Choice::StaleRestart(a)
-            | Choice::Join(a) => {
+        if let Some(node) = choice.touched_node() {
+            // A crash or a departure touches liveness flags only: in-flight
+            // traffic toward the node is discarded lazily by the delivery
+            // attempt, which names its dst here, so the conflict is still
+            // seen.
+            fp.nodes.push(n(node));
+            if row.steps {
                 // Steps the node, which may send on any of its out-links.
-                fp.nodes.push(n(a));
-                fp.sends_from = Some(n(a));
+                fp.sends_from = Some(n(node));
             }
-            Choice::Crash(a) | Choice::Leave(a) => {
-                // Touches liveness flags only: in-flight traffic toward the
-                // node is discarded lazily by the delivery attempt, which
-                // names its dst in `nodes`, so the conflict is still seen.
-                fp.nodes.push(n(a));
-            }
-            Choice::Deliver { src, dst } => {
-                fp.nodes.push(n(dst));
-                fp.links.push(key(src, dst));
-                fp.sends_from = Some(n(dst));
-            }
-            Choice::Drop { src, dst }
-            | Choice::Duplicate { src, dst }
-            | Choice::Silence { src, dst } => {
-                fp.links.push(key(src, dst));
-            }
-            Choice::Forge { src, dst, .. } => {
-                fp.links.push(key(src, dst));
-            }
+        }
+        if row.shape != Shape::Node {
+            let (src, dst, _) = choice.operands();
+            fp.links.push(crate::runner::link_key(src, dst));
         }
         fp
     }
@@ -782,6 +925,81 @@ mod tests {
             seq,
             kind: "t",
         }
+    }
+
+    /// Everything the table decides, per kind: the canonical order tag,
+    /// the schedule directive with the header its version implies, and the
+    /// trace line, whose padding recorded traces and CLI snapshots depend
+    /// on byte for byte.
+    #[test]
+    fn the_kind_table_states_order_directive_and_trace_line_of_every_kind() {
+        use crate::record::{Schedule, SCHEDULE_HEADER, SCHEDULE_HEADER_V2};
+        use crate::trace::{Trace, TraceEvent, What};
+        let (a, b, other) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+        let lines = [
+            ("w 1\n", "[     3] wake    n1"),
+            ("d 1 2\n", "[     3] deliver n1 → n2  search"),
+            ("x 1 2\n", "[     3] drop    n1 → n2  search"),
+            ("u 1 2\n", "[     3] dup     n1 → n2  search"),
+            ("c 1\n", "[     3] crash   n1"),
+            ("r 1\n", "[     3] restart n1"),
+            ("t 1\n", "[     3] tick    n1"),
+            ("f 1 2 7\n", "[     3] forge   n1 → n2  search"),
+            ("s 1 2\n", "[     3] silence n1 → n2  search"),
+            ("z 1\n", "[     3] stale-restart n1"),
+            ("j 1\n", "[     3] join    n1"),
+            ("l 1\n", "[     3] leave   n1"),
+        ];
+        assert_eq!(Kind::TABLE.len(), lines.len());
+        let mut trace = Trace::default();
+        for (tag, (row, (directive, line))) in Kind::TABLE.iter().zip(lines).enumerate() {
+            let choice = Choice::from_parts(row.kind, a, b, 7);
+            assert_eq!((row.kind as usize, choice.kind()), (tag, row.kind));
+            assert_eq!(choice.sort_key().0 as usize, tag);
+            let (x, y, salt) = choice.operands();
+            assert_eq!(Choice::from_parts(row.kind, x, y, salt), choice);
+
+            let header = [SCHEDULE_HEADER, SCHEDULE_HEADER_V2][usize::from(row.version - 1)];
+            let schedule = Schedule::new(vec![choice]);
+            assert_eq!(schedule.to_text(), format!("{header}\n{directive}"));
+            assert_eq!(Schedule::parse(&schedule.to_text()).unwrap(), schedule);
+
+            let event = TraceEvent {
+                step: 3,
+                what: What::Did(choice),
+                kind: (row.shape != Shape::Node).then_some("search"),
+            };
+            assert_eq!(event.to_string(), line);
+            trace.push(event);
+        }
+        let send = TraceEvent {
+            step: 3,
+            what: What::Send {
+                src: a,
+                dst: b,
+                seq: 9,
+            },
+            kind: Some("search"),
+        };
+        assert_eq!(send.to_string(), "[     3] send    n1 → n2  search (#9)");
+        trace.push(send);
+        // Either end selects an event: all thirteen name n1, the link-shaped
+        // five and the send name n2, none names n3.
+        assert_eq!(trace.involving(a).count(), 13);
+        assert_eq!(trace.involving(b).count(), 6);
+        assert_eq!(trace.involving(other).count(), 0);
+        // The order is by kind first, whatever the operands.
+        assert!(Choice::Wake(other).sort_key() < Choice::Deliver { src: a, dst: a }.sort_key());
+        assert_eq!(Choice::Leave(a).sort_key(), (11, 1, 0, 0));
+        assert_eq!(
+            Choice::Forge {
+                src: a,
+                dst: b,
+                salt: 7
+            }
+            .sort_key(),
+            (7, 1, 2, 7)
+        );
     }
 
     #[test]

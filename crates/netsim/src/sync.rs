@@ -46,6 +46,7 @@
 
 use crate::bitset::BitSet;
 use crate::envelope::Envelope;
+use crate::scheduler::Kind;
 use crate::{Context, Metrics, NodeId};
 
 /// Behaviour of one node in a synchronous network.
@@ -167,7 +168,8 @@ impl<P: SyncProtocol> SyncNetwork<P> {
             msg.for_each_carried_id(&mut |id| {
                 know.insert(id.index());
             });
-            self.metrics.record_delivery(self.round + 1);
+            self.metrics.count(Kind::Deliver);
+            self.metrics.observe_causal_depth(self.round + 1);
             self.inboxes[dst.index()].push((src, msg));
         }
         self.round += 1;

@@ -8,8 +8,8 @@
 //! # Example
 //!
 //! ```
-//! use ard_netsim::trace::TraceEvent;
-//! # use ard_netsim::{Context, Envelope, FifoScheduler, NodeId, Protocol, Runner};
+//! use ard_netsim::trace::What;
+//! # use ard_netsim::{Choice, Context, Envelope, FifoScheduler, NodeId, Protocol, Runner};
 //! # #[derive(Clone, Debug)]
 //! # struct Ping;
 //! # impl Envelope for Ping {
@@ -37,197 +37,72 @@
 //! let trace = runner.trace().unwrap();
 //! // wake(n0), send, deliver, message-triggered wake(n1)
 //! assert_eq!(trace.len(), 4);
-//! assert!(matches!(trace.events()[0], TraceEvent::Wake { .. }));
+//! assert_eq!(trace.events()[0].what, What::Did(Choice::Wake(NodeId::new(0))));
 //! println!("{}", trace.render(10));
 //! ```
 
 use std::fmt;
 
+use crate::scheduler::{Choice, Shape};
 use crate::NodeId;
 
-/// One logged simulation event.
+/// What a [`TraceEvent`] logs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A node woke up.
-    Wake {
-        /// The node.
-        node: NodeId,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
+pub enum What {
     /// A message was sent (buffered onto its link).
     Send {
         /// Sender.
         src: NodeId,
         /// Destination.
         dst: NodeId,
-        /// Message kind.
-        kind: &'static str,
         /// Global send sequence number.
         seq: u64,
-        /// Simulation step at which it happened.
-        step: u64,
     },
-    /// A message was delivered.
-    Deliver {
-        /// Sender.
-        src: NodeId,
-        /// Destination.
-        dst: NodeId,
-        /// Message kind.
-        kind: &'static str,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A message was dropped (link fault or delivery to a crashed node).
-    Drop {
-        /// Sender.
-        src: NodeId,
-        /// Destination.
-        dst: NodeId,
-        /// Message kind.
-        kind: &'static str,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A message was duplicated (link fault): a copy joined the queue tail.
-    Duplicate {
-        /// Sender.
-        src: NodeId,
-        /// Destination.
-        dst: NodeId,
-        /// Message kind.
-        kind: &'static str,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A node crashed.
-    Crash {
-        /// The node.
-        node: NodeId,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A crashed node restarted.
-    Restart {
-        /// The node.
-        node: NodeId,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A timer tick fired on a node.
-    Tick {
-        /// The node.
-        node: NodeId,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A Byzantine node forged a message onto a link.
-    Forge {
-        /// The Byzantine sender.
-        src: NodeId,
-        /// Destination.
-        dst: NodeId,
-        /// Message kind of the forged payload.
-        kind: &'static str,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A Byzantine sender silently withheld its oldest queued message.
-    Silence {
-        /// The Byzantine sender.
-        src: NodeId,
-        /// The receiver that never sees the message.
-        dst: NodeId,
-        /// Message kind of the withheld message.
-        kind: &'static str,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A crashed node restarted with stale (amnesiac) state.
-    StaleRestart {
-        /// The node.
-        node: NodeId,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A node joined the running network (churn).
-    Join {
-        /// The node.
-        node: NodeId,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
-    /// A node left the network permanently (churn).
-    Leave {
-        /// The node.
-        node: NodeId,
-        /// Simulation step at which it happened.
-        step: u64,
-    },
+    /// The choice that executed. A delivery to a crashed or departed node
+    /// is logged as the [`Choice::Drop`] it amounts to.
+    Did(Choice),
+}
+
+/// One logged simulation event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceEvent {
+    /// Simulation step at which it happened.
+    pub step: u64,
+    /// What happened.
+    pub what: What,
+    /// Kind of the message sent, delivered, lost, copied or forged; `None`
+    /// for an event on a node.
+    pub kind: Option<&'static str>,
+}
+
+impl TraceEvent {
+    /// Both ends of the event: `(src, dst)`, or its node twice.
+    fn ends(&self) -> (NodeId, NodeId) {
+        match self.what {
+            What::Send { src, dst, .. } => (src, dst),
+            What::Did(choice) => {
+                let (a, b, _) = choice.operands();
+                (a, b)
+            }
+        }
+    }
 }
 
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEvent::Wake { node, step } => write!(f, "[{step:>6}] wake    {node}"),
-            TraceEvent::Send {
-                src,
-                dst,
-                kind,
-                seq,
-                step,
-            } => {
-                write!(f, "[{step:>6}] send    {src} → {dst}  {kind} (#{seq})")
+        let (step, kind) = (self.step, self.kind.unwrap_or_default());
+        let (a, b) = self.ends();
+        match self.what {
+            What::Send { seq, .. } => {
+                write!(f, "[{step:>6}] send    {a} → {b}  {kind} (#{seq})")
             }
-            TraceEvent::Deliver {
-                src,
-                dst,
-                kind,
-                step,
-            } => {
-                write!(f, "[{step:>6}] deliver {src} → {dst}  {kind}")
+            What::Did(choice) => {
+                let row = choice.kind().row();
+                match row.shape {
+                    Shape::Node => write!(f, "[{step:>6}] {} {a}", row.verb),
+                    _ => write!(f, "[{step:>6}] {} {a} → {b}  {kind}", row.verb),
+                }
             }
-            TraceEvent::Drop {
-                src,
-                dst,
-                kind,
-                step,
-            } => {
-                write!(f, "[{step:>6}] drop    {src} → {dst}  {kind}")
-            }
-            TraceEvent::Duplicate {
-                src,
-                dst,
-                kind,
-                step,
-            } => {
-                write!(f, "[{step:>6}] dup     {src} → {dst}  {kind}")
-            }
-            TraceEvent::Crash { node, step } => write!(f, "[{step:>6}] crash   {node}"),
-            TraceEvent::Restart { node, step } => write!(f, "[{step:>6}] restart {node}"),
-            TraceEvent::Tick { node, step } => write!(f, "[{step:>6}] tick    {node}"),
-            TraceEvent::Forge {
-                src,
-                dst,
-                kind,
-                step,
-            } => {
-                write!(f, "[{step:>6}] forge   {src} → {dst}  {kind}")
-            }
-            TraceEvent::Silence {
-                src,
-                dst,
-                kind,
-                step,
-            } => {
-                write!(f, "[{step:>6}] silence {src} → {dst}  {kind}")
-            }
-            TraceEvent::StaleRestart { node, step } => {
-                write!(f, "[{step:>6}] stale-restart {node}")
-            }
-            TraceEvent::Join { node, step } => write!(f, "[{step:>6}] join    {node}"),
-            TraceEvent::Leave { node, step } => write!(f, "[{step:>6}] leave   {node}"),
         }
     }
 }
@@ -260,20 +135,9 @@ impl Trace {
 
     /// Events involving `node` (as waker, sender or receiver).
     pub fn involving(&self, node: NodeId) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.events.iter().filter(move |e| match e {
-            TraceEvent::Wake { node: n, .. }
-            | TraceEvent::Crash { node: n, .. }
-            | TraceEvent::Restart { node: n, .. }
-            | TraceEvent::Tick { node: n, .. }
-            | TraceEvent::StaleRestart { node: n, .. }
-            | TraceEvent::Join { node: n, .. }
-            | TraceEvent::Leave { node: n, .. } => *n == node,
-            TraceEvent::Send { src, dst, .. }
-            | TraceEvent::Deliver { src, dst, .. }
-            | TraceEvent::Drop { src, dst, .. }
-            | TraceEvent::Duplicate { src, dst, .. }
-            | TraceEvent::Forge { src, dst, .. }
-            | TraceEvent::Silence { src, dst, .. } => *src == node || *dst == node,
+        self.events.iter().filter(move |e| {
+            let (a, b) = e.ends();
+            a == node || b == node
         })
     }
 
@@ -304,14 +168,6 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// The node that sent the most messages, with its count.
-    pub fn busiest_sender(&self) -> Option<(NodeId, u64)> {
-        self.sends_by_node
-            .iter()
-            .max_by_key(|&(_, c)| *c)
-            .map(|(&n, &c)| (n, c))
-    }
-
     /// The directed link that carried the most messages, with its count.
     pub fn busiest_link(&self) -> Option<((NodeId, NodeId), u64)> {
         self.messages_by_link
@@ -335,25 +191,15 @@ impl Trace {
     pub fn stats(&self) -> TraceStats {
         let mut stats = TraceStats::default();
         for event in &self.events {
-            match *event {
-                TraceEvent::Wake { .. }
-                | TraceEvent::Drop { .. }
-                | TraceEvent::Duplicate { .. }
-                | TraceEvent::Crash { .. }
-                | TraceEvent::Restart { .. }
-                | TraceEvent::Tick { .. }
-                | TraceEvent::Forge { .. }
-                | TraceEvent::Silence { .. }
-                | TraceEvent::StaleRestart { .. }
-                | TraceEvent::Join { .. }
-                | TraceEvent::Leave { .. } => {}
-                TraceEvent::Send { src, .. } => {
+            match event.what {
+                What::Send { src, .. } => {
                     *stats.sends_by_node.entry(src).or_default() += 1;
                 }
-                TraceEvent::Deliver { src, dst, .. } => {
+                What::Did(Choice::Deliver { src, dst }) => {
                     *stats.receives_by_node.entry(dst).or_default() += 1;
                     *stats.messages_by_link.entry((src, dst)).or_default() += 1;
                 }
+                What::Did(_) => {}
             }
         }
         stats
@@ -364,43 +210,48 @@ impl Trace {
 mod tests {
     use super::*;
 
+    fn wake(node: usize, step: u64) -> TraceEvent {
+        TraceEvent {
+            step,
+            what: What::Did(Choice::Wake(NodeId::new(node))),
+            kind: None,
+        }
+    }
+
+    fn send(src: usize, dst: usize, seq: u64) -> TraceEvent {
+        TraceEvent {
+            step: seq,
+            what: What::Send {
+                src: NodeId::new(src),
+                dst: NodeId::new(dst),
+                seq,
+            },
+            kind: Some("x"),
+        }
+    }
+
+    fn deliver(src: usize, dst: usize) -> TraceEvent {
+        TraceEvent {
+            step: 0,
+            what: What::Did(Choice::Deliver {
+                src: NodeId::new(src),
+                dst: NodeId::new(dst),
+            }),
+            kind: Some("x"),
+        }
+    }
+
     #[test]
     fn stats_aggregate_sends_receives_and_links() {
         let mut t = Trace::default();
-        t.push(TraceEvent::Wake {
-            node: NodeId::new(0),
-            step: 0,
-        });
+        t.push(wake(0, 0));
         for i in 0..3 {
-            t.push(TraceEvent::Send {
-                src: NodeId::new(0),
-                dst: NodeId::new(1),
-                kind: "x",
-                seq: i,
-                step: i,
-            });
-            t.push(TraceEvent::Deliver {
-                src: NodeId::new(0),
-                dst: NodeId::new(1),
-                kind: "x",
-                step: i + 1,
-            });
+            t.push(send(0, 1, i));
+            t.push(deliver(0, 1));
         }
-        t.push(TraceEvent::Send {
-            src: NodeId::new(1),
-            dst: NodeId::new(0),
-            kind: "y",
-            seq: 3,
-            step: 5,
-        });
-        t.push(TraceEvent::Deliver {
-            src: NodeId::new(1),
-            dst: NodeId::new(0),
-            kind: "y",
-            step: 6,
-        });
+        t.push(send(1, 0, 3));
+        t.push(deliver(1, 0));
         let s = t.stats();
-        assert_eq!(s.busiest_sender(), Some((NodeId::new(0), 3)));
         assert_eq!(
             s.busiest_link(),
             Some(((NodeId::new(0), NodeId::new(1)), 3))
@@ -414,7 +265,6 @@ mod tests {
     fn empty_trace_has_empty_stats() {
         let t = Trace::default();
         let s = t.stats();
-        assert!(s.busiest_sender().is_none());
         assert!(s.busiest_link().is_none());
         assert!(s.top_senders(3).is_empty());
     }
@@ -422,21 +272,9 @@ mod tests {
     #[test]
     fn involving_filters_by_participant() {
         let mut t = Trace::default();
-        t.push(TraceEvent::Wake {
-            node: NodeId::new(0),
-            step: 0,
-        });
-        t.push(TraceEvent::Send {
-            src: NodeId::new(0),
-            dst: NodeId::new(1),
-            kind: "x",
-            seq: 0,
-            step: 1,
-        });
-        t.push(TraceEvent::Wake {
-            node: NodeId::new(2),
-            step: 2,
-        });
+        t.push(wake(0, 0));
+        t.push(send(0, 1, 1));
+        t.push(wake(2, 2));
         assert_eq!(t.involving(NodeId::new(1)).count(), 1);
         assert_eq!(t.involving(NodeId::new(0)).count(), 2);
         assert_eq!(t.involving(NodeId::new(3)).count(), 0);
@@ -446,10 +284,7 @@ mod tests {
     fn render_truncates() {
         let mut t = Trace::default();
         for i in 0..5 {
-            t.push(TraceEvent::Wake {
-                node: NodeId::new(i),
-                step: i as u64,
-            });
+            t.push(wake(i, i as u64));
         }
         let s = t.render(2);
         assert_eq!(s.lines().count(), 3);
@@ -461,10 +296,7 @@ mod tests {
     fn render_at_exact_limit_has_no_elision_marker() {
         let mut t = Trace::default();
         for i in 0..3 {
-            t.push(TraceEvent::Wake {
-                node: NodeId::new(i),
-                step: i as u64,
-            });
+            t.push(wake(i, i as u64));
         }
         let exact = t.render(3);
         assert_eq!(exact.lines().count(), 3);
@@ -472,25 +304,6 @@ mod tests {
         // A zero limit renders nothing but the elision marker.
         assert_eq!(t.render(0), "… 3 more events\n");
         assert_eq!(t.render(usize::MAX), exact);
-    }
-
-    fn send(src: usize, dst: usize, seq: u64) -> TraceEvent {
-        TraceEvent::Send {
-            src: NodeId::new(src),
-            dst: NodeId::new(dst),
-            kind: "x",
-            seq,
-            step: seq,
-        }
-    }
-
-    fn deliver(src: usize, dst: usize) -> TraceEvent {
-        TraceEvent::Deliver {
-            src: NodeId::new(src),
-            dst: NodeId::new(dst),
-            kind: "x",
-            step: 0,
-        }
     }
 
     #[test]
@@ -517,18 +330,18 @@ mod tests {
     }
 
     #[test]
-    fn tied_maxima_resolve_to_the_largest_key() {
+    fn tied_busiest_links_resolve_to_the_largest_key() {
         // `max_by_key` keeps the last maximum; BTreeMap iterates in
-        // ascending key order, so ties resolve to the largest node/link.
+        // ascending key order, so ties resolve to the largest link.
         // Pinned so hot-spot reports stay deterministic.
         let mut t = Trace::default();
-        t.push(send(0, 1, 0));
-        t.push(send(1, 0, 1));
         t.push(deliver(0, 1));
         t.push(deliver(1, 0));
         let s = t.stats();
-        assert_eq!(s.busiest_sender(), Some((NodeId::new(1), 1)));
-        assert_eq!(s.busiest_link(), Some(((NodeId::new(1), NodeId::new(0)), 1)));
+        assert_eq!(
+            s.busiest_link(),
+            Some(((NodeId::new(1), NodeId::new(0)), 1))
+        );
     }
 
     #[test]
@@ -538,16 +351,5 @@ mod tests {
         assert_eq!(t.involving(NodeId::new(0)).count(), 1);
         let s = t.stats();
         assert_eq!(s.messages_by_link[&(NodeId::new(0), NodeId::new(0))], 1);
-    }
-
-    #[test]
-    fn display_formats_are_readable() {
-        let e = TraceEvent::Deliver {
-            src: NodeId::new(1),
-            dst: NodeId::new(2),
-            kind: "search",
-            step: 42,
-        };
-        assert_eq!(e.to_string(), "[    42] deliver n1 → n2  search");
     }
 }
