@@ -710,7 +710,7 @@ pub fn f1_transition_coverage(quick: bool, t: &mut Table) {
                 d.run_all(&mut RandomScheduler::seeded(seed * 131 + 17))
                     .expect("run livelocked");
                 for node in d.runner().nodes() {
-                    for &tr in node.transitions() {
+                    for tr in node.transitions() {
                         *counts.entry(tr).or_default() += 1;
                     }
                 }

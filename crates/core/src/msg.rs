@@ -167,7 +167,63 @@ impl Message {
     /// Whether this message is routed leaf-to-leader along `next` pointers
     /// (and therefore serialized through relays' `previous` queues).
     pub fn is_routable_request(&self) -> bool {
-        matches!(self, Message::Search { .. } | Message::Probe { .. })
+        Request::of(self).is_some()
+    }
+}
+
+/// A routable request ([`Message::is_routable_request`]) as a node's
+/// `previous` and \[D1] `deferred` queues store it: the same fields as the
+/// [`Message::Search`] / [`Message::Probe`] it stands for in 16 B, where
+/// the full enum is sized by its `IdSeq`-carrying variants.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Request {
+    /// A [`Message::Search`].
+    Search {
+        origin: NodeId,
+        origin_phase: u32,
+        target: NodeId,
+        new_edge: bool,
+    },
+    /// A [`Message::Probe`].
+    Probe { origin: NodeId },
+}
+
+impl Request {
+    /// The request `msg` is, or `None` for any other message.
+    pub(crate) fn of(msg: &Message) -> Option<Request> {
+        match *msg {
+            Message::Search {
+                origin,
+                origin_phase,
+                target,
+                new_edge,
+            } => Some(Request::Search {
+                origin,
+                origin_phase,
+                target,
+                new_edge,
+            }),
+            Message::Probe { origin } => Some(Request::Probe { origin }),
+            _ => None,
+        }
+    }
+
+    /// The message this request stands for.
+    pub(crate) fn message(self) -> Message {
+        match self {
+            Request::Search {
+                origin,
+                origin_phase,
+                target,
+                new_edge,
+            } => Message::Search {
+                origin,
+                origin_phase,
+                target,
+                new_edge,
+            },
+            Request::Probe { origin } => Message::Probe { origin },
+        }
     }
 }
 
@@ -594,6 +650,25 @@ mod tests {
         }
         .is_routable_request());
         assert!(!Message::MergeAccept.is_routable_request());
+    }
+
+    #[test]
+    fn requests_round_trip_the_routable_messages_only() {
+        assert_eq!(std::mem::size_of::<Request>(), 16);
+        let search = Message::Search {
+            origin: NodeId::new(7),
+            origin_phase: 3,
+            target: NodeId::new(9),
+            new_edge: true,
+        };
+        let probe = Message::Probe {
+            origin: NodeId::new(4),
+        };
+        for msg in [search, probe] {
+            assert_eq!(Request::of(&msg).map(Request::message), Some(msg));
+        }
+        assert_eq!(Request::of(&Message::MergeAccept), None);
+        assert_eq!(Request::of(&Message::Conquer { phase: 2 }), None);
     }
 
     #[test]

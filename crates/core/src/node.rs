@@ -30,8 +30,8 @@ use std::collections::VecDeque;
 
 use ard_netsim::{Context, Envelope, IdSeq, IdSet, NodeId, Protocol, StateDigest};
 
-use crate::msg::{InfoPayload, Message, Verdict};
-use crate::status::{Status, Transition};
+use crate::msg::{InfoPayload, Message, Request, Verdict};
+use crate::status::{self, PackedLog, Status, Transition};
 use crate::{Config, Variant};
 
 /// Sentinel `want` value requesting a member's entire `local` set (used by
@@ -64,12 +64,85 @@ enum Disposition {
     Deferred(Message),
 }
 
+/// A queued request and the neighbour it arrived from.
+#[derive(Clone, Copy, Debug)]
+struct Queued {
+    request: Request,
+    peer: NodeId,
+}
+
+impl Queued {
+    /// # Panics
+    ///
+    /// Unless `msg` is a search or a probe: nothing else is ever relayed
+    /// or deferred.
+    fn new(msg: &Message, peer: NodeId) -> Self {
+        let request = Request::of(msg).expect("only searches and probes are queued");
+        Queued { request, peer }
+    }
+}
+
+/// The state only a few nodes hold at any moment. A node allocates it on
+/// first use and drops it the moment it holds nothing
+/// ([`ArdNode::release_drained`]), so a relay between requests, like a node
+/// that handed its cluster on, keeps nothing behind.
+#[derive(Debug)]
+struct Cold {
+    /// Relay queue of in-transit searches/probes, each with its sender.
+    previous: VecDeque<Queued>,
+    /// \[D1] requests the current state cannot consume yet, each with its
+    /// sender.
+    deferred: VecDeque<Queued>,
+    probe_results: Vec<Vec<NodeId>>,
+    probes_outstanding: u32,
+    /// The transition log beyond the inline [`PackedLog`].
+    spill: Vec<Status>,
+}
+
+/// What a node without a cold part reads.
+static NOTHING: Cold = Cold::new();
+
+impl Cold {
+    const fn new() -> Self {
+        Cold {
+            previous: VecDeque::new(),
+            deferred: VecDeque::new(),
+            probe_results: Vec::new(),
+            probes_outstanding: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn holds_nothing(&self) -> bool {
+        self.previous.is_empty()
+            && self.deferred.is_empty()
+            && self.probe_results.is_empty()
+            && self.probes_outstanding == 0
+            && self.spill.is_empty()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Cold>()
+            + (self.previous.capacity() + self.deferred.capacity()) * size_of::<Queued>()
+            + self.probe_results.capacity() * size_of::<Vec<NodeId>>()
+            + self
+                .probe_results
+                .iter()
+                .map(|ids| ids.capacity() * size_of::<NodeId>())
+                .sum::<usize>()
+            + self.spill.capacity() * size_of::<Status>()
+    }
+}
+
 /// One node running the resource-discovery algorithm.
 ///
 /// The fields mirror the paper's Figure 2: `local`, `more`, `done`,
 /// `unaware`, `unexplored`, the `previous` FIFO, the `next` pointer and the
 /// `phase` counter. Extra fields are simulation bookkeeping (deferral queue,
-/// transition log, probe results).
+/// transition log, probe results). The record every delivery touches is
+/// inline; the queues, the probe bookkeeping and the tail of a long
+/// transition log sit in a lazily allocated cold part.
 ///
 /// Nodes are driven through [`ard_netsim::Runner`] — see
 /// [`Discovery`](crate::Discovery) for the high-level API.
@@ -78,9 +151,9 @@ pub struct ArdNode {
     id: NodeId,
     variant: Variant,
     config: Config,
-    /// Size of this node's weakly connected component; `Some` only in the
-    /// Bounded variant.
-    component_size: Option<usize>,
+    /// Size of this node's weakly connected component; known (non-zero)
+    /// only in the Bounded variant.
+    component_size: u32,
 
     status: Status,
     phase: u32,
@@ -90,11 +163,8 @@ pub struct ArdNode {
     done: IdSet,
     unaware: IdSet,
     unexplored: IdSet,
-    /// Relay queue of in-transit searches/probes: `(message, sender)`.
-    previous: VecDeque<(Message, NodeId)>,
+    cold: Option<Box<Cold>>,
 
-    /// \[D1] messages the current state cannot consume yet.
-    deferred: VecDeque<(NodeId, Message)>,
     /// `Some(w)` while exploring and awaiting `w`'s query reply.
     awaiting_query_from: Option<NodeId>,
     /// Whether a `Wait` state is for our own search's release (vs idle).
@@ -105,9 +175,8 @@ pub struct ArdNode {
     /// (or, on the leader, once it sends that wave).
     terminated: bool,
 
-    transitions: Vec<Transition>,
-    probe_results: Vec<Vec<NodeId>>,
-    probes_outstanding: usize,
+    /// The first transitions taken; the rest are `cold.spill`.
+    log: PackedLog,
 }
 
 impl ArdNode {
@@ -128,7 +197,7 @@ impl ArdNode {
             id,
             variant,
             config,
-            component_size: None,
+            component_size: 0,
             status: Status::Asleep,
             phase: 1,
             next: id,
@@ -137,15 +206,12 @@ impl ArdNode {
             done: IdSet::new(),
             unaware: IdSet::new(),
             unexplored: IdSet::new(),
-            previous: VecDeque::new(),
-            deferred: VecDeque::new(),
+            cold: None,
             awaiting_query_from: None,
             awaiting_release: false,
             inactive_phase: 0,
             terminated: false,
-            transitions: Vec::new(),
-            probe_results: Vec::new(),
-            probes_outstanding: 0,
+            log: PackedLog::new(),
         }
     }
 
@@ -157,7 +223,7 @@ impl ArdNode {
             Variant::Bounded,
             "only the Bounded variant knows sizes"
         );
-        self.component_size = Some(n);
+        self.component_size = u32::try_from(n).expect("component size exceeds u32::MAX");
     }
 
     // ------------------------------------------------------------------
@@ -220,32 +286,76 @@ impl ArdNode {
         self.terminated
     }
 
-    /// The log of state transitions taken so far.
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
+    /// The log of state transitions taken so far, oldest first.
+    pub fn transitions(&self) -> impl Iterator<Item = Transition> + '_ {
+        status::transitions(self.log.iter().chain(self.cold().spill.iter().copied()))
     }
 
     /// Snapshots received in answer to this node's probes (Ad-hoc variant),
     /// oldest first.
     pub fn probe_results(&self) -> &[Vec<NodeId>] {
-        &self.probe_results
+        &self.cold().probe_results
     }
 
     /// Number of probes issued but not yet answered.
     pub fn probes_outstanding(&self) -> usize {
-        self.probes_outstanding
+        self.cold().probes_outstanding as usize
     }
 
     /// Messages deferred by the current state (\[D1]); must be empty at
     /// quiescence.
     pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
+        self.cold().deferred.len()
     }
 
     /// Relayed searches/probes awaiting their release; must be empty at
     /// quiescence.
     pub fn previous_len(&self) -> usize {
-        self.previous.len()
+        self.cold().previous.len()
+    }
+
+    /// Heap bytes this node owns — the five sets and the cold part — by
+    /// capacity, not occupancy.
+    pub fn heap_bytes(&self) -> usize {
+        [
+            &self.local,
+            &self.more,
+            &self.done,
+            &self.unaware,
+            &self.unexplored,
+        ]
+        .into_iter()
+        .map(IdSet::heap_bytes)
+        .sum::<usize>()
+            + self.cold.as_deref().map_or(0, Cold::heap_bytes)
+    }
+
+    /// The cold part to read: an absent one reads as empty.
+    fn cold(&self) -> &Cold {
+        self.cold.as_deref().unwrap_or(&NOTHING)
+    }
+
+    /// The cold part to write, allocated on first use.
+    fn cold_mut(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(|| Box::new(Cold::new()))
+    }
+
+    /// Frees what the handler that just ran emptied: the whole cold part
+    /// once it holds nothing, else a drained queue's buffer. Nothing is
+    /// kept "for next time" — three quarters of all queue pushes find the
+    /// queue empty, and a kept 4-slot buffer on every node that ever
+    /// relayed was a quarter of a large run's per-node memory.
+    fn release_drained(&mut self) {
+        let Some(cold) = &mut self.cold else { return };
+        if cold.holds_nothing() {
+            self.cold = None;
+            return;
+        }
+        for queue in [&mut cold.previous, &mut cold.deferred] {
+            if queue.is_empty() {
+                *queue = VecDeque::new();
+            }
+        }
     }
 
     fn in_cluster(&self, v: NodeId) -> bool {
@@ -258,7 +368,9 @@ impl ArdNode {
 
     fn set_status(&mut self, to: Status) {
         if self.status != to {
-            self.transitions.push(Transition::new(self.status, to));
+            if !self.log.push(to) {
+                self.cold_mut().spill.push(to);
+            }
             self.status = to;
         }
     }
@@ -302,10 +414,10 @@ impl ArdNode {
             Status::Explore | Status::Wait | Status::Passive => {
                 // We are our own (possibly provisional) leader.
                 let snap = self.snapshot();
-                self.probe_results.push(snap.to_vec());
+                self.cold_mut().probe_results.push(snap.to_vec());
             }
             Status::Inactive => {
-                self.probes_outstanding += 1;
+                self.cold_mut().probes_outstanding += 1;
                 ctx.send(self.next, Message::Probe { origin: self.id });
             }
             other => panic!("cannot probe from transient state {other}"),
@@ -473,8 +585,9 @@ impl ArdNode {
         if self.variant != Variant::Bounded || self.terminated {
             return;
         }
-        let Some(n) = self.component_size else { return };
-        if self.done.len() == n {
+        // A Bounded node knows its component's size from before it woke
+        // (`on_wake` asserts it).
+        if self.done.len() == self.component_size as usize {
             debug_assert!(self.more.is_empty());
             for u in self.done.iter() {
                 if u != self.id {
@@ -507,8 +620,6 @@ impl ArdNode {
         }
     }
 
-    /// Re-attempts deferred messages after a state change, preserving their
-    /// FIFO order, until a full pass makes no progress.
     /// Whether the current state can consume deferred messages at all. The
     /// busy states defer every `search`/`probe` [D1], so pumping them would
     /// re-defer the entire queue without progress — and the Bounded/Ad-hoc
@@ -523,20 +634,22 @@ impl ArdNode {
         )
     }
 
+    /// Re-attempts deferred messages after a state change, preserving their
+    /// FIFO order, until a full pass makes no progress.
     fn pump_deferred(&mut self, ctx: &mut Context<'_, Message>) {
         loop {
             let mut progressed = false;
-            for _ in 0..self.deferred.len() {
+            for _ in 0..self.deferred_len() {
                 if !self.can_consume_deferred() {
                     return;
                 }
-                let (from, msg) = self.deferred.pop_front().expect("len checked");
-                match self.dispatch(from, msg, ctx) {
+                let queued = self.cold_mut().deferred.pop_front().expect("len checked");
+                match self.dispatch(queued.peer, queued.request.message(), ctx) {
                     Disposition::Consumed => progressed = true,
-                    Disposition::Deferred(m) => self.deferred.push_back((from, m)),
+                    Disposition::Deferred(_) => self.cold_mut().deferred.push_back(queued),
                 }
             }
-            if !progressed || self.deferred.is_empty() {
+            if !progressed || self.deferred_len() == 0 {
                 return;
             }
         }
@@ -978,18 +1091,18 @@ impl ArdNode {
                 ids,
             } => {
                 if dest == self.id {
-                    if self.probes_outstanding == 0 {
+                    if self.probes_outstanding() == 0 {
                         // Only forgery produces an unsolicited probe reply.
                         debug_assert!(self.config.byzantine_tolerant, "unsolicited probe reply");
                         return Disposition::Consumed;
                     }
-                    self.probes_outstanding -= 1;
+                    self.cold_mut().probes_outstanding -= 1;
                     // The requester compresses its own pointer too ([D6]
                     // staleness guard applies as everywhere).
                     if self.config.path_compression && leader_phase >= self.inactive_phase {
                         self.next = leader;
                     }
-                    self.probe_results.push(ids.to_vec());
+                    self.cold_mut().probe_results.push(ids.to_vec());
                 } else {
                     self.route_reply_back(
                         leader,
@@ -1039,9 +1152,9 @@ impl ArdNode {
     /// request and forward it only if it is alone in the queue — at most one
     /// request per relay is in flight toward the leader.
     fn enqueue_routable(&mut self, msg: Message, from: NodeId, ctx: &mut Context<'_, Message>) {
-        debug_assert!(msg.is_routable_request());
-        self.previous.push_back((msg.clone(), from));
-        if self.previous.len() == 1 {
+        let previous = &mut self.cold_mut().previous;
+        previous.push_back(Queued::new(&msg, from));
+        if previous.len() == 1 {
             ctx.send(self.next, msg);
         }
     }
@@ -1061,7 +1174,7 @@ impl ArdNode {
         reply: Message,
         ctx: &mut Context<'_, Message>,
     ) {
-        let Some((_request, return_to)) = self.previous.pop_front() else {
+        let Some(answered) = self.cold.as_mut().and_then(|c| c.previous.pop_front()) else {
             // A reply with no request is either a bug or a forgery; under
             // Byzantine tolerance we drop it rather than misroute it.
             assert!(
@@ -1073,9 +1186,9 @@ impl ArdNode {
         if self.config.path_compression && leader_phase >= self.inactive_phase {
             self.next = leader;
         }
-        ctx.send(return_to, reply);
-        if let Some((next_request, _)) = self.previous.front() {
-            ctx.send(self.next, next_request.clone());
+        ctx.send(answered.peer, reply);
+        if let Some(waiting) = self.cold().previous.front() {
+            ctx.send(self.next, waiting.request.message());
         }
     }
 }
@@ -1087,7 +1200,7 @@ impl Protocol for ArdNode {
         assert_eq!(self.status, Status::Asleep, "woken twice");
         if self.variant == Variant::Bounded {
             assert!(
-                self.component_size.is_some(),
+                self.component_size != 0,
                 "Bounded node woken without its component size"
             );
         }
@@ -1097,8 +1210,11 @@ impl Protocol for ArdNode {
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_, Message>) {
         match self.dispatch(from, msg, ctx) {
-            Disposition::Consumed => self.pump_deferred(ctx),
-            Disposition::Deferred(m) => self.deferred.push_back((from, m)),
+            Disposition::Consumed => {
+                self.pump_deferred(ctx);
+                self.release_drained();
+            }
+            Disposition::Deferred(m) => self.cold_mut().deferred.push_back(Queued::new(&m, from)),
         }
     }
 
@@ -1116,13 +1232,16 @@ impl Protocol for ArdNode {
         self.done.clear();
         self.unaware.clear();
         self.unexplored.clear();
-        self.previous.clear();
-        self.deferred.clear();
+        if let Some(cold) = &mut self.cold {
+            cold.previous.clear();
+            cold.deferred.clear();
+            cold.probes_outstanding = 0;
+        }
+        self.release_drained();
         self.awaiting_query_from = None;
         self.awaiting_release = false;
         self.inactive_phase = 0;
         self.terminated = false;
-        self.probes_outstanding = 0;
         self.on_wake(ctx);
     }
 
@@ -1140,15 +1259,17 @@ impl Protocol for ArdNode {
             d.mix(set.len() as u64);
             set.for_each(|id| d.mix(id.index() as u64));
         }
-        d.mix(self.previous.len() as u64);
-        for (msg, from) in &self.previous {
-            msg.digest(d);
-            d.mix(from.index() as u64);
+        // A queued request digests as the message it stands for.
+        let cold = self.cold();
+        d.mix(cold.previous.len() as u64);
+        for queued in &cold.previous {
+            queued.request.message().digest(d);
+            d.mix(queued.peer.index() as u64);
         }
-        d.mix(self.deferred.len() as u64);
-        for (from, msg) in &self.deferred {
-            d.mix(from.index() as u64);
-            msg.digest(d);
+        d.mix(cold.deferred.len() as u64);
+        for queued in &cold.deferred {
+            d.mix(queued.peer.index() as u64);
+            queued.request.message().digest(d);
         }
         match self.awaiting_query_from {
             Some(w) => d.mix(1 + w.index() as u64),
@@ -1157,15 +1278,15 @@ impl Protocol for ArdNode {
         d.mix(u64::from(self.awaiting_release));
         d.mix(u64::from(self.inactive_phase));
         d.mix(u64::from(self.terminated));
-        d.mix(self.probes_outstanding as u64);
-        d.mix(self.probe_results.len() as u64);
-        for ids in &self.probe_results {
+        d.mix(u64::from(cold.probes_outstanding));
+        d.mix(cold.probe_results.len() as u64);
+        for ids in &cold.probe_results {
             d.mix(ids.len() as u64);
             for id in ids {
                 d.mix(id.index() as u64);
             }
         }
-        // `transitions` is deliberately excluded: it is a pure history log
+        // The transition log is deliberately excluded: it is a pure history
         // (the Figure 1 conformance check reads it, the protocol and the
         // requirement checks never do), so two states differing only in how
         // they got here are genuinely equivalent futures.
@@ -1174,6 +1295,8 @@ impl Protocol for ArdNode {
 
 #[cfg(test)]
 mod tests {
+    use std::mem::size_of;
+
     use super::*;
 
     fn node(id: usize, local: &[usize]) -> ArdNode {
@@ -1300,6 +1423,179 @@ mod tests {
         assert_eq!(cluster_heap(&n)[2..], [0; 2]);
     }
 
+    fn search(origin: usize, origin_phase: u32, target: usize) -> Message {
+        Message::Search {
+            origin: NodeId::new(origin),
+            origin_phase,
+            target: NodeId::new(target),
+            new_edge: false,
+        }
+    }
+
+    /// Node 0 with an empty `local`, conquered by `leader` and inactive.
+    fn inactive_relay(leader: NodeId, out: &mut Vec<(NodeId, Message)>) -> ArdNode {
+        let mut n = node(0, &[]);
+        let mut ctx = Context::new(n.id, out);
+        n.on_wake(&mut ctx);
+        n.on_message(leader, search(leader.index(), 4, 0), &mut ctx);
+        n.on_message(leader, Message::MergeAccept, &mut ctx);
+        assert_eq!(n.status(), Status::Inactive);
+        assert_eq!(n.heap_bytes(), 0);
+        n
+    }
+
+    /// The queues follow the rule of the sets: a relay between requests, a
+    /// node whose deferred requests were pumped and a relay whose probe was
+    /// answered own no cold part, and a prober's holds its results only.
+    #[test]
+    fn a_drained_node_keeps_no_cold_part() {
+        let id = NodeId::new;
+        let leader = id(9);
+        let mut out = Vec::new();
+        let release = |dest| Message::Release {
+            leader,
+            leader_phase: 4,
+            verdict: Verdict::Abort,
+            dest,
+        };
+
+        // Relays two searches — the second waits its turn in `previous` —
+        // and their releases.
+        let mut n = inactive_relay(leader, &mut out);
+        let mut ctx = Context::new(n.id, &mut out);
+        n.on_message(id(5), search(5, 2, 1), &mut ctx);
+        n.on_message(id(6), search(6, 2, 1), &mut ctx);
+        assert_eq!(n.previous_len(), 2);
+        assert_eq!(
+            n.heap_bytes(),
+            size_of::<Cold>() + n.cold().previous.capacity() * size_of::<Queued>()
+        );
+        n.on_message(leader, release(id(5)), &mut ctx);
+        assert_eq!(n.previous_len(), 1);
+        assert!(n.cold.is_some());
+        n.on_message(leader, release(id(6)), &mut ctx);
+        assert!(n.cold.is_none());
+        assert_eq!(n.heap_bytes(), 0);
+
+        // Relays a probe and its reply; then probes for itself.
+        n.on_message(id(5), Message::Probe { origin: id(5) }, &mut ctx);
+        assert_eq!(n.previous_len(), 1);
+        let reply = |dest| Message::ProbeReply {
+            leader,
+            leader_phase: 4,
+            dest,
+            ids: [leader, id(0), id(5)].into_iter().collect(),
+        };
+        n.on_message(leader, reply(id(5)), &mut ctx);
+        assert!(n.cold.is_none());
+        n.start_probe(&mut ctx);
+        assert_eq!(n.probes_outstanding(), 1);
+        n.on_message(leader, reply(n.id), &mut ctx);
+        assert_eq!(n.probes_outstanding(), 0);
+        assert_eq!(n.probe_results(), [[leader, id(0), id(5)]]);
+        assert_eq!(n.previous_len() + n.deferred_len(), 0);
+
+        // Defers a search and a probe while exploring (awaiting n1's query
+        // reply), then pumps both once the reply lands it in `Wait`.
+        let mut n = node(0, &[]);
+        n.more.insert(id(1));
+        n.on_wake(&mut ctx);
+        assert_eq!(n.status(), Status::Explore);
+        n.on_message(id(5), search(5, 0, 0), &mut ctx);
+        n.on_message(id(6), Message::Probe { origin: id(6) }, &mut ctx);
+        assert_eq!(n.deferred_len(), 2);
+        let more_heap = n.more.heap_bytes() + n.done.heap_bytes();
+        assert!(n.heap_bytes() > more_heap);
+        let exhausted = Message::QueryReply {
+            ids: IdSeq::new(),
+            exhausted: true,
+        };
+        n.on_message(id(1), exhausted, &mut ctx);
+        assert_eq!(n.status(), Status::Wait);
+        assert!(n.cold.is_none());
+        assert_eq!(
+            n.heap_bytes(),
+            n.more.heap_bytes() + n.done.heap_bytes() + n.unexplored.heap_bytes()
+        );
+
+        // An amnesiac restart forgets the queues with everything else.
+        let mut n = inactive_relay(leader, &mut out);
+        let mut ctx = Context::new(n.id, &mut out);
+        n.on_message(id(5), search(5, 2, 1), &mut ctx);
+        assert!(n.cold.is_some());
+        n.on_stale_restart(&mut ctx);
+        assert!(n.cold.is_none());
+    }
+
+    /// The packed log against the plain `Vec<Transition>` it replaced, at
+    /// every length across the inline-to-spill boundary.
+    #[test]
+    fn packed_transition_log_matches_a_vec_model() {
+        // Figure 1 walks: wake, lead, lose, go passive, be reconquered …
+        let cycle = [
+            Status::Explore,
+            Status::Wait,
+            Status::Conqueror,
+            Status::Explore,
+            Status::Wait,
+            Status::Conquered,
+            Status::Passive,
+            Status::Conquered,
+            Status::Inactive,
+            // … and come back amnesiac (`on_stale_restart`).
+            Status::Asleep,
+        ];
+        for len in 0..=64 {
+            let mut n = node(0, &[]);
+            let mut model = Vec::new();
+            for &to in cycle.iter().cycle().take(len) {
+                model.push(Transition::new(n.status(), to));
+                n.set_status(to);
+                n.set_status(to); // a self-loop is not a transition
+                assert_eq!(n.status(), to);
+            }
+            assert_eq!(n.transitions().collect::<Vec<_>>(), model, "length {len}");
+            assert_eq!(n.status(), model.last().map_or(Status::Asleep, |t| t.to));
+            assert_eq!(n.cold.is_some(), len > PackedLog::CAPACITY);
+            assert_eq!(
+                n.cold().spill.len(),
+                len.saturating_sub(PackedLog::CAPACITY)
+            );
+        }
+    }
+
+    /// `digest_state` feeds the explorer's dedup and the `round_fifo`
+    /// pins: a queued request must digest as the `(Message, NodeId)` pair
+    /// it replaced, and an absent cold part as two empty queues. The
+    /// values are what the build before the cold part printed for these
+    /// states.
+    #[test]
+    fn queued_requests_digest_as_the_messages_they_stand_for() {
+        let digest = |n: &ArdNode| {
+            let mut d = StateDigest::new();
+            n.digest_state(&mut d);
+            d.finish()
+        };
+        let mut n = node(3, &[1, 2]);
+        assert_eq!(digest(&n), 0xda80_93ef_390e_8976);
+        let id = NodeId::new;
+        let queued = |msg: Message, peer| Queued::new(&msg, id(peer));
+        let new_edge = Message::Search {
+            origin: id(7),
+            origin_phase: 2,
+            target: id(3),
+            new_edge: true,
+        };
+        let cold = n.cold_mut();
+        cold.previous.push_back(queued(new_edge, 5));
+        cold.previous
+            .push_back(queued(Message::Probe { origin: id(8) }, 6));
+        cold.deferred.push_back(queued(search(10, 4, 11), 9));
+        cold.deferred
+            .push_back(queued(Message::Probe { origin: id(13) }, 12));
+        assert_eq!(digest(&n), 0xf8df_8199_f5a7_0032);
+    }
+
     #[test]
     fn lex_pair_orders_phase_first() {
         let mut a = node(9, &[]);
@@ -1313,11 +1609,14 @@ mod tests {
 
     /// Per-node state is what the large-n runs stream through the cache
     /// (docs/perf.md: "suspect anything that … fattens per-node state").
-    /// An `IdSet` is three words; a later field or a fatter set
-    /// representation has to show up in this number.
+    /// An `IdSet` is three words; a later field, a fatter set
+    /// representation or a fatter queue entry has to show up in these
+    /// numbers.
     #[test]
     fn node_size_is_pinned() {
-        assert_eq!(std::mem::size_of::<IdSet>(), 24);
-        assert_eq!(std::mem::size_of::<ArdNode>(), 288);
+        assert_eq!(size_of::<IdSet>(), 24);
+        assert_eq!(size_of::<ArdNode>(), 176);
+        assert_eq!(size_of::<Queued>(), 20);
+        assert_eq!(size_of::<Cold>(), 120);
     }
 }

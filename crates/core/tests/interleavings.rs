@@ -53,7 +53,7 @@ fn reverse_edge_reopens_done_nodes() {
     // (the [D2] Wait → Explore edge) unless it was itself conquered first.
     let re_explored = d.runner().nodes().any(|n| {
         n.transitions()
-            .contains(&Transition::new(Status::Wait, Status::Explore))
+            .any(|t| t == Transition::new(Status::Wait, Status::Explore))
     });
     let leader_changed = final_leader != leader01;
     assert!(
@@ -78,7 +78,7 @@ fn merge_fail_chains_converge() {
             // later conquered: it must appear in the transition logs.
             let reconquered = d.runner().nodes().any(|n| {
                 n.transitions()
-                    .contains(&Transition::new(Status::Conquered, Status::Passive))
+                    .any(|t| t == Transition::new(Status::Conquered, Status::Passive))
             });
             assert!(
                 reconquered,
@@ -105,7 +105,7 @@ fn passive_hoarders_are_reconquered() {
         d.check_requirements(&graph).unwrap();
         let had_passive = d.runner().nodes().any(|n| {
             n.transitions()
-                .contains(&Transition::new(Status::Passive, Status::Conquered))
+                .any(|t| t == Transition::new(Status::Passive, Status::Conquered))
         });
         if had_passive {
             exercised += 1;

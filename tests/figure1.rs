@@ -12,7 +12,7 @@ use asynchronous_resource_discovery::netsim::{LifoScheduler, RandomScheduler, Sc
 
 fn collect(counts: &mut BTreeMap<Transition, u64>, d: &Discovery) {
     for node in d.runner().nodes() {
-        for &tr in node.transitions() {
+        for tr in node.transitions() {
             *counts.entry(tr).or_default() += 1;
         }
     }
@@ -78,7 +78,6 @@ fn every_node_wakes_exactly_once() {
     for node in d.runner().nodes() {
         let wakes = node
             .transitions()
-            .iter()
             .filter(|t| t.from == Status::Asleep)
             .count();
         assert_eq!(wakes, 1, "node {} woke {wakes} times", node.id());
