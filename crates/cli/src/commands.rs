@@ -724,8 +724,9 @@ enum System {
         /// What the run is subjected to. A Byzantine or churn plan selects
         /// the hardened protocol and the survivor-restricted guarantees,
         /// and the churn plan's joiners get no initial wake-up — their
-        /// recorded `Join` choices wake them instead.
-        plans: Plans,
+        /// recorded `Join` choices wake them instead. Boxed: the fixture
+        /// variants are one word.
+        plans: Box<Plans>,
     },
     Racy {
         clients: usize,
@@ -759,7 +760,7 @@ impl System {
             graph: spec::parse_topology(topology)?,
             variant,
             reliable,
-            plans,
+            plans: Box::new(plans),
         })
     }
 
@@ -915,7 +916,7 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
                     flags.get("variant").map(String::as_str).unwrap_or("adhoc"),
                 )?,
                 reliable: plans.reliable(),
-                plans: plans.clone(),
+                plans: Box::new(plans.clone()),
             };
             (system, plans)
         }

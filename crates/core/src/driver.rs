@@ -582,8 +582,8 @@ impl<P: Layer> DiscoveryOn<P> {
             assert_eq!(new_id[v.index()], usize::MAX, "duplicate survivor {v}");
             new_id[v.index()] = i;
         }
-        let mut graph = KnowledgeGraph::new(survivors.len());
-        for (i, &v) in survivors.iter().enumerate() {
+        let new_id = &new_id;
+        let edges = survivors.iter().enumerate().flat_map(|(i, &v)| {
             let node = self.runner.node(v).ard();
             let knows = node
                 .local()
@@ -593,13 +593,12 @@ impl<P: Layer> DiscoveryOn<P> {
                 .chain(node.unaware().iter())
                 .chain(node.unexplored().iter())
                 .chain([node.next_pointer()]);
-            for w in knows {
+            knows.filter_map(move |w| {
                 let j = new_id.get(w.index()).copied().unwrap_or(usize::MAX);
-                if j != usize::MAX && j != i {
-                    graph.add_edge(NodeId::new(i), NodeId::new(j));
-                }
-            }
-        }
+                (j != usize::MAX && j != i).then_some((i, j))
+            })
+        });
+        let graph = KnowledgeGraph::from_edges(survivors.len(), edges);
         (graph, survivors.to_vec())
     }
 

@@ -1609,12 +1609,15 @@ mod tests {
 
     /// Per-node state is what the large-n runs stream through the cache
     /// (docs/perf.md: "suspect anything that … fattens per-node state").
-    /// An `IdSet` is three words; a later field, a fatter set
+    /// An `IdSet` is three words and the `BitSet` a promoted one boxes is
+    /// four (the engine's per-node `Knowledge` is pinned beside it, in
+    /// `ard_netsim`'s `table.rs`); a later field, a fatter set
     /// representation or a fatter queue entry has to show up in these
     /// numbers.
     #[test]
     fn node_size_is_pinned() {
         assert_eq!(size_of::<IdSet>(), 24);
+        assert_eq!(size_of::<ard_netsim::BitSet>(), 32);
         assert_eq!(size_of::<ArdNode>(), 176);
         assert_eq!(size_of::<Queued>(), 20);
         assert_eq!(size_of::<Cold>(), 120);

@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use ard_netsim::NodeId;
 
+use crate::graph::Builder;
 use crate::KnowledgeGraph;
 
 /// A directed path `0 → 1 → … → n-1`.
@@ -52,15 +53,10 @@ pub fn star_in(n: usize) -> KnowledgeGraph {
 
 /// The complete directed graph (every node knows every other).
 pub fn complete(n: usize) -> KnowledgeGraph {
-    let mut g = KnowledgeGraph::new(n);
-    for u in 0..n {
-        for v in 0..n {
-            if u != v {
-                g.add_edge(NodeId::new(u), NodeId::new(v));
-            }
-        }
-    }
-    g
+    KnowledgeGraph::from_edges(
+        n,
+        (0..n).flat_map(|u| (0..n).filter(move |&v| v != u).map(move |v| (u, v))),
+    )
 }
 
 /// The complete rooted binary tree `T(levels)` with `n = 2^levels − 1` nodes
@@ -85,15 +81,7 @@ pub fn complete(n: usize) -> KnowledgeGraph {
 pub fn binary_tree_down(levels: u32) -> KnowledgeGraph {
     assert!(levels >= 1, "a tree needs at least one level");
     let n = (1usize << levels) - 1;
-    let mut g = KnowledgeGraph::new(n);
-    for i in 0..n {
-        for child in [2 * i + 1, 2 * i + 2] {
-            if child < n {
-                g.add_edge(NodeId::new(i), NodeId::new(child));
-            }
-        }
-    }
-    g
+    KnowledgeGraph::from_edges(n, (1..n).map(|child| ((child - 1) / 2, child)))
 }
 
 /// A random weakly connected graph: a random-orientation spanning tree over
@@ -122,9 +110,9 @@ pub fn random_weakly_connected_with(
     extra_edges: usize,
     rng: &mut StdRng,
 ) -> KnowledgeGraph {
-    let mut g = KnowledgeGraph::new(n);
+    let mut g = Builder::new(n);
     if n <= 1 {
-        return g;
+        return g.freeze();
     }
     // Random spanning tree over a random permutation: attach each node to a
     // uniformly random earlier node, with a random edge orientation. This
@@ -148,7 +136,7 @@ pub fn random_weakly_connected_with(
             g.add_edge(NodeId::new(u), NodeId::new(v));
         }
     }
-    g
+    g.freeze()
 }
 
 /// A scale-free knowledge graph via preferential attachment
@@ -175,9 +163,9 @@ pub fn random_weakly_connected_with(
 pub fn scale_free(n: usize, links_per_node: usize, seed: u64) -> KnowledgeGraph {
     assert!(links_per_node >= 1, "each newcomer needs at least one link");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = KnowledgeGraph::new(n);
+    let mut g = Builder::new(n);
     if n <= 1 {
-        return g;
+        return g.freeze();
     }
     // `targets` holds one entry per edge endpoint: sampling uniformly from
     // it is degree-proportional sampling.
@@ -197,7 +185,7 @@ pub fn scale_free(n: usize, links_per_node: usize, seed: u64) -> KnowledgeGraph 
             endpoints.push(i);
         }
     }
-    g
+    g.freeze()
 }
 
 /// `count` disjoint copies of random weakly connected graphs, each of

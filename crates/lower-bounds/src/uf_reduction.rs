@@ -150,6 +150,31 @@ mod tests {
         );
     }
 
+    /// `compile` adds each operation node and then only edges out of it,
+    /// while it is the graph's last node: the flat graph's append path, so
+    /// 10⁴ operations build in O(N + m) where edges out of earlier nodes
+    /// would cost O(N + m) each.
+    #[test]
+    fn compile_only_appends() {
+        let seq = OpSequence::random(5_001, 5_000, 3);
+        assert_eq!(seq.len(), 10_000);
+        let inst = compile(&seq);
+        let n = seq.n();
+        assert_eq!(inst.graph.len(), n + seq.len());
+        for set in 0..n {
+            assert_eq!(inst.graph.out_degree(NodeId::new(set)), 0);
+        }
+        for (k, (op, &node)) in seq.ops().iter().zip(&inst.wake_order).enumerate() {
+            // The k-th added node, so the last one while its edges went in.
+            assert_eq!(node.index(), n + k);
+            let want: Vec<NodeId> = match *op {
+                Op::Union(i, j) => vec![NodeId::new(i), NodeId::new(j)],
+                Op::Find(i) => vec![NodeId::new(i)],
+            };
+            assert_eq!(inst.graph.out_edges(node), want);
+        }
+    }
+
     #[test]
     fn reduction_simulates_small_sequences() {
         let seq = OpSequence::new(

@@ -11,6 +11,10 @@
 
 /// A growable set of `usize` indices backed by a `Vec<u64>` of bit words.
 ///
+/// The member count and the first-word cursor are `u32`s, as node ids are
+/// (see [`NodeId::new`](crate::NodeId::new)), which keeps the header at
+/// four words: a set holds fewer than 2³² members below index 2³⁸.
+///
 /// # Example
 ///
 /// ```
@@ -27,10 +31,10 @@
 pub struct BitSet {
     words: Vec<u64>,
     /// Number of set bits, kept in step by every mutation.
-    len: usize,
+    len: u32,
     /// Index of the first non-zero word; unspecified while the set is
     /// empty. Makes [`first`](BitSet::first) O(1).
-    first_word: usize,
+    first_word: u32,
 }
 
 /// Membership equality over the bit words (`len` and `first_word` are
@@ -70,8 +74,8 @@ impl BitSet {
         self.words[word] = old | mask;
         let new = old & mask == 0;
         if new {
-            if self.len == 0 || word < self.first_word {
-                self.first_word = word;
+            if self.len == 0 || word < self.first_word as usize {
+                self.first_word = u32::try_from(word).expect("bit index below 2^38");
             }
             self.len += 1;
         }
@@ -93,7 +97,7 @@ impl BitSet {
         if self.len > 0 {
             // Only emptying the first non-zero word moves the cursor; a
             // non-empty set has a set bit further on for it to stop at.
-            while self.words[self.first_word] == 0 {
+            while self.words[self.first_word as usize] == 0 {
                 self.first_word += 1;
             }
         }
@@ -105,8 +109,9 @@ impl BitSet {
         if self.len == 0 {
             return None;
         }
-        let bit = self.words[self.first_word].trailing_zeros() as usize;
-        Some(self.first_word * 64 + bit)
+        let first_word = self.first_word as usize;
+        let bit = self.words[first_word].trailing_zeros() as usize;
+        Some(first_word * 64 + bit)
     }
 
     /// Whether `index` is in the set.
@@ -118,7 +123,7 @@ impl BitSet {
 
     /// Number of indices in the set.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// Whether the set is empty.
@@ -136,7 +141,7 @@ impl BitSet {
         let start = if self.len == 0 {
             self.words.len()
         } else {
-            self.first_word
+            self.first_word as usize
         };
         self.words[start..]
             .iter()
@@ -165,7 +170,7 @@ impl BitSet {
             self.first_word = other.first_word;
         }
         for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            self.len += (o & !*w).count_ones() as usize;
+            self.len += (o & !*w).count_ones();
             *w |= o;
         }
     }

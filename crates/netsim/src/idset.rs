@@ -15,7 +15,7 @@
 //!   the vector* (`4·len ≥ 8·(max_id/64 + 1) + size_of::<BitSet>()` bytes:
 //!   its words plus the boxed header) — O(1) everything, and a bound on
 //!   the sorted mode's insert memmove: it never holds more than
-//!   `max_id/32 + 11` ids.
+//!   `max_id/32 + 9` ids.
 //!
 //! The rule is read off the data, not tuned. A bitmap falls back to the
 //! vector only when it empties, and an empty set of either mode owns no
@@ -324,20 +324,20 @@ mod tests {
 
     #[test]
     fn promotes_exactly_when_the_bitmap_is_no_larger() {
-        // max id 1000 → 16 words behind a 40-byte header, 168 bytes: 42
+        // max id 1000 → 16 words behind a 32-byte header, 160 bytes: 40
         // four-byte ids.
         let mut set = IdSet::new();
         set.insert(NodeId::new(1000));
-        for i in 0..40 {
+        for i in 0..38 {
             set.insert(NodeId::new(i * 7));
             assert!(!is_bitmap(&set), "{} ids are still smaller", set.len());
         }
         set.insert(NodeId::new(999));
         assert!(is_bitmap(&set));
-        assert_eq!(set.len(), 42);
-        assert_eq!(set.heap_bytes(), 168);
+        assert_eq!(set.len(), 40);
+        assert_eq!(set.heap_bytes(), 160);
         // The bitmap persists until the set empties …
-        for i in 0..40 {
+        for i in 0..38 {
             set.remove(NodeId::new(i * 7));
         }
         assert!(is_bitmap(&set));
@@ -362,7 +362,7 @@ mod tests {
 
     /// The sorted mode's insert memmove is bounded by the promotion rule:
     /// whatever the id stream, a set in sorted mode holds at most
-    /// `max_id/32 + 11` ids, so the worst single insert at n = 10⁶ moves
+    /// `max_id/32 + 9` ids, so the worst single insert at n = 10⁶ moves
     /// 128 KiB — on fragmented ids no benchmark workload reaches.
     #[test]
     fn sorted_mode_is_bounded_by_the_rule() {

@@ -4,18 +4,22 @@
 //! [`Runner::run`] under a `FifoScheduler` drains one global queue, so
 //! every event of causal generation `g` runs before any event of
 //! generation `g + 1`: the execution is a sequence of *rounds*.
-//! [`Runner::run_rounds`] runs exactly that sequence, but keeps each
-//! message inline in the event that will deliver it instead of pushing it
-//! on a link queue and a token on a scheduler, and recycles the two round
-//! buffers. What an event *does* is not written here: every event goes
-//! through the runner's own `wake` / `deliver` / `tick`, which send into
-//! this module's implementation of the runner's private `Sink`. The loop
-//! is only an ordering strategy.
+//! [`Runner::run_rounds`] runs exactly that sequence from one event queue:
+//! it pops the front, and handlers push what they emit to the back, each
+//! message inline in the event that will deliver it instead of on a link
+//! queue with a token on a scheduler. Rounds need no buffer of their own —
+//! a round is the stretch of the queue its predecessor emitted — so the
+//! queue holds what is pending and no more (sized for the wake-ups, and
+//! shrunk as the rounds after them thin out, so that it stays cache-sized).
+//! What an event *does* is not written here: every event goes through the
+//! runner's own `wake` / `deliver` / `tick`, which send into this module's
+//! implementation of the runner's private `Sink`. The loop is only an
+//! ordering strategy.
 //!
-//! The one invariant that matters: **same-round events execute in
-//! emission order.** The next round is appended to in the order handlers
-//! send, which is the order a `FifoScheduler` would receive the tokens, so
-//! per-link FIFO and the global fifo order coincide and the output is
+//! The one invariant that matters: **events execute in emission order.**
+//! The queue is appended to in the order handlers send, which is the
+//! order a `FifoScheduler` would receive the tokens, so per-link FIFO and
+//! the global fifo order coincide and the output is
 //! byte-identical to the scheduler-driven run — [`Metrics`](crate::Metrics)
 //! (including `max_link_queue`, fed from per-link in-flight counters),
 //! [`Trace`](crate::trace::Trace), recorded [`Schedule`], final node and
@@ -23,6 +27,8 @@
 //!
 //! Scope: a quiescent network woken all at once. Fault injection and every
 //! other scheduler stay with [`Runner::run`].
+
+use std::collections::VecDeque;
 
 use crate::envelope::Envelope;
 use crate::linkq::LinkQueues;
@@ -58,16 +64,19 @@ impl<M> Ev<M> {
     }
 }
 
-/// The round sink: sends and ticks become events of the next round.
-struct NextRound<M> {
-    events: Vec<Ev<M>>,
-    /// One placeholder per event of `events` (and of the round being
-    /// drained) on its link: the lengths the link queues would have, for
-    /// `max_link_queue`.
+/// Slots below which the event queue is never shrunk: 64 KiB of 64-byte
+/// events, which stays cache-resident anyway.
+const MIN_RING: usize = 1024;
+
+/// The event queue: sends and ticks join the back, in emission order.
+struct Pending<M> {
+    events: VecDeque<Ev<M>>,
+    /// One placeholder per queued delivery on its link: the lengths the
+    /// link queues would have, for `max_link_queue`.
     in_flight: LinkQueues<()>,
 }
 
-impl<P: Protocol> Sink<P> for NextRound<P::Message> {
+impl<P: Protocol> Sink<P> for Pending<P::Message> {
     fn send(
         &mut self,
         _runner: &mut Runner<P>,
@@ -76,7 +85,7 @@ impl<P: Protocol> Sink<P> for NextRound<P::Message> {
         msg: P::Message,
         depth: u64,
     ) -> usize {
-        self.events.push(Ev::Deliver {
+        self.events.push_back(Ev::Deliver {
             src: token.src,
             dst: token.dst,
             msg,
@@ -86,7 +95,7 @@ impl<P: Protocol> Sink<P> for NextRound<P::Message> {
     }
 
     fn tick(&mut self, node: NodeId) {
-        self.events.push(Ev::Tick(node));
+        self.events.push_back(Ev::Tick(node));
     }
 }
 
@@ -157,51 +166,50 @@ impl<P: Protocol> Runner<P> {
             self.links_empty(),
             "run_rounds needs a quiescent network (no messages in flight)"
         );
-        // Round 0: wake every sleeping node, in id order.
-        let mut round: Vec<Ev<P::Message>> = self
-            .ids()
-            .filter(|&id| !self.is_awake(id))
-            .map(Ev::Wake)
-            .collect();
-        let mut next = NextRound {
-            events: Vec::new(),
+        // Round 0: wake every sleeping node, in id order. The queue is
+        // sized for it and grows only if more than that is pending.
+        let sleeping = || self.ids().filter(|&id| !self.is_awake(id));
+        let mut pending = Pending {
+            events: VecDeque::with_capacity(sleeping().count()),
             in_flight: LinkQueues::new(),
         };
+        pending.events.extend(sleeping().map(Ev::Wake));
         let mut executed: u64 = 0;
-        while !round.is_empty() {
-            // The budget may cap the round to a prefix.
-            let budget = usize::try_from(max_steps - executed).unwrap_or(usize::MAX);
-            let prefix = round.len().min(budget);
-            for ev in round.drain(..prefix) {
-                if let Some(choices) = record.as_deref_mut() {
-                    choices.push(ev.choice());
-                }
-                match ev {
-                    Ev::Wake(node) => self.wake(node, &mut next),
-                    Ev::Deliver {
-                        src,
-                        dst,
-                        msg,
-                        depth,
-                    } => {
-                        next.in_flight.pop_front(link_key(src, dst));
-                        self.note_payload_dequeued(msg.payload_heap_bytes());
-                        self.deliver(src, dst, msg, depth, &mut next);
-                    }
-                    Ev::Tick(node) => self.tick(node, &mut next),
-                }
+        while let Some(ev) = pending.events.pop_front() {
+            // A ring left at round 0's n slots would walk every later push
+            // through a slot untouched for n events — a cache miss each,
+            // once rounds are a few hundred events. Halving it whenever
+            // three quarters stand empty keeps it within 4× what is pending.
+            let (len, capacity) = (pending.events.len(), pending.events.capacity());
+            if capacity > MIN_RING && 4 * len < capacity {
+                pending.events.shrink_to(MIN_RING.max(2 * len));
             }
-            executed += prefix as u64;
-            if !round.is_empty() {
-                // Cut off mid-round: the rest of it and everything it
-                // emitted so far is what a scheduler would still hold.
+            if executed == max_steps {
+                // Everything still queued, this event included, is what a
+                // scheduler would still hold.
                 return Err(LivelockError {
                     steps: executed,
-                    pending: round.len() + next.events.len(),
+                    pending: pending.events.len() + 1,
                 });
             }
-            // `round` is drained: swap so both buffers recycle.
-            std::mem::swap(&mut round, &mut next.events);
+            if let Some(choices) = record.as_deref_mut() {
+                choices.push(ev.choice());
+            }
+            match ev {
+                Ev::Wake(node) => self.wake(node, &mut pending),
+                Ev::Deliver {
+                    src,
+                    dst,
+                    msg,
+                    depth,
+                } => {
+                    pending.in_flight.pop_front(link_key(src, dst));
+                    self.note_payload_dequeued(msg.payload_heap_bytes());
+                    self.deliver(src, dst, msg, depth, &mut pending);
+                }
+                Ev::Tick(node) => self.tick(node, &mut pending),
+            }
+            executed += 1;
         }
         Ok(executed)
     }
@@ -283,6 +291,19 @@ mod tests {
                 assert_eq!(r.knows(id, other), want.knows(id, other));
             }
         }
+    }
+
+    /// Large enough that the queue shrinks, three times, from its n slots
+    /// as the deliveries drain it: the order must not notice.
+    #[test]
+    fn round_loop_order_survives_the_queue_shrinking() {
+        let n = 5 * MIN_RING;
+        let (want_result, want) = scheduled(n, 100_000);
+        let mut r = ring(n);
+        r.enable_trace();
+        assert_eq!(r.run_rounds(100_000), want_result);
+        assert_eq!(r.metrics(), want.metrics());
+        assert_eq!(r.trace().unwrap().events(), want.trace().unwrap().events());
     }
 
     #[test]

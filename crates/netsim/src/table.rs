@@ -305,6 +305,16 @@ mod tests {
         assert!(k.heap_bytes() < 1024, "sized by its members");
     }
 
+    /// Every node carries one `Knowledge`: the enum is as wide as its
+    /// dense mode, a `BitSet` of four words (`u32` count and cursor).
+    #[test]
+    fn knowledge_size_is_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<BitSet>(), 32);
+        assert_eq!(size_of::<IdSet>(), 24);
+        assert_eq!(size_of::<Knowledge>(), 32);
+    }
+
     /// A sparse set digests as the run-coded sets it replaced did: the
     /// number of maximal runs, then each `[lo, hi)`.
     #[test]

@@ -178,7 +178,7 @@ fn a_burst_of_live_links_drains_to_a_handful() {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut links = Vec::new();
     while links.len() < 50_000 {
-        let link = (xorshift(&mut state) % (1 << 20) << 32) | (xorshift(&mut state) % (1 << 20));
+        let link = ((xorshift(&mut state) % (1 << 20)) << 32) | (xorshift(&mut state) % (1 << 20));
         if !pair.model.contains_key(&link) {
             links.push(link);
         }

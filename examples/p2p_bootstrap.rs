@@ -35,23 +35,20 @@ fn crashed_overlay(total: usize, survivors: usize, seed: u64) -> (Vec<usize>, Kn
     // the *original* ring; keep only the surviving ones.
     let index_of: std::collections::HashMap<usize, usize> =
         alive.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-    let mut graph = KnowledgeGraph::new(survivors);
-    for (i, &peer) in alive.iter().enumerate() {
-        let mut offsets = vec![1usize, 2, 3];
-        let mut f = 4;
-        while f < total {
-            offsets.push(f);
-            f *= 2;
-        }
-        for off in offsets {
-            let neighbour = (peer + off) % total;
-            if let Some(&j) = index_of.get(&neighbour) {
-                if j != i {
-                    graph.add_edge(NodeId::new(i), NodeId::new(j));
-                }
-            }
-        }
+    let mut offsets = vec![1usize, 2, 3];
+    let mut f = 4;
+    while f < total {
+        offsets.push(f);
+        f *= 2;
     }
+    let index_of = &index_of;
+    let edges = alive.iter().enumerate().flat_map(|(i, &peer)| {
+        offsets.iter().filter_map(move |off| {
+            let j = *index_of.get(&((peer + off) % total))?;
+            (j != i).then_some((i, j))
+        })
+    });
+    let graph = KnowledgeGraph::from_edges(survivors, edges);
     (alive, graph)
 }
 

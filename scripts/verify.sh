@@ -27,7 +27,8 @@ cargo build --release
 # only and skips every crate-level suite (unit tests, set/payload oracles,
 # netsim/graph/overlay props).
 cargo test --workspace --offline -q
-cargo clippy --workspace -- -D warnings
+# --all-targets: tests, examples and benches are linted with the libraries.
+cargo clippy --workspace --all-targets -- -D warnings
 # Doc comments link to types by name; nothing above notices when a refactor
 # deletes or renames one.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -231,13 +231,10 @@ proptest! {
         sched in sched_strategy(),
         variant in variant_strategy(),
     ) {
-        let mut graph = KnowledgeGraph::new(n);
-        for (u, v) in edges {
-            let (u, v) = (u % n, v % n);
-            if u != v {
-                graph.add_edge(NodeId::new(u), NodeId::new(v));
-            }
-        }
+        let graph = KnowledgeGraph::from_edges(
+            n,
+            edges.into_iter().map(|(u, v)| (u % n, v % n)).filter(|(u, v)| u != v),
+        );
         let mut d = Discovery::new(&graph, variant);
         let (result, _schedule) = d.run_recorded(sched.build());
         result.expect("livelock");
@@ -251,13 +248,10 @@ proptest! {
         edges in prop::collection::vec((0usize..25, 0usize..25), 0..40),
         seed in 0u64..100_000,
     ) {
-        let mut graph = KnowledgeGraph::new(n);
-        for (u, v) in edges {
-            let (u, v) = (u % n, v % n);
-            if u != v {
-                graph.add_edge(NodeId::new(u), NodeId::new(v));
-            }
-        }
+        let graph = KnowledgeGraph::from_edges(
+            n,
+            edges.into_iter().map(|(u, v)| (u % n, v % n)).filter(|(u, v)| u != v),
+        );
         let mut d = Discovery::new(&graph, Variant::AdHoc);
         d.run_all(&mut RandomScheduler::seeded(seed)).expect("livelock");
         let comps = components::weakly_connected_components(&graph);
