@@ -1,4 +1,4 @@
-use ard_netsim::{Envelope, IdSeq, NodeId};
+use ard_netsim::{Envelope, IdSeq, IdSet, NodeId};
 
 /// Bits charged for a phase number in a message (`phase ≤ 64` over the
 /// simulator's whole feasible range, so 8 bits cover it).
@@ -47,8 +47,9 @@ pub enum Message {
     },
     /// Member → leader: up to `want` previously unreported ids.
     QueryReply {
-        /// The ids removed from the member's `local` set.
-        ids: IdSeq,
+        /// The ids removed from the member's `local` set (all of it moves
+        /// when `want` covers it).
+        ids: IdSet,
         /// Whether the member's `local` set is now empty (the leader then
         /// moves it from `more` to `done`).
         exhausted: bool,
@@ -93,7 +94,7 @@ pub enum Message {
     /// Surrendered leader → conqueror: its entire bookkeeping state. In the
     /// Bounded/Ad-hoc variants `unaware` is always empty (§4.5).
     ///
-    /// The payload is boxed so this rare, four-`Vec` variant does not set
+    /// The payload is boxed so this rare, four-set variant does not set
     /// the size of every [`Message`] moved through the simulator's link
     /// queues.
     Info(Box<InfoPayload>),
@@ -125,7 +126,8 @@ pub enum Message {
         leader_phase: u32,
         /// The requesting node.
         dest: NodeId,
-        /// All ids the leader currently knows in its component.
+        /// All ids the leader currently knows in its component: `more`,
+        /// `done` and `unaware`, in that order (the prober keeps the list).
         ids: IdSeq,
     },
 }
@@ -133,24 +135,49 @@ pub enum Message {
 /// The state a surrendered leader ships to its conqueror in a
 /// [`Message::Info`].
 ///
-/// The four sets are [`IdSeq`]s: built from ascending `IdSet`
-/// iteration, a whole cluster set run-codes into a handful of words, so
-/// the endgame's O(component)-sized handovers stop dominating allocation
-/// and memcpy traffic (the id *order*, and with it every digest and
-/// metering contract, is unchanged from the `Vec<NodeId>` representation).
+/// The four sets are the leader's own [`IdSet`]s, moved out of it: the
+/// sender goes inactive holding nothing (paper §4.4), and nothing is
+/// copied on the way. An `IdSet` iterates ascending, so the id order, and
+/// with it every digest and metering contract, is the order the sets had
+/// at the sender.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InfoPayload {
     /// The surrendered leader's final phase.
     pub phase: u32,
     /// Its `more` set (members with unreported ids).
-    pub more: IdSeq,
+    pub more: IdSet,
     /// Its `done` set (fully reported members).
-    pub done: IdSeq,
+    pub done: IdSet,
     /// Its `unaware` set (always empty in practice; a conqueror cannot
     /// be conquered mid-conquest).
-    pub unaware: IdSeq,
+    pub unaware: IdSet,
     /// Its `unexplored` set (ids known but not yet searched).
-    pub unexplored: IdSeq,
+    pub unexplored: IdSet,
+}
+
+/// One id-carrying field of a message.
+enum Field<'a> {
+    Id(NodeId),
+    Set(&'a IdSet),
+    Seq(&'a IdSeq),
+}
+
+impl Field<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Field::Id(_) => 1,
+            Field::Set(set) => set.len(),
+            Field::Seq(seq) => seq.len(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Field::Id(_) => 0,
+            Field::Set(set) => set.heap_bytes(),
+            Field::Seq(seq) => seq.heap_bytes(),
+        }
+    }
 }
 
 impl Message {
@@ -169,12 +196,47 @@ impl Message {
     pub fn is_routable_request(&self) -> bool {
         Request::of(self).is_some()
     }
+
+    /// Calls `f` with each id-carrying field, in wire order: the one
+    /// statement of which variant carries which ids, read by every
+    /// [`Envelope`] method that walks, counts or sizes them.
+    fn for_each_field(&self, mut f: impl FnMut(Field<'_>)) {
+        match self {
+            Message::Query { .. }
+            | Message::MergeAccept
+            | Message::MergeFail
+            | Message::Conquer { .. }
+            | Message::MoreDone { .. } => {}
+            Message::QueryReply { ids, .. } => f(Field::Set(ids)),
+            Message::Search { origin, target, .. } => {
+                f(Field::Id(*origin));
+                f(Field::Id(*target));
+            }
+            Message::Release { leader, dest, .. } => {
+                f(Field::Id(*leader));
+                f(Field::Id(*dest));
+            }
+            Message::Info(p) => {
+                for set in [&p.more, &p.done, &p.unaware, &p.unexplored] {
+                    f(Field::Set(set));
+                }
+            }
+            Message::Probe { origin } => f(Field::Id(*origin)),
+            Message::ProbeReply {
+                leader, dest, ids, ..
+            } => {
+                f(Field::Id(*leader));
+                f(Field::Id(*dest));
+                f(Field::Seq(ids));
+            }
+        }
+    }
 }
 
 /// A routable request ([`Message::is_routable_request`]) as a node's
 /// `previous` and \[D1] `deferred` queues store it: the same fields as the
 /// [`Message::Search`] / [`Message::Probe`] it stands for in 16 B, where
-/// the full enum is sized by its `IdSeq`-carrying variants.
+/// the full enum is sized by its set-carrying variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Request {
     /// A [`Message::Search`].
@@ -245,104 +307,37 @@ impl Envelope for Message {
     }
 
     fn for_each_carried_id(&self, f: &mut dyn FnMut(NodeId)) {
-        match self {
-            Message::Query { .. }
-            | Message::MergeAccept
-            | Message::MergeFail
-            | Message::Conquer { .. }
-            | Message::MoreDone { .. } => {}
-            Message::QueryReply { ids, .. } => ids.for_each(f),
-            Message::Search { origin, target, .. } => {
-                f(*origin);
-                f(*target);
-            }
-            Message::Release { leader, dest, .. } => {
-                f(*leader);
-                f(*dest);
-            }
-            Message::Info(p) => {
-                p.more.for_each(f);
-                p.done.for_each(f);
-                p.unaware.for_each(f);
-                p.unexplored.for_each(f);
-            }
-            Message::Probe { origin } => f(*origin),
-            Message::ProbeReply {
-                leader, dest, ids, ..
-            } => {
-                f(*leader);
-                f(*dest);
-                ids.for_each(f);
-            }
-        }
+        self.for_each_field(|field| match field {
+            Field::Id(id) => f(id),
+            Field::Set(set) => set.for_each(&mut *f),
+            Field::Seq(seq) => seq.for_each(f),
+        });
     }
 
     fn for_each_carried_run(&self, f: &mut dyn FnMut(u32, u32)) {
-        let one = |id: NodeId, f: &mut dyn FnMut(u32, u32)| {
-            let i = id.index() as u32;
-            f(i, i + 1);
-        };
-        match self {
-            Message::Query { .. }
-            | Message::MergeAccept
-            | Message::MergeFail
-            | Message::Conquer { .. }
-            | Message::MoreDone { .. } => {}
-            Message::QueryReply { ids, .. } => ids.for_each_run(f),
-            Message::Search { origin, target, .. } => {
-                one(*origin, f);
-                one(*target, f);
+        self.for_each_field(|field| match field {
+            Field::Id(id) => {
+                let i = id.index() as u32;
+                f(i, i + 1);
             }
-            Message::Release { leader, dest, .. } => {
-                one(*leader, f);
-                one(*dest, f);
-            }
-            Message::Info(p) => {
-                p.more.for_each_run(f);
-                p.done.for_each_run(f);
-                p.unaware.for_each_run(f);
-                p.unexplored.for_each_run(f);
-            }
-            Message::Probe { origin } => one(*origin, f),
-            Message::ProbeReply {
-                leader, dest, ids, ..
-            } => {
-                one(*leader, f);
-                one(*dest, f);
-                ids.for_each_run(f);
-            }
-        }
+            Field::Set(set) => set.for_each_run(&mut *f),
+            Field::Seq(seq) => seq.for_each_run(f),
+        });
     }
 
     fn payload_heap_bytes(&self) -> usize {
-        match self {
-            Message::QueryReply { ids, .. } | Message::ProbeReply { ids, .. } => ids.heap_bytes(),
-            Message::Info(p) => {
-                std::mem::size_of::<InfoPayload>()
-                    + p.more.heap_bytes()
-                    + p.done.heap_bytes()
-                    + p.unaware.heap_bytes()
-                    + p.unexplored.heap_bytes()
-            }
+        let mut bytes = match self {
+            Message::Info(_) => std::mem::size_of::<InfoPayload>(),
             _ => 0,
-        }
+        };
+        self.for_each_field(|field| bytes += field.heap_bytes());
+        bytes
     }
 
     fn carried_id_count(&self) -> usize {
-        match self {
-            Message::Query { .. }
-            | Message::MergeAccept
-            | Message::MergeFail
-            | Message::Conquer { .. }
-            | Message::MoreDone { .. } => 0,
-            Message::QueryReply { ids, .. } => ids.len(),
-            Message::Search { .. } | Message::Release { .. } => 2,
-            Message::Info(p) => {
-                p.more.len() + p.done.len() + p.unaware.len() + p.unexplored.len()
-            }
-            Message::Probe { .. } => 1,
-            Message::ProbeReply { ids, .. } => 2 + ids.len(),
-        }
+        let mut count = 0;
+        self.for_each_field(|field| count += field.len());
+        count
     }
 
     fn aux_bits(&self) -> u64 {
@@ -437,7 +432,7 @@ impl Envelope for Message {
 mod tests {
     use super::*;
 
-    fn seq(indices: &[usize]) -> IdSeq {
+    fn set(indices: &[usize]) -> IdSet {
         indices.iter().copied().map(NodeId::new).collect()
     }
 
@@ -446,7 +441,7 @@ mod tests {
         let msgs = [
             Message::Query { want: 1 },
             Message::QueryReply {
-                ids: IdSeq::new(),
+                ids: IdSet::new(),
                 exhausted: false,
             },
             Message::Search {
@@ -465,10 +460,10 @@ mod tests {
             Message::MergeFail,
             Message::Info(Box::new(InfoPayload {
                 phase: 1,
-                more: IdSeq::new(),
-                done: IdSeq::new(),
-                unaware: IdSeq::new(),
-                unexplored: IdSeq::new(),
+                more: IdSet::new(),
+                done: IdSet::new(),
+                unaware: IdSet::new(),
+                unexplored: IdSet::new(),
             })),
             Message::Conquer { phase: 2 },
             Message::MoreDone { exhausted: true },
@@ -492,10 +487,10 @@ mod tests {
     fn carried_ids_cover_payload() {
         let info = Message::Info(Box::new(InfoPayload {
             phase: 3,
-            more: seq(&[1]),
-            done: seq(&[2, 3]),
-            unaware: IdSeq::new(),
-            unexplored: seq(&[4]),
+            more: set(&[1]),
+            done: set(&[3, 2]),
+            unaware: IdSet::new(),
+            unexplored: set(&[4]),
         }));
         // Set order: more, done, unaware, unexplored.
         let expected: Vec<NodeId> = [1, 2, 3, 4].map(NodeId::new).to_vec();
@@ -520,8 +515,14 @@ mod tests {
             (0usize..512).prop_map(NodeId::new)
         }
 
+        /// Any sequence: unsorted, repeated, descending (a probe reply).
         fn id_vec(max: usize) -> impl Strategy<Value = Vec<NodeId>> {
             prop::collection::vec(nid(), 0..max)
+        }
+
+        /// Ascending and duplicate-free: what an `IdSet` payload iterates.
+        fn id_set(max: usize) -> impl Strategy<Value = Vec<NodeId>> {
+            prop::collection::btree_set(nid(), 0..max).prop_map(|s| s.into_iter().collect())
         }
 
         /// Generates one arbitrary message of any variant together with the
@@ -530,7 +531,7 @@ mod tests {
         fn arb_message() -> impl Strategy<Value = (Message, Vec<NodeId>)> {
             prop_oneof![
                 any::<u32>().prop_map(|want| (Message::Query { want }, vec![])),
-                (id_vec(8), any::<bool>()).prop_map(|(ids, exhausted)| (
+                (id_set(8), any::<bool>()).prop_map(|(ids, exhausted)| (
                     Message::QueryReply {
                         ids: ids.iter().copied().collect(),
                         exhausted
@@ -561,7 +562,7 @@ mod tests {
                 ),
                 Just((Message::MergeAccept, vec![])),
                 Just((Message::MergeFail, vec![])),
-                (any::<u32>(), id_vec(6), id_vec(6), id_vec(6), id_vec(6)).prop_map(
+                (any::<u32>(), id_set(6), id_set(6), id_set(6), id_set(6)).prop_map(
                     |(phase, more, done, unaware, unexplored)| {
                         let expected: Vec<NodeId> = more
                             .iter()
@@ -674,7 +675,7 @@ mod tests {
     #[test]
     fn query_reply_bits_scale_with_ids() {
         let small = Message::QueryReply {
-            ids: seq(&[0]),
+            ids: set(&[0]),
             exhausted: false,
         };
         let large = Message::QueryReply {
@@ -688,19 +689,37 @@ mod tests {
     #[test]
     fn payload_heap_bytes_follow_the_buffers() {
         assert_eq!(Message::Query { want: 3 }.payload_heap_bytes(), 0);
+        // A sparse set payload reports its sorted `u32`s.
         let reply = Message::QueryReply {
-            ids: seq(&[1, 2, 3]),
+            ids: set(&[1, 2, 3_000]),
             exhausted: false,
         };
-        assert!(reply.payload_heap_bytes() >= 3 * 8);
-        // A run-coded info payload reports a few words, not O(component).
+        assert_eq!(reply.payload_heap_bytes(), 3 * 4);
+        // An info reports its box plus its four sets; a whole cluster of
+        // 10,000 consecutive ids is a bitmap of 157 words behind its
+        // 32-byte header.
         let info = Message::Info(Box::new(InfoPayload {
             phase: 3,
             more: (0..10_000).map(NodeId::new).collect(),
-            done: IdSeq::new(),
-            unaware: IdSeq::new(),
-            unexplored: IdSeq::new(),
+            done: set(&[20_000]),
+            unaware: IdSet::new(),
+            unexplored: IdSet::new(),
         }));
-        assert!(info.payload_heap_bytes() < 1024, "one long run stays compact");
+        let bitmap = 157 * 8 + 32;
+        assert_eq!(
+            info.payload_heap_bytes(),
+            std::mem::size_of::<InfoPayload>() + bitmap + 4
+        );
+        // A probe snapshot of one long run stays a few words.
+        let probe = Message::ProbeReply {
+            leader: NodeId::new(0),
+            leader_phase: 1,
+            dest: NodeId::new(1),
+            ids: (0..10_000).map(NodeId::new).collect(),
+        };
+        assert!(
+            probe.payload_heap_bytes() <= 4 * 8,
+            "one long run stays compact"
+        );
     }
 }

@@ -556,21 +556,20 @@ impl ArdNode {
     }
 
     /// Removes up to `want` ids from `local` (the queried member's side).
-    /// `local` iterates ascending, so the payload run-codes maximally.
-    fn take_local(&mut self, want: u32) -> (IdSeq, bool) {
+    /// A `want` that covers `local` moves the whole set into the reply.
+    fn take_local(&mut self, want: u32) -> (IdSet, bool) {
         // `WANT_ALL` exceeds every set size, so it needs no case of its own.
-        let mut ids = IdSeq::new();
-        self.local.take_prefix(want as usize, |v| ids.push(v));
+        let ids = self.local.take_prefix(want as usize);
         (ids, self.local.is_empty())
     }
 
     /// Leader-side bookkeeping for a query reply from `w`.
-    fn absorb_query_reply(&mut self, w: NodeId, ids: IdSeq, exhausted: bool) {
+    fn absorb_query_reply(&mut self, w: NodeId, ids: IdSet, exhausted: bool) {
         if exhausted {
             self.more.remove(w);
             self.done.insert(w);
         }
-        ids.for_each(&mut |v| {
+        ids.for_each(|v| {
             if v != self.id && !self.in_cluster(v) {
                 self.unexplored.insert(v);
             }
@@ -868,21 +867,15 @@ impl ArdNode {
             }
             Message::MergeAccept => {
                 self.next = from;
-                // Ownership of the sets transfers with the info: each is
-                // streamed into its payload and gives up its buffer, so an
-                // inactive node keeps no heap behind for them.
-                let ship = |set: &mut IdSet| {
-                    let mut ids = IdSeq::new();
-                    set.for_each(|v| ids.push(v));
-                    set.clear();
-                    ids
-                };
+                // The sets themselves travel with the info; what stays
+                // behind is empty and unallocated, so an inactive node
+                // keeps no heap for them.
                 let info = InfoPayload {
                     phase: self.phase,
-                    more: ship(&mut self.more),
-                    done: ship(&mut self.done),
-                    unaware: ship(&mut self.unaware),
-                    unexplored: ship(&mut self.unexplored),
+                    more: std::mem::take(&mut self.more),
+                    done: std::mem::take(&mut self.done),
+                    unaware: std::mem::take(&mut self.unaware),
+                    unexplored: std::mem::take(&mut self.unexplored),
                 };
                 ctx.send(from, Message::Info(Box::new(info)));
                 self.inactive_phase = self.phase;
@@ -942,10 +935,10 @@ impl ArdNode {
     fn merge_info(
         &mut self,
         l_phase: u32,
-        l_more: IdSeq,
-        l_done: IdSeq,
-        l_unaware: IdSeq,
-        l_unexplored: IdSeq,
+        l_more: IdSet,
+        l_done: IdSet,
+        l_unaware: IdSet,
+        l_unexplored: IdSet,
         ctx: &mut Context<'_, Message>,
     ) {
         debug_assert!(
@@ -956,7 +949,7 @@ impl ArdNode {
             // Generic: every acquired member goes through `unaware` and gets
             // a conquer message.
             for shipped in [&l_more, &l_done, &l_unaware] {
-                shipped.for_each(&mut |v| {
+                shipped.for_each(|v| {
                     self.unaware.insert(v);
                 });
             }
@@ -972,11 +965,11 @@ impl ArdNode {
             // merge O(shipped log n) — the conqueror's own sets are O(n) in
             // the endgame, and an O(n) scan per merge is quadratic overall.
             debug_assert!(self.more.iter().all(|v| !self.done.contains(v)));
-            l_more.for_each(&mut |v| {
+            l_more.for_each(|v| {
                 self.more.insert(v);
                 self.done.remove(v);
             });
-            l_done.for_each(&mut |v| {
+            l_done.for_each(|v| {
                 if self.more.contains(v) {
                     self.done.remove(v);
                 } else {
@@ -984,7 +977,7 @@ impl ArdNode {
                 }
             });
         }
-        l_unexplored.for_each(&mut |v| {
+        l_unexplored.for_each(|v| {
             if v != self.id && !self.in_cluster(v) {
                 self.unexplored.insert(v);
             }
@@ -1345,9 +1338,13 @@ mod tests {
     #[test]
     fn take_local_want_all() {
         let mut n = node(0, &[1, 2, 3]);
+        let before = n.local().heap_bytes();
         let (ids, exhausted) = n.take_local(WANT_ALL);
         assert_eq!(ids.len(), 3);
         assert!(exhausted);
+        // The whole of `local` moved into the reply: nothing was copied.
+        assert_eq!(ids.heap_bytes(), before);
+        assert_eq!(n.local().heap_bytes(), 0);
     }
 
     #[test]
@@ -1373,11 +1370,8 @@ mod tests {
         let mut n = node(0, &[]);
         n.done.insert(NodeId::new(2));
         n.unaware.insert(NodeId::new(4));
-        let snap = n.snapshot();
-        assert!(snap.contains(NodeId::new(0)));
-        assert!(snap.contains(NodeId::new(2)));
-        assert!(snap.contains(NodeId::new(4)));
-        assert_eq!(snap.len(), 3);
+        // `more`, then `done`, then `unaware`.
+        assert_eq!(n.snapshot().to_vec(), [0, 2, 4].map(NodeId::new));
     }
 
     /// A cleared `Vec` keeps its capacity; `IdSet::clear` must not. The
@@ -1408,8 +1402,8 @@ mod tests {
         let Some((_, Message::Info(info))) = out.pop() else {
             panic!("the handover ends with an info");
         };
-        assert_eq!(info.more.to_vec(), [n.id]);
-        assert_eq!(info.unexplored.to_vec(), [NodeId::new(2)]);
+        assert_eq!(info.more.iter().collect::<Vec<_>>(), [n.id]);
+        assert_eq!(info.unexplored.iter().collect::<Vec<_>>(), [NodeId::new(2)]);
 
         // A leader with a populated cluster forgets it all on restart.
         let mut n = node(0, &[]);
@@ -1507,7 +1501,7 @@ mod tests {
         let more_heap = n.more.heap_bytes() + n.done.heap_bytes();
         assert!(n.heap_bytes() > more_heap);
         let exhausted = Message::QueryReply {
-            ids: IdSeq::new(),
+            ids: IdSet::new(),
             exhausted: true,
         };
         n.on_message(id(1), exhausted, &mut ctx);

@@ -92,6 +92,20 @@ impl<M: Envelope> Envelope for ReliableMsg<M> {
         }
     }
 
+    fn for_each_carried_run(&self, f: &mut dyn FnMut(u32, u32)) {
+        match self {
+            ReliableMsg::Data { payload, .. } => payload.for_each_carried_run(f),
+            ReliableMsg::Ack { .. } => {}
+        }
+    }
+
+    fn payload_heap_bytes(&self) -> usize {
+        match self {
+            ReliableMsg::Data { payload, .. } => payload.payload_heap_bytes(),
+            ReliableMsg::Ack { .. } => 0,
+        }
+    }
+
     fn carried_id_count(&self) -> usize {
         match self {
             ReliableMsg::Data { payload, .. } => payload.carried_id_count(),
@@ -517,5 +531,31 @@ mod tests {
         assert_eq!(ack.kind(), "rd-ack");
         assert_eq!(ack.aux_bits(), 32);
         assert_eq!(ack.carried_id_count(), 0);
+    }
+
+    /// A data envelope is its payload to every observable the engine reads
+    /// at delivery: the runs knowledge absorbs and the heap it meters.
+    #[test]
+    fn envelope_forwards_payload_runs_and_heap_bytes() {
+        fn runs(msg: &impl Envelope) -> Vec<(u32, u32)> {
+            let mut out = Vec::new();
+            msg.for_each_carried_run(&mut |s, e| out.push((s, e)));
+            out
+        }
+        let payload = crate::Message::QueryReply {
+            ids: [4, 5, 6, 9].into_iter().map(NodeId::new).collect(),
+            exhausted: true,
+        };
+        let data = ReliableMsg::Data {
+            seq: 0,
+            attempt: 1,
+            payload: payload.clone(),
+        };
+        assert_eq!(runs(&data), [(4, 7), (9, 10)]);
+        assert_eq!(data.payload_heap_bytes(), payload.payload_heap_bytes());
+        assert_eq!(data.payload_heap_bytes(), 4 * 4);
+        let ack: ReliableMsg<crate::Message> = ReliableMsg::Ack { seq: 0 };
+        assert_eq!(runs(&ack), []);
+        assert_eq!(ack.payload_heap_bytes(), 0);
     }
 }

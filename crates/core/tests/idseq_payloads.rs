@@ -1,22 +1,24 @@
-//! Run-length payload equivalence: `IdSeq`-backed messages vs the
-//! `Vec<NodeId>` oracle they replaced.
+//! Payload equivalence: messages carrying `IdSet` and `IdSeq` payloads vs
+//! the `Vec<NodeId>` oracle they replaced.
 //!
-//! The scale-collapse fix moved the O(component)-sized payloads (the
-//! `Info` handover's four sets, the `QueryReply`/`ProbeReply` id lists)
-//! from `Vec<NodeId>` onto the run-length-coded [`IdSeq`]. That swap is
-//! only sound if every `Envelope` observable the simulator pins —
-//! visitor order, carried-id counts, metered bits, state digests, and the
-//! Lemma 5.9/5.10 budget totals built from them — is *byte-identical* to
-//! what the `Vec` representation produced. These properties drive both
-//! representations through the same payloads across the three payload
-//! shapes that matter:
+//! The O(component)-sized payloads left `Vec<NodeId>` in two steps: first
+//! for the run-coded [`IdSeq`], then — for the `Info` handover's four sets
+//! and the `QueryReply` ids — for the sender's own [`IdSet`], moved out of
+//! it. `ProbeReply` stays an `IdSeq`, an ordered list the prober keeps.
+//! Each swap is only sound if every `Envelope` observable the simulator
+//! pins — visitor order, carried-id counts, metered bits, state digests,
+//! and the Lemma 5.9/5.10 budget totals built from them — is
+//! *byte-identical* to what the `Vec` representation produced. A set
+//! payload is ascending and duplicate-free, as the sets it is moved out of
+//! always iterated; a sequence payload is any order, repeats included.
+//! These properties drive every representation through the same payloads
+//! across the three payload shapes that matter:
 //!
-//! - **dense**: small scattered lists, below `IdSeq`'s run-coding
-//!   threshold (the common query-reply case);
-//! - **run-heavy**: ascending interval fills (the endgame handover case
-//!   run coding exists for);
+//! - **scattered**: short lists of random ids (the common query-reply
+//!   case);
+//! - **run-heavy**: ascending interval fills (the endgame handover case);
 //! - **adversarially fragmented**: stride-2 and descending ids, where no
-//!   two neighbors coalesce and run coding degrades to one run per id.
+//!   two neighbors coalesce (a set sorts the descending ones into a run).
 
 use proptest::prelude::*;
 
@@ -25,13 +27,12 @@ use ard_netsim::{Envelope, IdSeq, Metrics, NodeId, StateDigest, KIND_TAG_BITS};
 
 const UNIVERSE: usize = 4096;
 
-/// Dense shape: short scattered id lists (stay one-id-per-word).
-fn dense_ids() -> impl Strategy<Value = Vec<NodeId>> {
+/// Scattered shape: short lists of random ids.
+fn scattered_ids() -> impl Strategy<Value = Vec<NodeId>> {
     prop::collection::vec((0..UNIVERSE).prop_map(NodeId::new), 0..24)
 }
 
-/// Run-heavy shape: a few ascending interval fills, crossing the
-/// run-coding threshold with long coalescible runs.
+/// Run-heavy shape: a few ascending interval fills, long coalescible runs.
 fn run_heavy_ids() -> impl Strategy<Value = Vec<NodeId>> {
     prop::collection::vec((0..UNIVERSE - 256, 1..128usize), 1..6).prop_map(|intervals| {
         intervals
@@ -51,17 +52,28 @@ fn fragmented_ids() -> impl Strategy<Value = Vec<NodeId>> {
     ]
 }
 
-/// Any of the three payload shapes.
+/// Any of the three payload shapes, as a sequence: any order, repeats
+/// included.
 fn payload_ids() -> impl Strategy<Value = Vec<NodeId>> {
-    prop_oneof![dense_ids(), run_heavy_ids(), fragmented_ids()]
+    prop_oneof![scattered_ids(), run_heavy_ids(), fragmented_ids()]
 }
 
-/// One message carrying `IdSeq` payloads plus the `Vec<NodeId>` oracle of
-/// the ids it carries, in payload order, plus the oracle's scalar digest
-/// words (the non-id fields `Message::digest` mixes, in mix order).
+/// The same shapes as a set iterates them: ascending, no repeats.
+fn set_ids() -> impl Strategy<Value = Vec<NodeId>> {
+    payload_ids().prop_map(|mut ids| {
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    })
+}
+
+/// One message carrying `IdSet` or `IdSeq` payloads plus the
+/// `Vec<NodeId>` oracle of the ids it carries, in payload order, plus the
+/// oracle's scalar digest words (the non-id fields `Message::digest`
+/// mixes, in mix order).
 fn arb_payload_message() -> impl Strategy<Value = (Message, Vec<NodeId>, Vec<u64>)> {
     prop_oneof![
-        (payload_ids(), any::<bool>()).prop_map(|(ids, exhausted)| (
+        (set_ids(), any::<bool>()).prop_map(|(ids, exhausted)| (
             Message::QueryReply {
                 ids: ids.iter().copied().collect(),
                 exhausted,
@@ -69,7 +81,7 @@ fn arb_payload_message() -> impl Strategy<Value = (Message, Vec<NodeId>, Vec<u64
             ids,
             vec![u64::from(exhausted)],
         )),
-        (any::<u32>(), payload_ids(), payload_ids(), dense_ids(), payload_ids()).prop_map(
+        (any::<u32>(), set_ids(), set_ids(), set_ids(), set_ids()).prop_map(
             |(phase, more, done, unaware, unexplored)| {
                 let oracle: Vec<NodeId> = more
                     .iter()
@@ -155,14 +167,10 @@ proptest! {
         let mut by_runs = Vec::new();
         seq.for_each_run(&mut |s, e| by_runs.extend((s..e).map(|i| NodeId::new(i as usize))));
         prop_assert_eq!(&by_runs, &oracle, "run concatenation diverged");
-        for probe in [0, 1, UNIVERSE / 2, UNIVERSE - 1] {
-            let id = NodeId::new(probe);
-            prop_assert_eq!(seq.contains(id), oracle.contains(&id));
-        }
     }
 
-    /// The `Envelope` visitors on an `IdSeq`-backed message yield the
-    /// oracle ids in payload order, and both count accessors agree.
+    /// The `Envelope` visitors on a message yield the oracle ids in
+    /// payload order, and both count accessors agree.
     #[test]
     fn visitors_and_counts_match_oracle((msg, oracle, _) in arb_payload_message()) {
         let mut visited = Vec::new();
@@ -184,14 +192,14 @@ proptest! {
 
     /// Metered bits are exactly what the `Vec` representation charged:
     /// one `id_bits` per carried id plus the variant's aux bits plus the
-    /// kind tag — independent of whether the ids run-coded.
+    /// kind tag — independent of how the payload stores the ids.
     #[test]
     fn metered_bits_match_oracle((msg, oracle, _) in arb_payload_message(), id_bits in 1u64..40) {
         let expected = oracle.len() as u64 * id_bits + msg.aux_bits() + KIND_TAG_BITS;
         prop_assert_eq!(msg.bits(id_bits), expected);
     }
 
-    /// `Message::digest` over `IdSeq` payloads equals the digest the
+    /// `Message::digest` over set and sequence payloads equals the digest the
     /// `Vec<NodeId>` representation produced (replayed from the oracle),
     /// so recordings, replay corpora and explorer dedup hashes are stable
     /// across the representation swap.
@@ -202,7 +210,7 @@ proptest! {
         prop_assert_eq!(d.finish(), oracle_digest(msg.kind(), &oracle, &scalars));
     }
 
-    /// Budget totals: metering a batch of `IdSeq`-backed messages into
+    /// Budget totals: metering a batch of payload-carrying messages into
     /// `Metrics` accumulates exactly the per-kind message and bit totals
     /// the Lemma 5.9/5.10 checks consume, computed from the oracle counts.
     #[test]

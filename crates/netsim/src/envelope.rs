@@ -30,6 +30,11 @@ pub const KIND_TAG_BITS: u64 = 4;
 /// allocating. The [`carried_ids`] convenience (which *does* allocate a
 /// `Vec`) is provided for tests and debugging.
 ///
+/// An envelope that wraps another message (a transport's data frame, say)
+/// must forward every provided method whose default loses information —
+/// the run walk, the payload's heap bytes, the digest — not only the
+/// required ones.
+///
 /// [`for_each_carried_id`]: Envelope::for_each_carried_id
 /// [`carried_ids`]: Envelope::carried_ids
 ///

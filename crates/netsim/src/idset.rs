@@ -3,7 +3,8 @@
 //! A discovery node's state (paper Figure 2) is a handful of id sets, and
 //! every handler is set algebra on them: membership tests, single inserts
 //! and removes, "take the smallest", "take the `k` smallest", and ascending
-//! walks that stream a set into an [`IdSeq`](crate::IdSeq) payload. Almost
+//! walks. The sets also travel: an `info` handover and a `query reply`
+//! carry them by move, and a delivery absorbs them run by run. Almost
 //! all of those sets are tiny (a sleeping node's out-edges, a singleton
 //! cluster); a few — the surviving leaders' — grow to the whole component.
 //! An [`IdSet`] serves both ends from one contiguous buffer:
@@ -42,10 +43,13 @@ use crate::{BitSet, NodeId};
 /// assert!(set.insert(NodeId::new(5)));
 /// assert!(!set.insert(NodeId::new(5)), "second insert reports already-present");
 /// assert_eq!(set.first(), Some(NodeId::new(3)));
-/// let mut taken = Vec::new();
-/// set.take_prefix(2, |id| taken.push(id.index()));
-/// assert_eq!(taken, [3, 5]);
+/// let taken = set.take_prefix(2);
+/// assert_eq!(taken.iter().map(NodeId::index).collect::<Vec<_>>(), [3, 5]);
 /// assert_eq!(set.iter().map(NodeId::index).collect::<Vec<_>>(), [7, 9]);
+/// let mut runs = Vec::new();
+/// set.insert(NodeId::new(8));
+/// set.for_each_run(|start, end| runs.push((start, end)));
+/// assert_eq!(runs, [(7, 10)], "maximal runs of consecutive ids");
 /// set.clear();
 /// assert_eq!(set.heap_bytes(), 0, "an empty set owns no heap");
 /// ```
@@ -133,7 +137,7 @@ impl IdSet {
     }
 
     /// Inserts every id of the half-open index run `[start, end)` — how a
-    /// delivery absorbs a run-coded payload. A sorted set splices the run
+    /// delivery absorbs a payload, run by run. A sorted set splices the run
     /// in with one move of its tail, and a run it already covers (a
     /// redelivery) costs two binary searches and no write.
     pub fn insert_run(&mut self, start: u32, end: u32) {
@@ -190,24 +194,25 @@ impl IdSet {
         Some(first)
     }
 
-    /// Removes the `k` smallest ids (all of them if the set holds fewer),
-    /// calling `f` with each in ascending order.
-    pub fn take_prefix(&mut self, k: usize, mut f: impl FnMut(NodeId)) {
-        match &mut self.repr {
-            Repr::Sorted(ids) => {
-                let k = k.min(ids.len());
-                ids[..k].iter().for_each(|&i| f(id(i)));
-                ids.drain(..k);
-            }
-            Repr::Bits(bits) => {
-                for _ in 0..k.min(bits.len()) {
-                    let first = bits.first().expect("counted non-empty");
-                    bits.remove(first);
-                    f(NodeId::new(first));
-                }
-            }
+    /// Removes the `k` smallest ids and returns them as a set of their own.
+    /// Taking all of them (`k >= len`) moves the buffer out and copies
+    /// nothing; a proper prefix is drained into a new sorted buffer, and
+    /// the non-empty rest keeps its mode.
+    pub fn take_prefix(&mut self, k: usize) -> IdSet {
+        if k >= self.len() {
+            return std::mem::take(self);
         }
-        self.settle();
+        let taken = match &mut self.repr {
+            Repr::Sorted(ids) => ids.drain(..k).collect(),
+            Repr::Bits(bits) => (0..k)
+                .map(|_| {
+                    let first = bits.first().expect("fewer taken than held");
+                    bits.remove(first);
+                    first as u32
+                })
+                .collect(),
+        };
+        IdSet::from_sorted(taken)
     }
 
     /// Iterates over the ids in ascending order.
@@ -221,11 +226,32 @@ impl IdSet {
     }
 
     /// Calls `f` with every id in ascending order (the allocation-free
-    /// walk that streams a set into a payload or a digest).
+    /// walk behind a handler's per-id filter or a digest).
     pub fn for_each(&self, mut f: impl FnMut(NodeId)) {
         match &self.repr {
             Repr::Sorted(ids) => ids.iter().for_each(|&i| f(id(i))),
             Repr::Bits(bits) => bits.iter().for_each(|i| f(NodeId::new(i))),
+        }
+    }
+
+    /// Calls `f` with every maximal run `[start, end)` of consecutive ids,
+    /// ascending — how a delivery absorbs a shipped set, and how a sparse
+    /// knowledge set digests.
+    pub fn for_each_run(&self, mut f: impl FnMut(u32, u32)) {
+        let mut run: Option<(u32, u32)> = None;
+        self.for_each(|v| {
+            let i = raw(v);
+            match &mut run {
+                Some((_, end)) if *end == i => *end += 1,
+                _ => {
+                    if let Some((start, end)) = run.replace((i, i + 1)) {
+                        f(start, end);
+                    }
+                }
+            }
+        });
+        if let Some((start, end)) = run {
+            f(start, end);
         }
     }
 
@@ -241,6 +267,16 @@ impl IdSet {
             Repr::Sorted(ids) => ids.capacity() * std::mem::size_of::<u32>(),
             Repr::Bits(bits) => std::mem::size_of::<BitSet>() + bits.heap_bytes(),
         }
+    }
+
+    /// The set of `ids`, which must be ascending and duplicate-free, with
+    /// the promotion rule applied once.
+    fn from_sorted(ids: Vec<u32>) -> IdSet {
+        let mut set = IdSet {
+            repr: Repr::Sorted(ids),
+        };
+        set.settle();
+        set
     }
 
     /// Restores the representation invariants after a mutation: an empty
@@ -294,11 +330,7 @@ impl FromIterator<NodeId> for IdSet {
         let mut ids: Vec<u32> = iter.into_iter().map(raw).collect();
         ids.sort_unstable();
         ids.dedup();
-        let mut set = IdSet {
-            repr: Repr::Sorted(ids),
-        };
-        set.settle();
-        set
+        IdSet::from_sorted(ids)
     }
 }
 
@@ -343,7 +375,7 @@ mod tests {
         assert!(is_bitmap(&set));
         assert_eq!(members(&set), [999, 1000]);
         // … and an emptied set owns nothing, in either mode.
-        set.take_prefix(5, |_| {});
+        set.take_prefix(5);
         assert!(set.is_empty() && !is_bitmap(&set));
         assert_eq!(set.heap_bytes(), 0);
         set.insert(NodeId::new(4));
@@ -444,15 +476,37 @@ mod tests {
             let mut set: IdSet = ids.iter().copied().map(NodeId::new).collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
-            let mut taken = Vec::new();
-            set.take_prefix(3, |id| taken.push(id.index()));
+            let mut taken = members(&set.take_prefix(3));
             assert_eq!(taken, sorted[..3]);
             assert_eq!(members(&set), sorted[3..]);
             assert_eq!(set.first().map(NodeId::index), Some(sorted[3]));
-            set.take_prefix(usize::MAX, |id| taken.push(id.index()));
+            taken.extend(members(&set.take_prefix(usize::MAX)));
             assert_eq!(taken, sorted);
             assert!(set.is_empty());
-            set.take_prefix(1, |_| panic!("nothing left to take"));
+            assert!(set.take_prefix(1).is_empty(), "nothing left to take");
         }
+    }
+
+    #[test]
+    fn for_each_run_reports_maximal_runs_in_both_modes() {
+        let runs = |set: &IdSet| {
+            let mut out = Vec::new();
+            set.for_each_run(|start, end| out.push((start, end)));
+            out
+        };
+        assert_eq!(runs(&IdSet::new()), []);
+        let sparse: IdSet = [3, 4, 5, 9, 10, 70_000]
+            .into_iter()
+            .map(NodeId::new)
+            .collect();
+        assert!(!is_bitmap(&sparse));
+        assert_eq!(runs(&sparse), [(3, 6), (9, 11), (70_000, 70_001)]);
+        let dense: IdSet = (0..100)
+            .chain(101..130)
+            .chain([200])
+            .map(NodeId::new)
+            .collect();
+        assert!(is_bitmap(&dense));
+        assert_eq!(runs(&dense), [(0, 100), (101, 130), (200, 201)]);
     }
 }

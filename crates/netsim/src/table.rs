@@ -123,30 +123,12 @@ impl Knowledge {
                 }
             }
             Knowledge::Sparse(s) => {
-                // Ascending walk, one call per maximal run.
-                let for_each_run = |f: &mut dyn FnMut(u64, u64)| {
-                    let mut run: Option<(u64, u64)> = None;
-                    s.for_each(|id| {
-                        let i = id.index() as u64;
-                        match &mut run {
-                            Some((_, hi)) if *hi == i => *hi += 1,
-                            _ => {
-                                if let Some((lo, hi)) = run.replace((i, i + 1)) {
-                                    f(lo, hi);
-                                }
-                            }
-                        }
-                    });
-                    if let Some((lo, hi)) = run {
-                        f(lo, hi);
-                    }
-                };
                 let mut runs = 0u64;
-                for_each_run(&mut |_, _| runs += 1);
+                s.for_each_run(|_, _| runs += 1);
                 d.mix(runs);
-                for_each_run(&mut |lo, hi| {
-                    d.mix(lo);
-                    d.mix(hi);
+                s.for_each_run(|lo, hi| {
+                    d.mix(u64::from(lo));
+                    d.mix(u64::from(hi));
                 });
             }
         }

@@ -5,8 +5,9 @@
 //! `ArdNode` was a `BTreeSet<NodeId>`. These properties drive both through
 //! the same random operation sequences — every method the handlers call —
 //! and require the same answer from every observable: the "did it change"
-//! results, `contains`, `len`, `first`, `pop_first`, the ids `take_prefix`
-//! hands out, ascending iteration by `iter` and by `for_each`, equality.
+//! results, `contains`, `len`, `first`, `pop_first`, the set `take_prefix`
+//! returns and the rest it leaves, the maximal runs `for_each_run` reports,
+//! ascending iteration by `iter` and by `for_each`, equality.
 //! `insert_run` — how the engine's per-node knowledge (an `IdSet` above
 //! 8,192 nodes) absorbs a run-coded payload — is driven the same way on
 //! all three streams, and its named cases (a run contained in, overlapping,
@@ -57,8 +58,24 @@ impl Stream {
 /// ops.
 type Op = (u8, u32, usize);
 
+/// Number of distinct ops `Pair::apply` knows.
+const OPS: u8 = 19;
+
 fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0..18u8, any::<u32>(), 0..48usize), 0..max)
+    proptest::collection::vec((0..OPS, any::<u32>(), 0..48usize), 0..max)
+}
+
+/// The model's maximal runs of consecutive ids, ascending.
+fn model_runs(model: &BTreeSet<NodeId>) -> Vec<(u32, u32)> {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for v in model {
+        let i = v.index() as u32;
+        match runs.last_mut() {
+            Some((_, end)) if *end == i => *end += 1,
+            _ => runs.push((i, i + 1)),
+        }
+    }
+    runs
 }
 
 /// The set beside its model.
@@ -94,13 +111,19 @@ impl Pair {
             7 => prop_assert_eq!(self.real.contains(id), self.model.contains(&id)),
             8 | 9 => prop_assert_eq!(self.real.pop_first(), self.model.pop_first()),
             10 | 11 => {
-                let mut got = Vec::new();
-                self.real.take_prefix(k, |v| got.push(v));
+                let taken = self.real.take_prefix(k);
                 let want: Vec<NodeId> = self.model.iter().copied().take(k).collect();
                 for v in &want {
                     self.model.remove(v);
                 }
-                prop_assert_eq!(got, want);
+                prop_assert_eq!(taken.len(), want.len());
+                prop_assert_eq!(taken.iter().collect::<Vec<_>>(), want);
+                prop_assert!(self.real.iter().eq(self.model.iter().copied()), "remainder");
+            }
+            18 => {
+                let mut got = Vec::new();
+                self.real.for_each_run(|start, end| got.push((start, end)));
+                prop_assert_eq!(got, model_runs(&self.model));
             }
             12..=14 => {
                 // A batch of consecutive raw values: a run on the
@@ -231,7 +254,13 @@ fn op_mix_crosses_both_boundaries() {
             state
         };
         let ops: Vec<Op> = (0..4000)
-            .map(|_| ((next() % 18) as u8, next() as u32, (next() % 48) as usize))
+            .map(|_| {
+                (
+                    (next() % u64::from(OPS)) as u8,
+                    next() as u32,
+                    (next() % 48) as usize,
+                )
+            })
             .collect();
         let pair = run(stream, ops).expect("model and set agree");
         assert!(
@@ -240,6 +269,23 @@ fn op_mix_crosses_both_boundaries() {
             pair.promotions,
             pair.demotions
         );
+    }
+}
+
+/// Taking the whole set is a move, in both modes: the taken set owns the
+/// source's buffer, byte for byte, and the source owns nothing.
+#[test]
+fn take_prefix_of_everything_moves_the_buffer() {
+    let sparse: IdSet = [5, 900, 17, 4000].into_iter().map(NodeId::new).collect();
+    let dense: IdSet = (0..200).map(NodeId::new).collect();
+    for mut set in [sparse, dense] {
+        let (before, len) = (set.heap_bytes(), set.len());
+        assert!(before > 0);
+        let taken = set.take_prefix(len);
+        assert_eq!(set.heap_bytes(), 0);
+        assert!(set.is_empty());
+        assert_eq!(taken.heap_bytes(), before);
+        assert_eq!(taken.len(), len);
     }
 }
 
