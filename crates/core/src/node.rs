@@ -1615,5 +1615,8 @@ mod tests {
         assert_eq!(size_of::<ArdNode>(), 176);
         assert_eq!(size_of::<Queued>(), 20);
         assert_eq!(size_of::<Cold>(), 120);
+        // Under `--faults` every node is wrapped, and every message too.
+        assert_eq!(size_of::<crate::Reliable<ArdNode>>(), 288);
+        assert_eq!(size_of::<crate::ReliableMsg<crate::Message>>(), 56);
     }
 }
