@@ -364,8 +364,7 @@ fn discover_on<P: Layer>(
         // worth replaying.
         let (result, mut schedule) = d.run_recorded(sched);
         schedule.set_meta("topology", topology.to_string());
-        std::fs::write(path, schedule.to_text())
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        write_schedule(path, &schedule)?;
         result
     } else if !plans.is_empty() {
         d.run_all(&mut plans.scheduler(sched, graph.len()))
@@ -1009,10 +1008,20 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
     .unwrap();
     let mut schedule = shrunk.schedule;
     system.stamp(&mut schedule);
-    std::fs::write(out_path, schedule.to_text())
-        .map_err(|e| CliError(format!("cannot write {out_path}: {e}")))?;
+    write_schedule(out_path, &schedule)?;
     writeln!(out, "replay    : {out_path} (re-run with `ard replay {out_path}`)").unwrap();
     Ok(out)
+}
+
+/// Writes `schedule` to `path` in the text format, through a buffer: the
+/// file's text is never held in memory whole.
+fn write_schedule(path: &str, schedule: &Schedule) -> Result<(), CliError> {
+    let write = || -> std::io::Result<()> {
+        let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
+        schedule.write_text(&mut file)?;
+        std::io::Write::flush(&mut file)
+    };
+    write().map_err(|e| CliError(format!("cannot write {path}: {e}")))
 }
 
 fn replay_cmd(args: &[String]) -> Result<String, CliError> {
@@ -1079,8 +1088,7 @@ fn replay_cmd(args: &[String]) -> Result<String, CliError> {
         .unwrap();
         let default_out = format!("{path}.min");
         let out_path = flags.get("out").map(String::as_str).unwrap_or(&default_out);
-        std::fs::write(out_path, shrunk.schedule.to_text())
-            .map_err(|e| CliError(format!("cannot write {out_path}: {e}")))?;
+        write_schedule(out_path, &shrunk.schedule)?;
         writeln!(
             out,
             "written   : {out_path} (re-run with `ard replay {out_path}`)"

@@ -396,7 +396,7 @@ mod tests {
             let mut r = fixtures::racy_network(2);
             r.enqueue_wake_all(&mut recorder);
             r.run(&mut recorder, 1_000).map_err(|e| e.to_string())?;
-            seen.lock().expect("seen lock").push(recorder.recorded().to_vec());
+            seen.lock().expect("seen lock").push(recorder.recorded().collect());
             Ok(())
         });
         assert!(report.failure.is_none());

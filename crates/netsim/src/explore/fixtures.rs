@@ -622,7 +622,6 @@ mod tests {
             result
                 .schedule
                 .choices()
-                .iter()
                 .any(|c| matches!(c, Choice::Forge { .. })),
             "the minimized witness must keep a forgery"
         );

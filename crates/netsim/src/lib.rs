@@ -101,7 +101,7 @@ pub use idset::IdSet;
 pub use intset::IntervalSet;
 pub use linkq::LinkQueues;
 pub use metrics::{ByzantineCounts, FaultCounts, KindCounts, Metrics};
-pub use record::{RecordingScheduler, ReplayScheduler, Schedule, ScheduleParseError};
+pub use record::{Choices, RecordingScheduler, ReplayScheduler, Schedule, ScheduleParseError};
 pub use runner::{LivelockError, Protocol, Runner};
 pub use scheduler::{
     BoundedDelayScheduler, Choice, FifoScheduler, Footprint, Kind, KindRow, LifoScheduler,

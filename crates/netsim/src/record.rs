@@ -58,6 +58,24 @@
 //! executions: replaying a fault schedule needs no fault machinery at all —
 //! the recorded `x`/`u`/`c`/`r`/`t` choices drive the runner directly.
 //!
+//! # In memory
+//!
+//! [`Schedule`], [`RecordingScheduler`] and the fifo round loop's
+//! [`run_rounds_recorded`](crate::Runner::run_rounds_recorded) keep the
+//! choices in one packed byte log, not a `Vec<Choice>` (16 B a choice).
+//! Each choice is one byte holding its kind's row index in
+//! [`Kind::TABLE`], then its operands as unsigned LEB128 varints (seven
+//! bits a byte, low bits first, the high bit set on every byte but the
+//! last) in the order of the row's [`Shape`]: the node; `src`, `dst`; or
+//! `src`, `dst`, `salt`. At n = 16,384 a `d src dst` takes 5 bytes and a
+//! `t node` 3. The log is stored in 64 KiB chunks, and a choice that does
+//! not fit in the last chunk starts the next one. Encoding and chunking
+//! are canonical, so two logs hold the same choices exactly when their
+//! bytes are equal. [`Schedule::choices`] and
+//! [`RecordingScheduler::recorded`] decode the log on the fly
+//! ([`Choices`]), [`Schedule::write_text`] decodes as it writes, and a
+//! [`ReplayScheduler`] walks it with a cursor.
+//!
 //! # Example
 //!
 //! ```
@@ -80,9 +98,11 @@
 //! assert_eq!(replay.choose(), Some(ard_netsim::Choice::Wake(NodeId::new(0))));
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeMap;
 use std::error::Error;
-use std::fmt::{self, Write};
+use std::fmt;
+use std::io;
 
 use crate::scheduler::{Choice, Kind, Scheduler, SendToken, Shape, Token};
 use crate::NodeId;
@@ -93,6 +113,183 @@ pub const SCHEDULE_HEADER: &str = "ard-schedule v1";
 /// The header line of a version-2 schedule file (Byzantine/churn alphabet).
 pub const SCHEDULE_HEADER_V2: &str = "ard-schedule v2";
 
+/// A choice sequence, packed as the module doc's "In memory" section
+/// states: a kind byte, then the operands as LEB128 varints.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct ChoiceLog {
+    /// The encoded choices in chunks of [`CHUNK`] bytes of capacity; a
+    /// choice never straddles two.
+    chunks: Vec<Vec<u8>>,
+    len: usize,
+    /// Whether a choice needs the version-2 text format.
+    v2: bool,
+}
+
+impl ChoiceLog {
+    fn push(&mut self, choice: Choice) {
+        // A kind byte and at most three five-byte varints.
+        let mut buf = [0u8; 16];
+        let (kind, a, b, salt) = choice.parts();
+        buf[0] = kind as u8;
+        let mut end = 1;
+        let mut put = |mut value: u32| {
+            while value >= 0x80 {
+                buf[end] = value as u8 | 0x80;
+                value >>= 7;
+                end += 1;
+            }
+            buf[end] = value as u8;
+            end += 1;
+        };
+        // `NodeId` holds a `u32`, so its index converts back losslessly.
+        put(a.index() as u32);
+        match kind.row().shape {
+            Shape::Node => {}
+            Shape::Link => put(b.index() as u32),
+            Shape::LinkSalt => {
+                put(b.index() as u32);
+                put(salt);
+            }
+        }
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() + end <= CHUNK => chunk.extend_from_slice(&buf[..end]),
+            _ => {
+                // The first chunk grows as it fills, so a short run's log
+                // stays small; the rest are allocated whole.
+                let mut chunk = if self.chunks.is_empty() {
+                    Vec::new()
+                } else {
+                    Vec::with_capacity(CHUNK)
+                };
+                chunk.extend_from_slice(&buf[..end]);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+        self.v2 |= kind.row().version > 1;
+    }
+
+    fn iter(&self) -> Choices<'_> {
+        Choices {
+            chunks: &self.chunks,
+            bytes: &[],
+            len: self.len,
+        }
+    }
+}
+
+impl fmt::Debug for ChoiceLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.iter().fmt(f)
+    }
+}
+
+/// Bytes per chunk of a [`ChoiceLog`]. Past its first chunk a log grows
+/// without copying and holds at most one chunk of spare capacity, where a
+/// doubling buffer holds up to half its size spare. Blocks this small also
+/// come from the allocator's heap like the run's other small blocks: one
+/// large buffer freed at the end of each run made glibc move its mmap and
+/// trim thresholds, and the next run's set-up paid for it in page faults
+/// (EXPERIMENTS.md § Scale, "The recording packed").
+const CHUNK: usize = 64 * 1024;
+
+/// Writes `value` in decimal at the front of `buf`; returns its length.
+fn decimal(buf: &mut [u8], mut value: u32) -> usize {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    let len = digits.len() - start;
+    buf[..len].copy_from_slice(&digits[start..]);
+    len
+}
+
+/// Decodes the choice at the front of `bytes` and advances past it.
+fn decode(bytes: &mut &[u8]) -> Choice {
+    fn varint(bytes: &mut &[u8]) -> u32 {
+        let mut value = 0;
+        for (i, &byte) in bytes.iter().enumerate() {
+            value |= u32::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                *bytes = &bytes[i + 1..];
+                return value;
+            }
+        }
+        unreachable!("a varint ends in a byte below 0x80")
+    }
+    let node = |bytes: &mut &[u8]| NodeId::new(varint(bytes) as usize);
+    let (&tag, rest) = bytes.split_first().expect("a whole choice");
+    *bytes = rest;
+    let row = &Kind::TABLE[usize::from(tag)];
+    let a = node(bytes);
+    let (b, salt) = match row.shape {
+        Shape::Node => (a, 0),
+        Shape::Link => (node(bytes), 0),
+        Shape::LinkSalt => (node(bytes), varint(bytes)),
+    };
+    Choice::from_parts(row.kind, a, b, salt)
+}
+
+/// The choices of a [`Schedule`] or a [`RecordingScheduler`], decoded in
+/// execution order from the packed log.
+///
+/// Two iterators are equal when they would yield the same choices.
+#[derive(Clone)]
+pub struct Choices<'a> {
+    /// The chunks after `bytes`.
+    chunks: &'a [Vec<u8>],
+    /// What is left of the current chunk.
+    bytes: &'a [u8],
+    len: usize,
+}
+
+impl Iterator for Choices<'_> {
+    type Item = Choice;
+
+    fn next(&mut self) -> Option<Choice> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        if self.bytes.is_empty() {
+            (self.bytes, self.chunks) = self
+                .chunks
+                .split_first()
+                .map(|(c, r)| (&c[..], r))
+                .expect("`len` counts choices left in the chunks");
+        }
+        Some(decode(&mut self.bytes))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl ExactSizeIterator for Choices<'_> {}
+
+impl PartialEq for Choices<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        // Where the chunks break depends on the choices before, so
+        // compare the choices themselves.
+        self.len == other.len && self.clone().eq(other.clone())
+    }
+}
+
+impl Eq for Choices<'_> {}
+
+impl fmt::Debug for Choices<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
 /// A recorded sequence of scheduler choices plus free-form metadata.
 ///
 /// The choice sequence is the execution; the metadata describes how to
@@ -100,31 +297,37 @@ pub const SCHEDULE_HEADER_V2: &str = "ard-schedule v2";
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schedule {
     meta: BTreeMap<String, String>,
-    choices: Vec<Choice>,
+    choices: ChoiceLog,
 }
 
 impl Schedule {
     /// A schedule over the given choices, with no metadata.
-    pub fn new(choices: Vec<Choice>) -> Self {
-        Schedule {
-            meta: BTreeMap::new(),
-            choices,
+    pub fn new(choices: impl IntoIterator<Item = Choice>) -> Self {
+        let mut schedule = Schedule::default();
+        for choice in choices {
+            schedule.push(choice);
         }
+        schedule
+    }
+
+    /// Appends a choice (the fifo round loop records through this).
+    pub(crate) fn push(&mut self, choice: Choice) {
+        self.choices.push(choice);
     }
 
     /// The recorded choices, in execution order.
-    pub fn choices(&self) -> &[Choice] {
-        &self.choices
+    pub fn choices(&self) -> Choices<'_> {
+        self.choices.iter()
     }
 
     /// Number of recorded choices.
     pub fn len(&self) -> usize {
-        self.choices.len()
+        self.choices.len
     }
 
     /// Whether no choices were recorded.
     pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
+        self.choices.len == 0
     }
 
     /// Sets a metadata entry (replacing any previous value for `key`).
@@ -156,36 +359,52 @@ impl Schedule {
         self.meta.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
-    /// Renders the schedule in the text format, choosing the lowest
+    /// Writes the schedule in the text format, choosing the lowest
     /// version that can express it: `v1` unless a Byzantine/churn choice
     /// occurs, so pre-v2 recordings stay byte-identical.
-    pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(16 + 8 * self.choices.len());
-        if self.choices.iter().all(|c| c.kind().row().version == 1) {
-            out.push_str(SCHEDULE_HEADER);
+    ///
+    /// # Errors
+    ///
+    /// Passes on the first error `out` returns.
+    pub fn write_text(&self, out: &mut impl io::Write) -> io::Result<()> {
+        if self.choices.v2 {
+            writeln!(out, "{SCHEDULE_HEADER_V2}")?;
         } else {
-            out.push_str(SCHEDULE_HEADER_V2);
+            writeln!(out, "{SCHEDULE_HEADER}")?;
         }
-        out.push('\n');
         for (k, v) in &self.meta {
-            out.push_str("meta ");
-            out.push_str(k);
-            out.push(' ');
-            out.push_str(v);
-            out.push('\n');
+            writeln!(out, "meta {k} {v}")?;
         }
-        for choice in &self.choices {
+        // Each directive line is put together in a buffer and written in
+        // one call: the letter, then every operand after a space.
+        let mut line = [0u8; 36];
+        for choice in self.choices() {
             let row = choice.kind().row();
             let (a, b, salt) = choice.operands();
-            let (letter, a, b) = (row.letter, a.index(), b.index());
-            match row.shape {
-                Shape::Node => writeln!(out, "{letter} {a}"),
-                Shape::Link => writeln!(out, "{letter} {a} {b}"),
-                Shape::LinkSalt => writeln!(out, "{letter} {a} {b} {salt}"),
+            let (a, b) = (a.index() as u32, b.index() as u32);
+            let operands: &[u32] = match row.shape {
+                Shape::Node => &[a],
+                Shape::Link => &[a, b],
+                Shape::LinkSalt => &[a, b, salt],
+            };
+            line[0] = u8::try_from(row.letter).expect("directive letters are ASCII");
+            let mut end = 1;
+            for &operand in operands {
+                line[end] = b' ';
+                end += 1 + decimal(&mut line[end + 1..], operand);
             }
-            .expect("writing to a String cannot fail");
+            line[end] = b'\n';
+            out.write_all(&line[..=end])?;
         }
-        out
+        Ok(())
+    }
+
+    /// [`write_text`](Schedule::write_text) into a `String`.
+    pub fn to_text(&self) -> String {
+        let mut out = Vec::with_capacity(16 + 8 * self.len());
+        self.write_text(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the text format is UTF-8")
     }
 
     /// Parses the text format (version 1 or 2 — every directive is
@@ -273,9 +492,7 @@ impl Schedule {
                             .map_err(|_| fail(line, format!("salt: `{s}` is not a u32")))?,
                         None => 0,
                     };
-                    schedule
-                        .choices
-                        .push(Choice::from_parts(row.kind, a, b, salt));
+                    schedule.push(Choice::from_parts(row.kind, a, b, salt));
                 }
             }
         }
@@ -313,7 +530,7 @@ impl Error for ScheduleParseError {}
 #[derive(Clone, Debug)]
 pub struct RecordingScheduler<S> {
     inner: S,
-    recorded: Vec<Choice>,
+    recorded: Schedule,
     terminal_digest: Option<u64>,
 }
 
@@ -322,14 +539,14 @@ impl<S> RecordingScheduler<S> {
     pub fn new(inner: S) -> Self {
         RecordingScheduler {
             inner,
-            recorded: Vec::new(),
+            recorded: Schedule::default(),
             terminal_digest: None,
         }
     }
 
     /// The choices recorded so far, in execution order.
-    pub fn recorded(&self) -> &[Choice] {
-        &self.recorded
+    pub fn recorded(&self) -> Choices<'_> {
+        self.recorded.choices()
     }
 
     /// The canonical terminal-state digest of the recorded run, if it ran
@@ -352,13 +569,13 @@ impl<S> RecordingScheduler<S> {
 
     /// Consumes the wrapper, returning the recorded [`Schedule`].
     pub fn into_schedule(self) -> Schedule {
-        Schedule::new(self.recorded)
+        self.recorded
     }
 
     /// Consumes the wrapper, returning the inner scheduler and the
     /// recorded [`Schedule`].
     pub fn into_parts(self) -> (S, Schedule) {
-        (self.inner, Schedule::new(self.recorded))
+        (self.inner, self.recorded)
     }
 }
 
@@ -422,12 +639,20 @@ impl<S: Scheduler> Scheduler for RecordingScheduler<S> {
 ///   *shrinking* needs: a candidate subsequence executes its enabled
 ///   choices and ends, and the actually-executed sequence (re-recorded via
 ///   [`RecordingScheduler`]) is strict-replayable again.
+///
+/// Each choice costs O(1): the next one is decoded from the packed log and
+/// looked up in a count per pending token.
 #[derive(Debug)]
 pub struct ReplayScheduler {
-    choices: Vec<Choice>,
+    choices: ChoiceLog,
+    /// Chunk and byte offset of the next choice in `choices`.
+    at: (usize, usize),
     cursor: usize,
-    /// All live tokens in arrival order (a multiset: one entry per token).
-    pending: VecDeque<Choice>,
+    /// The live tokens as a multiset: how many of each are pending (no
+    /// entry for none).
+    pending: HashMap<Choice, u32>,
+    /// The sum of `pending`'s counts.
+    live: usize,
     strict: bool,
     skipped: u64,
 }
@@ -435,20 +660,22 @@ pub struct ReplayScheduler {
 impl ReplayScheduler {
     /// A strict replayer for `schedule` (panics on divergence).
     pub fn strict(schedule: &Schedule) -> Self {
-        Self::from_choices(schedule.choices().to_vec(), true)
+        Self::from_log(schedule.choices.clone(), true)
     }
 
     /// A lenient replayer over an explicit choice sequence (skips
     /// disabled choices).
     pub fn lenient(choices: &[Choice]) -> Self {
-        Self::from_choices(choices.to_vec(), false)
+        Self::from_log(Schedule::new(choices.iter().copied()).choices, false)
     }
 
-    fn from_choices(choices: Vec<Choice>, strict: bool) -> Self {
+    fn from_log(choices: ChoiceLog, strict: bool) -> Self {
         ReplayScheduler {
             choices,
+            at: (0, 0),
             cursor: 0,
-            pending: VecDeque::new(),
+            pending: HashMap::new(),
+            live: 0,
             strict,
             skipped: 0,
         }
@@ -462,7 +689,7 @@ impl ReplayScheduler {
     /// Tokens still pending (nonzero after exhaustion means the recorded
     /// schedule was a truncation of the full run).
     pub fn leftover(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Recorded choices skipped because they were not enabled (always 0 in
@@ -471,8 +698,13 @@ impl ReplayScheduler {
         self.skipped
     }
 
+    fn announce(&mut self, token: Choice) {
+        *self.pending.entry(token).or_insert(0) += 1;
+        self.live += 1;
+    }
+
     /// Whether `choice` is enabled against the current token multiset, and
-    /// if so which pending entry it consumes (`None` for token-free
+    /// if so which pending token it consumes (`None` for token-free
     /// choices like crash/restart).
     ///
     /// Fault choices map onto *delivery* tokens: a recorded drop or
@@ -480,13 +712,14 @@ impl ReplayScheduler {
     /// flight on that link. A drop consumes the token (the message is
     /// gone); a duplicate leaves it (the runner re-announces the copy via
     /// `note_send`, growing the multiset by one).
-    fn enabledness(&self, choice: Choice) -> Result<Option<usize>, ()> {
-        let find = |want: Choice| self.pending.iter().position(|&p| p == want).ok_or(());
+    fn enabledness(&self, choice: Choice) -> Result<Option<Choice>, ()> {
         let (src, dst, _) = choice.operands();
+        let link = Choice::Deliver { src, dst };
+        let live = |token| self.pending.contains_key(&token).then_some(token).ok_or(());
         match choice.kind().row().token {
-            Token::Own => find(choice).map(Some),
-            Token::Takes => find(Choice::Deliver { src, dst }).map(Some),
-            Token::Needs => find(Choice::Deliver { src, dst }).map(|_| None),
+            Token::Own => live(choice).map(Some),
+            Token::Takes => live(link).map(Some),
+            Token::Needs => live(link).map(|_| None),
             Token::Free => Ok(None),
         }
     }
@@ -494,36 +727,55 @@ impl ReplayScheduler {
 
 impl Scheduler for ReplayScheduler {
     fn note_wake(&mut self, node: NodeId) {
-        self.pending.push_back(Choice::Wake(node));
+        self.announce(Choice::Wake(node));
     }
     fn note_send(&mut self, token: SendToken) {
-        self.pending.push_back(Choice::Deliver {
+        self.announce(Choice::Deliver {
             src: token.src,
             dst: token.dst,
         });
     }
     fn note_tick(&mut self, node: NodeId) {
-        self.pending.push_back(Choice::Tick(node));
+        self.announce(Choice::Tick(node));
     }
     fn choose(&mut self) -> Option<Choice> {
-        while self.cursor < self.choices.len() {
-            let choice = self.choices[self.cursor];
+        while self.cursor < self.choices.len {
+            let chunk = &self.choices.chunks[self.at.0];
+            let mut rest = &chunk[self.at.1..];
+            let choice = decode(&mut rest);
+            let next = if rest.is_empty() {
+                (self.at.0 + 1, 0)
+            } else {
+                (self.at.0, chunk.len() - rest.len())
+            };
             match self.enabledness(choice) {
                 Ok(consumes) => {
+                    self.at = next;
                     self.cursor += 1;
-                    if let Some(i) = consumes {
-                        self.pending.remove(i);
+                    if let Some(token) = consumes {
+                        let Entry::Occupied(mut count) = self.pending.entry(token) else {
+                            unreachable!("an enabled choice's token is pending")
+                        };
+                        *count.get_mut() -= 1;
+                        if *count.get() == 0 {
+                            count.remove();
+                        }
+                        self.live -= 1;
                     }
                     return Some(choice);
                 }
-                Err(()) if self.strict => panic!(
-                    "replay divergence at event {}: recorded choice {choice:?} is not \
-                     pending ({} live tokens: {:?})",
-                    self.cursor,
-                    self.pending.len(),
-                    self.pending.iter().take(8).collect::<Vec<_>>(),
-                ),
+                Err(()) if self.strict => {
+                    let mut live: Vec<Choice> = self.pending.keys().copied().collect();
+                    live.sort_by_key(Choice::sort_key);
+                    live.truncate(8);
+                    panic!(
+                        "replay divergence at event {}: recorded choice {choice:?} is not \
+                         pending ({} live tokens: {live:?})",
+                        self.cursor, self.live,
+                    )
+                }
                 Err(()) => {
+                    self.at = next;
                     self.cursor += 1;
                     self.skipped += 1;
                 }
@@ -532,7 +784,7 @@ impl Scheduler for ReplayScheduler {
         None
     }
     fn pending(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 }
 
@@ -649,8 +901,8 @@ mod tests {
         // without touching its header.
         let s = Schedule::parse("ard-schedule v1\nj 2\nf 2 0 7\nl 2\n").unwrap();
         assert_eq!(
-            s.choices(),
-            &[
+            s.choices().collect::<Vec<_>>(),
+            [
                 Choice::Join(NodeId::new(2)),
                 Choice::Forge {
                     src: NodeId::new(2),
@@ -690,8 +942,8 @@ mod tests {
         while let Some(c) = rec.choose() {
             seen.push(c);
         }
-        assert_eq!(rec.recorded(), seen.as_slice());
-        assert_eq!(rec.into_schedule().choices(), seen.as_slice());
+        assert_eq!(rec.recorded().collect::<Vec<_>>(), seen);
+        assert_eq!(rec.into_schedule().choices().collect::<Vec<_>>(), seen);
     }
 
     #[test]
@@ -769,6 +1021,42 @@ mod tests {
         assert_eq!(r.pending(), 1);
         assert!(r.choose().is_some());
         assert_eq!(r.choose(), None);
+    }
+
+    #[test]
+    fn packed_sizes_follow_the_varint_boundaries() {
+        let size = |choice: Choice| {
+            let mut log = ChoiceLog::default();
+            log.push(choice);
+            assert_eq!(decode(&mut log.chunks[0].as_slice()), choice);
+            log.chunks[0].len()
+        };
+        let n = NodeId::new;
+        assert_eq!(size(Choice::Tick(n(127))), 2);
+        assert_eq!(size(Choice::Tick(n(16_383))), 3);
+        assert_eq!(size(Choice::Wake(n(16_384))), 4);
+        let (src, dst) = (n(16_383), n(128));
+        assert_eq!(size(Choice::Deliver { src, dst }), 5);
+        let (src, dst, salt) = (n(u32::MAX as usize), n(1 << 21), u32::MAX);
+        assert_eq!(size(Choice::Forge { src, dst, salt }), 1 + 5 + 4 + 5);
+    }
+
+    #[test]
+    fn divergence_lists_at_most_eight_pending_tokens() {
+        let schedule = Schedule::new(vec![Choice::Wake(NodeId::new(99))]);
+        let mut r = ReplayScheduler::strict(&schedule);
+        for i in (0..10).rev() {
+            r.note_wake(NodeId::new(i));
+        }
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.choose()))
+            .expect_err("n99 was never announced");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        let first: Vec<_> = (0..8).map(|i| Choice::Wake(NodeId::new(i))).collect();
+        assert!(
+            message.starts_with("replay divergence at event 0")
+                && message.ends_with(&format!("(10 live tokens: {first:?})")),
+            "{message}"
+        );
     }
 
     #[test]

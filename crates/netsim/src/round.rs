@@ -132,9 +132,9 @@ impl<P: Protocol> Runner<P> {
         &mut self,
         max_steps: u64,
     ) -> (Result<u64, LivelockError>, Schedule) {
-        let mut choices = Vec::new();
-        let result = self.round_loop(max_steps, Some(&mut choices));
-        (result, Schedule::new(choices))
+        let mut schedule = Schedule::default();
+        let result = self.round_loop(max_steps, Some(&mut schedule));
+        (result, schedule)
     }
 
     /// Former name of [`run_rounds`](Runner::run_rounds), kept only because
@@ -160,7 +160,7 @@ impl<P: Protocol> Runner<P> {
     fn round_loop(
         &mut self,
         max_steps: u64,
-        mut record: Option<&mut Vec<Choice>>,
+        mut record: Option<&mut Schedule>,
     ) -> Result<u64, LivelockError> {
         assert!(
             self.links_empty(),
@@ -192,8 +192,8 @@ impl<P: Protocol> Runner<P> {
                     pending: pending.events.len() + 1,
                 });
             }
-            if let Some(choices) = record.as_deref_mut() {
-                choices.push(ev.choice());
+            if let Some(schedule) = record.as_deref_mut() {
+                schedule.push(ev.choice());
             }
             match ev {
                 Ev::Wake(node) => self.wake(node, &mut pending),

@@ -24,7 +24,7 @@ pub struct SendToken {
 }
 
 /// One step the scheduler wants the runner to perform.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Choice {
     /// Wake the given node (it must have a pending wake-up token).
     Wake(NodeId),
@@ -202,7 +202,7 @@ kinds! {
 impl Choice {
     /// Kind and operands in one match; a node-shaped choice repeats its
     /// node as the second operand, and only a forgery has a salt.
-    fn parts(&self) -> (Kind, NodeId, NodeId, u32) {
+    pub(crate) fn parts(&self) -> (Kind, NodeId, NodeId, u32) {
         match *self {
             Choice::Wake(a) => (Kind::Wake, a, a, 0),
             Choice::Deliver { src, dst } => (Kind::Deliver, src, dst, 0),

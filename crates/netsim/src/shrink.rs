@@ -97,12 +97,13 @@ where
         let mut sched = RecordingScheduler::new(ReplayScheduler::lenient(choices));
         let result = run_one(&mut sched);
         let reason = result.err()?;
-        Some((sched.recorded().to_vec(), reason, sched.terminal_digest()))
+        Some((sched.recorded().collect(), reason, sched.terminal_digest()))
     };
 
     let mut attempts: u64 = 1; // the initial validation below
-    let (mut best, mut reason, mut digest) = try_choices(schedule.choices())
-        .expect("shrink: input schedule does not fail under run_one");
+    let input: Vec<Choice> = schedule.choices().collect();
+    let (mut best, mut reason, mut digest) =
+        try_choices(&input).expect("shrink: input schedule does not fail under run_one");
     let original_len = schedule.len();
 
     let mut chunk = best.len().div_ceil(2).max(1);
@@ -233,9 +234,9 @@ mod tests {
         let result = shrink(&schedule, || {
             |sched: &mut dyn Scheduler| fixtures::run_racy(3, sched)
         });
-        let best = result.schedule.choices();
+        let best: Vec<Choice> = result.schedule.choices().collect();
         for skip in 0..best.len() {
-            let mut candidate: Vec<Choice> = best.to_vec();
+            let mut candidate = best.clone();
             candidate.remove(skip);
             let mut sched = ReplayScheduler::lenient(&candidate);
             assert!(

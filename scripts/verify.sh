@@ -6,7 +6,9 @@
 # Runs the build + test + lint gate from ROADMAP.md (with the tests of
 # every workspace crate, not only the root package) and `cargo doc` with
 # warnings denied (a dangling intra-doc link fails). Then the n = 100,000
-# round-loop-vs-FifoScheduler comparison, then benchmark/ci-smoke.sh:
+# round-loop-vs-FifoScheduler comparison and the full-size (n = 16,384)
+# record -> strict replay under the faulty-16k plan, then
+# benchmark/ci-smoke.sh:
 # `benchmark/` is a Cargo workspace of its own, so nothing above compiles
 # it, and its Cargo.lock is part of the freeze. Last, the checked-in
 # BENCH_throughput.json must carry the keys scripts/bench.sh writes. The
@@ -38,6 +40,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # steps, leaders, metrics (value and text) and the terminal state digest.
 cargo test --release --offline --test round_fifo -- --ignored
 
+# Full-size record -> strict replay: 1.37 M choices recorded under the
+# faulty-16k plan must all replay, leave no token pending and reproduce
+# the outcome.
+cargo test --release --offline --test faulty_replay -- --ignored
+
 # The frozen benchmark crate: outside the workspace, so only this step
 # notices a public-API change that stops it compiling, or a workload whose
 # checks (requirements, budgets, cross-engine digests) stop passing. Its
@@ -63,4 +70,4 @@ for key in '"payload_bytes_per_event"' '"payload_peak_bytes"'; do
     fi
 done
 
-echo "verify: OK (workspace tests, clippy and docs clean; n=100000 round loop equals the FifoScheduler run; benchmark/ci-smoke.sh green with benchmark/Cargo.lock untouched; bench JSON schema ok)"
+echo "verify: OK (workspace tests, clippy and docs clean; n=100000 round loop equals the FifoScheduler run; n=16384 faulty recording replays strictly; benchmark/ci-smoke.sh green with benchmark/Cargo.lock untouched; bench JSON schema ok)"

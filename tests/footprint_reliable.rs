@@ -1,6 +1,8 @@
 //! Memory gate for the fault layer: heap bytes per node of an Oblivious run
 //! with every node inside `Reliable`, under drops, duplicates and crashes,
-//! counted by this test crate's own global allocator.
+//! counted by this test crate's own global allocator — first without the
+//! recording, then with it, where the recording's bytes per choice are
+//! gated too.
 //!
 //! The run is seeded, so it is deterministic, and the counter adds up the
 //! requested sizes, not what the system allocator rounds them to: the two
@@ -15,7 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use asynchronous_resource_discovery::core::{FaultyDiscovery, Variant};
 use asynchronous_resource_discovery::graph::gen;
-use asynchronous_resource_discovery::netsim::{FaultPlan, FaultScheduler, RandomScheduler};
+use asynchronous_resource_discovery::netsim::{
+    FaultPlan, FaultScheduler, RandomScheduler, RecordingScheduler,
+};
 
 /// `System`, counting live bytes and their high-water mark.
 struct Counting;
@@ -71,31 +75,77 @@ static ALLOCATOR: Counting = Counting;
 const LIVE_CEILING: f64 = 1_140.0;
 const PEAK_CEILING: f64 = 1_372.0;
 
+/// The same run recorded (164,039 choices), measured on the commit that
+/// packed the recording into one byte-coded choice log: 1,442.4 B/node
+/// high-water and 4.40 B per recorded choice, spare capacity included (its
+/// parent, recording into a `Vec<Choice>`: 3,147.0 and 25.57). The
+/// ceilings sit ~5 % above.
+const RECORDED_PEAK_CEILING: f64 = 1_515.0;
+const BYTES_PER_CHOICE_CEILING: f64 = 4.62;
+
+/// Starts a measurement: the high-water restarts at what is live now,
+/// which is returned.
+fn start() -> usize {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    before
+}
+
 #[test]
 fn reliable_heap_bytes_per_node_stay_under_their_ceilings() {
     const N: usize = 2_048;
     let graph = gen::random_weakly_connected(N, 2 * N, 1);
     // `ard discover --faults drop=0.1,dup=0.05,crash=3,seed=1`, the plan of
-    // the `faulty-16k` benchmark workload, without the recording.
-    let plan = FaultPlan::new(1)
-        .with_drop(0.1)
-        .with_dup(0.05)
-        .with_spread_crashes(3, N);
-    let mut sched = FaultScheduler::new(RandomScheduler::seeded(1), Some(plan));
+    // the `faulty-16k` benchmark workload.
+    let plan = || {
+        FaultPlan::new(1)
+            .with_drop(0.1)
+            .with_dup(0.05)
+            .with_spread_crashes(3, N)
+    };
+    let per_node = |bytes: usize| bytes as f64 / N as f64;
 
-    let before = LIVE.load(Relaxed);
-    PEAK.store(before, Relaxed);
-
+    // Phase 1: the fault layer alone, without the recording.
+    let mut sched = FaultScheduler::new(RandomScheduler::seeded(1), Some(plan()));
+    let before = start();
     let mut d = FaultyDiscovery::new(&graph, Variant::Oblivious);
     d.run_all(&mut sched).expect("run livelocked");
-
-    let per_node = |bytes: usize| (bytes - before) as f64 / N as f64;
-    let live = per_node(LIVE.load(Relaxed));
-    let peak = per_node(PEAK.load(Relaxed));
+    let live = per_node(LIVE.load(Relaxed) - before);
+    let peak = per_node(PEAK.load(Relaxed) - before);
     d.check_requirements(&graph).expect("requirements");
     assert_eq!(d.runner().nodes().map(|n| n.unacked_len()).sum::<usize>(), 0);
     assert!(d.runner().metrics().faults().crashes >= 1);
     println!("n = {N}: {live:.1} B/node live at quiescence, {peak:.1} B/node high-water");
     assert!(live <= LIVE_CEILING, "live {live:.1} B/node");
     assert!(peak <= PEAK_CEILING, "high-water {peak:.1} B/node");
+    drop(d);
+
+    // Phase 2: the same run under a `RecordingScheduler`, as the benchmark
+    // and `ard discover --record` run it.
+    let mut sched = RecordingScheduler::new(FaultScheduler::new(
+        RandomScheduler::seeded(1),
+        Some(plan()),
+    ));
+    let before = start();
+    let mut d = FaultyDiscovery::new(&graph, Variant::Oblivious);
+    let steps = d.run_all(&mut sched).expect("run livelocked").steps;
+    let peak = per_node(PEAK.load(Relaxed) - before);
+    let schedule = sched.into_schedule();
+    let choices = schedule.len();
+    assert_eq!(choices as u64, steps, "one recorded choice per step");
+    let held = LIVE.load(Relaxed);
+    drop(schedule);
+    let bytes_per_choice = (held - LIVE.load(Relaxed)) as f64 / choices as f64;
+    println!(
+        "n = {N}, recorded: {peak:.1} B/node high-water, {choices} choices at \
+         {bytes_per_choice:.2} B/choice"
+    );
+    assert!(
+        peak <= RECORDED_PEAK_CEILING,
+        "high-water with recording {peak:.1} B/node"
+    );
+    assert!(
+        bytes_per_choice <= BYTES_PER_CHOICE_CEILING,
+        "recording {bytes_per_choice:.2} B/choice"
+    );
 }

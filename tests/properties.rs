@@ -446,7 +446,7 @@ proptest! {
         let mut rec = RecordingScheduler::new(RandomScheduler::seeded(seed));
         run_fork_system(&system, &mut rec).expect("tolerant fixture cannot fail");
         let base_digest = rec.terminal_digest().expect("fixture reports a digest");
-        let choices = rec.recorded().to_vec();
+        let choices: Vec<_> = rec.recorded().collect();
         for i in 0..choices.len().saturating_sub(1) {
             let (a, b) = (choices[i], choices[i + 1]);
             if a == b || Footprint::may(a).conflicts(&Footprint::may(b)) {

@@ -116,7 +116,7 @@ fn corpus_files_round_trip_byte_identically() {
             text,
             "{name}: parse → to_text must be the identity on checked-in files"
         );
-        let uses_v2 = schedule.choices().iter().any(|c| {
+        let uses_v2 = schedule.choices().any(|c| {
             matches!(
                 c,
                 Choice::Forge { .. }
@@ -161,7 +161,6 @@ fn every_corpus_schedule_replays_and_still_holds() {
                     assert!(
                         schedule
                             .choices()
-                            .iter()
                             .any(|c| matches!(c, Choice::Crash(_))),
                         "{name}: the fragile witness must stay crash-triggered"
                     );
@@ -175,7 +174,6 @@ fn every_corpus_schedule_replays_and_still_holds() {
                     assert!(
                         schedule
                             .choices()
-                            .iter()
                             .any(|c| matches!(c, Choice::Forge { .. })),
                         "{name}: the equivocation witness must stay forgery-triggered"
                     );
@@ -347,7 +345,6 @@ fn regenerate_fault_corpus() {
     assert!(
         schedule
             .choices()
-            .iter()
             .any(|c| matches!(c, Choice::Crash(_))),
         "witness must stay crash-triggered"
     );
@@ -404,7 +401,6 @@ fn regenerate_byzantine_corpus() {
     assert!(
         schedule
             .choices()
-            .iter()
             .any(|c| matches!(c, Choice::Forge { .. })),
         "witness must stay forgery-triggered"
     );
