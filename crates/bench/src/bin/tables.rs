@@ -28,7 +28,8 @@ fn main() -> ExitCode {
                 match args.get(i) {
                     Some(id) => exp = Some(id.clone()),
                     None => {
-                        eprintln!("--exp needs an id (e1..e10, f1, a1..a3)");
+                        let ids: Vec<&str> = ard_bench::EXPERIMENTS.iter().map(|e| e.0).collect();
+                        eprintln!("--exp needs an id ({})", ids.join(", "));
                         return ExitCode::FAILURE;
                     }
                 }

@@ -1,6 +1,11 @@
 //! Subcommand implementations.
+//!
+//! One private table states the command line once: each command's
+//! synopsis, positional argument, handler and flags, and each flag's arity,
+//! metavar, default and help line. [`run`] parses and dispatches from it,
+//! the help text is rendered from it, and a handler only reads values.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use ard_core::node::ArdNode;
@@ -11,17 +16,18 @@ use ard_core::{
 use ard_graph::KnowledgeGraph;
 use ard_lower_bounds::{tree_adversary, uf_reduction};
 use ard_netsim::explore::{
-    explore, explore_fork, fixtures, ExploreConfig, ExploreReport, ReduceMode,
+    explore, explore_fork, fixtures, run_fork_system, ExploreConfig, ExploreReport, ForkSystem,
+    ReduceMode,
 };
 use ard_netsim::shrink::shrink_jobs;
-use ard_netsim::{NodeId, RandomScheduler, ReplayScheduler, Schedule, Scheduler};
+use ard_netsim::{Metrics, NodeId, RandomScheduler, ReplayScheduler, Schedule, Scheduler};
 use ard_overlay::{bootstrap, Key};
 use ard_union_find::{alpha, OpSequence};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::spec;
+use crate::spec::{self, SchedulerSpec};
 
 /// A CLI failure: bad usage or a bad specification.
 #[derive(Debug)]
@@ -41,173 +47,271 @@ impl From<spec::ParseSpecError> for CliError {
     }
 }
 
-fn usage() -> String {
-    "\
-usage: ard <command> [--flag value]...
-
-commands:
-  discover   run resource discovery
-             --topology SPEC (default random:n=64,extra=128)
-             --variant oblivious|bounded|adhoc (default adhoc)
-             --scheduler fifo|lifo|random[:SEED]|bounded:D[,SEED] (default random)
-             --max-steps N override the livelock step budget
-             --trace N     print the first N trace events
-             --dot PATH    write the final state as Graphviz DOT
-             --stats       print per-node / per-link traffic hot spots
-             --record PATH write the run's schedule, injected events
-                           included, for `ard replay`
-             --faults drop=P,dup=P,crash=N[,seed=S]
-                           run under fault injection: lossy/duplicating
-                           links and N crash/restart events, with every
-                           node wrapped in the reliable-delivery layer
-             --byzantine f=K[,seed=S][,class=C]
-                           run with K seeded Byzantine nodes (classes:
-                           equivocate, fabricate, silence, stale-restart;
-                           default all) and report which guarantees
-                           survive instead of asserting them
-             --churn rate=R[,seed=S]
-                           withhold ⌈R·n⌉ initial wake-ups and replay them
-                           as scheduled joins, with as many departures
-                           (--byzantine/--churn run the bare protocol:
-                           not with --faults)
-             --sweep T     run T independent trials (scheduler seeds S,
-                           S+1, …; needs --scheduler random[:S]), one
-                           summary line each; on its own, not with any
-                           of the flags above from --max-steps down
-             --jobs N      with --sweep: run trials on N worker threads
-                           (same output as 1)
-  adversary  run the Theorem 1 subtree-freezing adversary
-             --levels I    tree depth (default 8)
-  reduction  run the Theorem 2 union-find reduction
-             --sets N --finds M [--adversarial] [--seed S]
-  overlay    discover, bootstrap a DHT ring and serve lookups
-             --n N --lookups K [--seed S]
-  baselines  compare against name-dropper / law-siu / flooding
-             --n N [--seed S]
-             --seeds T     run T independent trials (seeds S, S+3, S+6, …)
-             --jobs N      run trials on N worker threads (same output as 1)
-  explore    search interleavings for requirement/budget violations
-             --topology SPEC (default random:n=16,extra=24)
-             --variant oblivious|bounded|adhoc (default adhoc)
-             --system discovery|racy:K|fragile:K|equiv:K (default
-                           discovery; racy:K / fragile:K / equiv:K are
-                           fixtures with a planted race / fault-dependent
-                           / equivocation-dependent bug among K clients)
-             --budget N    schedules to try: half random walks, half
-                           branch-point DFS (default 64)
-             --walks W     random walks to run before the DFS phase; the
-                           remaining budget goes to DFS (default half;
-                           --walks 0 makes the search pure DFS)
-             --depth D     DFS branch-point depth (default 4)
-             --seed S      base seed for the random walks (default 0)
-             --faults drop=P,dup=P,crash=N[,seed=S]
-                           inject faults into every candidate schedule, so
-                           drops/dups/crashes join the search space
-             --byzantine f=K[,seed=S][,class=C]
-                           attach a Byzantine plan to every candidate
-                           schedule, so forgeries/silence/stale restarts
-                           join the search space
-             --churn rate=R[,seed=S]
-                           attach join/leave churn to every candidate
-                           schedule
-             --out PATH    file for the minimized failing schedule
-                           (default ard-failure.schedule)
-             --jobs N      worker threads for candidate runs; results are
-                           byte-identical at any value (default 1)
-             --reduce [sleep|none]
-                           dynamic partial-order reduction of the DFS
-                           phase: sleep sets + terminal-state dedup prune
-                           interleavings that only reorder independent
-                           events (bare --reduce means sleep; default none)
-             --stats       print reduction counters (sleep-pruned,
-                           state-deduped)
-             --check-snapshots
-                           debug: re-execute every checkpoint-resumed DFS
-                           run from scratch and panic on divergence (the
-                           forkable fixture systems only)
-  replay     re-execute a recorded schedule file byte-for-byte
-             ard replay <file> [--shrink [--jobs N] [--out PATH]]
-             --shrink      ddmin-minimize the replayed failure and write
-                           the 1-minimal schedule (default <file>.min)
-  help       print this text
-"
-    .to_string()
+/// One subcommand: a row of [`COMMANDS`].
+struct Command {
+    name: &'static str,
+    synopsis: &'static str,
+    /// The metavar and description of the one positional argument, which
+    /// comes before the flags.
+    positional: Option<(&'static str, &'static str)>,
+    handler: fn(&Args) -> Result<String, CliError>,
+    flags: &'static [Flag],
 }
 
-/// The flags each command takes; any other `--flag` is an error.
-const DISCOVER_FLAGS: &[&str] = &[
-    "topology", "variant", "scheduler", "max-steps", "trace", "dot", "stats", "record", "faults",
-    "byzantine", "churn", "sweep", "jobs", "shards",
-];
-const ADVERSARY_FLAGS: &[&str] = &["levels"];
-const REDUCTION_FLAGS: &[&str] = &["sets", "finds", "adversarial", "seed"];
-const OVERLAY_FLAGS: &[&str] = &["n", "lookups", "seed"];
-const BASELINES_FLAGS: &[&str] = &["n", "seed", "seeds", "jobs"];
-const EXPLORE_FLAGS: &[&str] = &[
-    "topology", "variant", "system", "budget", "walks", "depth", "seed", "faults", "byzantine",
-    "churn", "out", "jobs", "reduce", "stats", "check-snapshots",
-];
-const REPLAY_FLAGS: &[&str] = &["shrink", "jobs", "out"];
+/// One `--flag` of one command.
+struct Flag {
+    name: &'static str,
+    arity: Arity,
+    metavar: &'static str,
+    /// What a handler reads when the flag is not given; `<file>` stands for
+    /// the positional argument.
+    default: Option<&'static str>,
+    help: &'static str,
+}
 
-/// Parses the `--key value` pairs (and bare switches) of `command`, which
-/// takes exactly the flags in `known`.
-fn parse_flags(
-    command: &str,
-    known: &[&str],
-    args: &[String],
-) -> Result<HashMap<String, String>, CliError> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| CliError(format!("expected --flag, got `{}`", args[i])))?;
-        if !known.contains(&key) {
-            return Err(CliError(format!("{command} does not take --{key}")));
-        }
-        if key == "adversarial" || key == "stats" || key == "check-snapshots" || key == "shrink" {
-            flags.insert(key.to_string(), "true".to_string());
-            i += 1;
-            continue;
-        }
-        if key == "reduce" {
-            // Optional value: bare `--reduce` means sleep-set reduction;
-            // `--reduce none` turns it off explicitly.
-            match args.get(i + 1) {
-                Some(value) if !value.starts_with("--") => {
-                    flags.insert(key.to_string(), value.clone());
-                    i += 2;
-                }
-                _ => {
-                    flags.insert(key.to_string(), "sleep".to_string());
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        // No declared flag takes a negative number, so a following `--flag`
-        // is never this one's value.
-        let value = args
-            .get(i + 1)
-            .filter(|value| !value.starts_with("--"))
-            .ok_or_else(|| CliError(format!("--{key} needs a value")))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
+/// What follows a flag on the command line.
+#[derive(Clone, Copy)]
+enum Arity {
+    Switch,
+    Value,
+    /// A value unless the next word is a flag; this one when bare.
+    Optional(&'static str),
+}
+
+/// Declares [`COMMANDS`] from one listing. A flag row is its name, arity,
+/// metavar (empty for a switch), default (`-` for none) and help line.
+macro_rules! commands {
+    (@opt $(-)?) => { None };
+    (@opt $value:tt) => { Some($value) };
+    (@arity Optional $bare:literal) => { Arity::Optional($bare) };
+    (@arity $arity:ident) => { Arity::$arity };
+    ($($name:literal $(<$pos:literal $what:literal>)? $synopsis:literal => $handler:ident {
+        $($flag:literal $arity:ident $(($bare:literal))? $metavar:literal $default:tt $help:literal)*
+    })*) => {
+        /// Every command `ard` takes, in `usage` order.
+        const COMMANDS: &[Command] = &[$(Command {
+            name: $name,
+            synopsis: $synopsis,
+            positional: commands!(@opt $(($pos, $what))?),
+            handler: $handler,
+            flags: &[$(Flag {
+                name: $flag,
+                arity: commands!(@arity $arity $($bare)?),
+                metavar: $metavar,
+                default: commands!(@opt $default),
+                help: $help,
+            }),*],
+        }),*];
+    };
+}
+
+commands! {
+    "discover" "run resource discovery" => discover {
+        // flag       arity   metavar  default  help
+        "topology"    Value   "SPEC"   "random:n=64,extra=128"  "the initial knowledge graph"
+        "variant"     Value   "oblivious|bounded|adhoc"  "adhoc"  "the problem variant"
+        "scheduler"   Value   "fifo|lifo|random[:SEED]|bounded:D[,SEED]"  "random"  "delivery order"
+        "max-steps"   Value   "N"      -        "override the livelock step budget"
+        "trace"       Value   "N"      "0"      "print the first N trace events"
+        "dot"         Value   "PATH"   -        "write the final state as Graphviz DOT"
+        "stats"       Switch  ""       -        "print per-node / per-link traffic hot spots"
+        "record"      Value   "PATH"   -
+            "write the run's schedule, injected events included, for `ard replay`"
+        "faults"      Value   "drop=P,dup=P,crash=N[,seed=S]"  -
+            "run under fault injection: lossy/duplicating links and N crash/restart events, \
+             with every node wrapped in the reliable-delivery layer"
+        "byzantine"   Value   "f=K[,seed=S][,class=C]"  -
+            "run with K seeded Byzantine nodes (classes: equivocate, fabricate, silence, stale-\
+             restart; default all) and report which guarantees survive instead of asserting them"
+        "churn"       Value   "rate=R[,seed=S]"  -
+            "withhold ⌈R·n⌉ initial wake-ups and replay them as scheduled joins, with as many \
+             departures (--byzantine/--churn run the bare protocol: not with --faults)"
+        "shards"      Value   "K"      -        "accepted and ignored; needs --scheduler fifo"
+        "sweep"       Value   "T"      -
+            "run T trials on scheduler seeds S, S+1, … (needs --scheduler random[:S]), one \
+             summary line each; on its own, not with any of the flags above from --max-steps down"
+        "jobs"        Value   "N"      "1"      "with --sweep: run trials on N worker threads"
     }
-    Ok(flags)
+    "adversary" "run the Theorem 1 subtree-freezing adversary" => adversary {
+        "levels"      Value   "I"      "8"      "tree depth, 2..=16"
+    }
+    "reduction" "run the Theorem 2 union-find reduction" => reduction {
+        "sets"        Value   "N"      "64"     "union-find sets"
+        "finds"       Value   "M"      "32"     "find operations"
+        "adversarial" Switch  ""       -        "a deep adversarial op sequence, not a random one"
+        "seed"        Value   "S"      "0"      "seed of the random op sequence"
+    }
+    "overlay" "discover, bootstrap a DHT ring and serve lookups" => overlay {
+        "n"           Value   "N"      "64"     "network size"
+        "lookups"     Value   "K"      "100"    "lookups to serve"
+        "seed"        Value   "S"      "0"      "seed of the graph, the scheduler and the lookups"
+    }
+    "baselines" "compare against name-dropper / law-siu / flooding" => baselines {
+        "n"           Value   "N"      "64"     "random graph size"
+        "seed"        Value   "S"      "0"      "seed of the first trial"
+        "seeds"       Value   "T"      "1"      "run T independent trials (seeds S, S+3, S+6, …)"
+        "jobs"        Value   "N"      "1"      "run trials on N worker threads"
+    }
+    "explore" "search interleavings for requirement/budget violations" => explore_cmd {
+        "topology"    Value   "SPEC"   "random:n=16,extra=24"  "the initial knowledge graph"
+        "variant"     Value   "oblivious|bounded|adhoc"  "adhoc"  "the problem variant"
+        "system"      Value   "discovery|racy:K|fragile:K|equiv:K"  "discovery"
+            "racy:K / fragile:K / equiv:K are fixtures with a planted race / fault-dependent / \
+             equivocation-dependent bug among K clients"
+        "budget"      Value   "N"      "64"     "schedules to try: half random walks, half DFS"
+        "walks"       Value   "W"      -
+            "random walks to run before the DFS phase; the remaining budget goes to DFS \
+             (default half; --walks 0 makes the search pure DFS)"
+        "depth"       Value   "D"      "4"      "DFS branch-point depth"
+        "seed"        Value   "S"      "0"      "base seed for the random walks"
+        "faults"      Value   "drop=P,dup=P,crash=N[,seed=S]"  -
+            "inject faults into every candidate schedule, so drops/dups/crashes join the \
+             search space"
+        "byzantine"   Value   "f=K[,seed=S][,class=C]"  -
+            "attach a Byzantine plan to every candidate schedule, so forgeries/silence/stale \
+             restarts join the search space"
+        "churn"       Value   "rate=R[,seed=S]"  -  "attach join/leave churn to every candidate"
+        "out"         Value   "PATH"   "ard-failure.schedule"  "file for the minimized failure"
+        "jobs"        Value   "N"      "1"      "worker threads for candidate runs"
+        "reduce"      Optional("sleep")  "sleep|none"  "none"
+            "dynamic partial-order reduction of the DFS phase: sleep sets + terminal-state \
+             dedup prune interleavings that only reorder independent events"
+        "stats"       Switch  ""       -        "print reduction counters"
+        "check-snapshots"  Switch  ""  -
+            "debug: re-execute every checkpoint-resumed DFS run from scratch and panic on \
+             divergence (the forkable fixture systems only)"
+    }
+    "replay" <"file" "a schedule file">
+        "re-execute a recorded schedule file byte-for-byte" => replay_cmd {
+        "shrink"      Switch  ""       -        "ddmin-minimize the replayed failure into --out"
+        "jobs"        Value   "N"      "1"      "with --shrink: worker threads"
+        "out"         Value   "PATH"   "<file>.min"  "with --shrink: the 1-minimal schedule's file"
+    }
+    "help" "print this text" => help {}
 }
 
-/// The numeric value of `--key`, or `default` when the flag is absent.
-fn flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, CliError> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError(format!("--{key}: `{v}` is not a number"))),
+/// The help text, rendered from [`COMMANDS`]: help lines wrap at 78
+/// columns, indented under the flag.
+fn usage() -> String {
+    let mut out = String::from("usage: ard <command> [--flag value]...\n\ncommands:\n");
+    for command in COMMANDS {
+        writeln!(out, "  {:<10} {}", command.name, command.synopsis).unwrap();
+        if let Some((metavar, _)) = command.positional {
+            let name = command.name;
+            writeln!(out, "{:13}ard {name} <{metavar}> [--flag value]...", "").unwrap();
+        }
+        for flag in command.flags {
+            let mut line = match flag.arity {
+                Arity::Switch => format!("{:13}--{}", "", flag.name),
+                Arity::Value => format!("{:13}--{} {}", "", flag.name, flag.metavar),
+                Arity::Optional(_) => format!("{:13}--{} [{}]", "", flag.name, flag.metavar),
+            };
+            // The default is one piece, so the wrap never splits it.
+            let default = flag.default.map(|d| match flag.arity {
+                Arity::Optional(bare) => format!("(default {d}; bare {bare})"),
+                _ => format!("(default {d})"),
+            });
+            let words = flag.help.split_whitespace().chain(default.as_deref());
+            for (i, word) in words.enumerate() {
+                let len = line.chars().count();
+                if len < 27 {
+                    line += &" ".repeat(27 - len);
+                } else if i == 0 || len + 1 + word.chars().count() > 78 {
+                    writeln!(out, "{line}").unwrap();
+                    line = " ".repeat(27);
+                } else {
+                    line.push(' ');
+                }
+                line += word;
+            }
+            writeln!(out, "{line}").unwrap();
+        }
+    }
+    out
+}
+
+/// A command line, parsed against its row of [`COMMANDS`].
+struct Args {
+    positional: String,
+    given: HashSet<&'static str>,
+    /// Every flag's value: given, else its default.
+    values: HashMap<&'static str, String>,
+}
+
+impl Args {
+    fn parse(command: &Command, mut words: &[String]) -> Result<Self, CliError> {
+        let mut positional = String::new();
+        if let Some((metavar, what)) = command.positional {
+            let name = command.name;
+            let missing = || CliError(format!("{name} needs {what}: ard {name} <{metavar}>"));
+            let first = words.first().filter(|w| !w.starts_with("--"));
+            (positional, words) = (first.ok_or_else(missing)?.clone(), &words[1..]);
+        }
+        let mut values: HashMap<_, _> = command
+            .flags
+            .iter()
+            .filter_map(|flag| Some((flag.name, flag.default?.replace("<file>", &positional))))
+            .collect();
+        let mut given = HashSet::new();
+        let mut words = words.iter().peekable();
+        while let Some(word) = words.next() {
+            let key = word
+                .strip_prefix("--")
+                .ok_or_else(|| CliError(format!("expected --flag, got `{word}`")))?;
+            let flag = (command.flags.iter().find(|flag| flag.name == key))
+                .ok_or_else(|| CliError(format!("{} does not take --{key}", command.name)))?;
+            // No flag takes a negative number, so a following `--flag` is
+            // never this one's value.
+            let mut next_value = || words.next_if(|value| !value.starts_with("--")).cloned();
+            let needs_value = || CliError(format!("--{key} needs a value"));
+            let value = match flag.arity {
+                Arity::Switch => String::new(),
+                Arity::Value => next_value().ok_or_else(needs_value)?,
+                Arity::Optional(bare) => next_value().unwrap_or_else(|| bare.to_string()),
+            };
+            given.insert(flag.name);
+            values.insert(flag.name, value);
+        }
+        Ok(Args {
+            positional,
+            given,
+            values,
+        })
+    }
+
+    /// Whether `--name` is on the command line.
+    fn has(&self, name: &str) -> bool {
+        self.given.contains(name)
+    }
+
+    /// The value of `--name`: given, else its default.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    /// The value of a flag with a default.
+    fn str(&self, name: &str) -> &str {
+        self.value(name).expect("the flag has a default")
+    }
+
+    /// The value of `--name` as a number.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let number = |v: &str| v.parse().map_err(|_| format!("`{v}` is not a number"));
+        let value = self.value(name).map(number).transpose();
+        value.map_err(|e| CliError(format!("--{name}: {e}")))
+    }
+
+    /// The value of a flag with a default, as a number.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<T, CliError> {
+        Ok(self.get(name)?.expect("the flag has a default"))
+    }
+
+    /// A count: a number that must be at least one.
+    fn count(&self, name: &str) -> Result<usize, CliError> {
+        match self.num(name)? {
+            0 => Err(CliError(format!("--{name} must be ≥ 1"))),
+            count => Ok(count),
+        }
     }
 }
 
@@ -218,39 +322,35 @@ fn flag<T: std::str::FromStr>(
 ///
 /// Returns [`CliError`] on unknown commands, bad flags or bad specs.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let Some((command, rest)) = args.split_first() else {
+    let Some((name, rest)) = args.split_first() else {
         return Ok(usage());
     };
-    let flags = |known| parse_flags(command, known, rest);
-    match command.as_str() {
-        "help" | "--help" | "-h" => Ok(usage()),
-        "discover" => discover(flags(DISCOVER_FLAGS)?),
-        "adversary" => adversary(flags(ADVERSARY_FLAGS)?),
-        "reduction" => reduction(flags(REDUCTION_FLAGS)?),
-        "overlay" => overlay(flags(OVERLAY_FLAGS)?),
-        "baselines" => baselines(flags(BASELINES_FLAGS)?),
-        "explore" => explore_cmd(flags(EXPLORE_FLAGS)?),
-        "replay" => replay_cmd(rest),
-        other => Err(CliError(format!(
-            "unknown command `{other}`\n\n{}",
-            usage()
-        ))),
-    }
+    let name = match name.as_str() {
+        "--help" | "-h" => "help",
+        name => name,
+    };
+    let command = (COMMANDS.iter().find(|command| command.name == name))
+        .ok_or_else(|| CliError(format!("unknown command `{name}`\n\n{}", usage())))?;
+    (command.handler)(&Args::parse(command, rest)?)
+}
+
+fn help(_: &Args) -> Result<String, CliError> {
+    Ok(usage())
 }
 
 /// Parses `--faults` / `--byzantine` / `--churn` for an `n`-node system.
-fn parse_plans(flags: &HashMap<String, String>, n: usize) -> Result<Plans, CliError> {
+fn parse_plans(args: &Args, n: usize) -> Result<Plans, CliError> {
     let plans = Plans {
-        faults: flags
-            .get("faults")
+        faults: args
+            .value("faults")
             .map(|s| spec::parse_faults(s, n))
             .transpose()?,
-        byzantine: flags
-            .get("byzantine")
+        byzantine: args
+            .value("byzantine")
             .map(|s| parse_byzantine_meta(s).map_err(spec::ParseSpecError))
             .transpose()?,
-        churn: flags
-            .get("churn")
+        churn: args
+            .value("churn")
             .map(|s| parse_churn_meta(s).map_err(spec::ParseSpecError))
             .transpose()?,
     };
@@ -273,57 +373,47 @@ fn header(topology: &str, graph: &KnowledgeGraph, variant: Variant) -> String {
     )
 }
 
-fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let topology = flags
-        .get("topology")
-        .map(String::as_str)
-        .unwrap_or("random:n=64,extra=128");
-    let variant = spec::parse_variant(flags.get("variant").map(String::as_str).unwrap_or("adhoc"))?;
+fn discover(args: &Args) -> Result<String, CliError> {
+    let topology = args.str("topology");
+    let variant = spec::parse_variant(args.str("variant"))?;
     let graph = spec::parse_topology(topology)?;
-    let sched = spec::parse_scheduler(
-        flags
-            .get("scheduler")
-            .map(String::as_str)
-            .unwrap_or("random"),
-    )?;
+    let sched = spec::parse_scheduler(args.str("scheduler"))?;
 
-    if flags.contains_key("sweep") {
+    if args.has("sweep") {
         let solo = [
             "trace", "stats", "dot", "faults", "byzantine", "churn", "record", "shards",
             "max-steps",
         ];
-        if let Some(other) = solo.into_iter().find(|k| flags.contains_key(*k)) {
+        if let Some(other) = solo.into_iter().find(|k| args.has(k)) {
             return Err(CliError(format!(
                 "--sweep runs summary trials only: drop --{other}"
             )));
         }
-        return discover_sweep(&flags, topology, variant, &graph);
+        return discover_sweep(args, topology, variant, &graph, sched);
     }
-    if flags.contains_key("jobs") {
+    if args.has("jobs") {
         return Err(CliError("--jobs needs --sweep".into()));
     }
     // `--shards K` used to pick a threaded engine with identical output.
     // It is still accepted, validated as before and otherwise ignored,
     // because the frozen benchmark/ crate passes `--shards 1`.
-    if flags.contains_key("shards") {
-        if flags.get("scheduler").map(String::as_str) != Some("fifo") {
+    if args.has("shards") {
+        if sched != SchedulerSpec::Fifo {
             return Err(CliError("--shards needs --scheduler fifo".into()));
         }
-        if flag::<usize>(&flags, "shards", 0)? == 0 {
-            return Err(CliError("--shards must be ≥ 1".into()));
-        }
-        if flags.contains_key("faults") {
+        args.count("shards")?;
+        if args.has("faults") {
             return Err(CliError(
                 "--shards runs a fault-free network: drop --faults".into(),
             ));
         }
     }
 
-    let plans = parse_plans(&flags, graph.len())?;
+    let plans = parse_plans(args, graph.len())?;
     if plans.reliable() {
-        discover_on::<Reliable<ArdNode>>(&flags, topology, variant, &graph, &plans, sched)
+        discover_on::<Reliable<ArdNode>>(args, topology, variant, &graph, &plans, sched)
     } else {
-        discover_on::<ArdNode>(&flags, topology, variant, &graph, &plans, sched)
+        discover_on::<ArdNode>(args, topology, variant, &graph, &plans, sched)
     }
 }
 
@@ -341,39 +431,40 @@ fn verdict(check: &Result<(), String>) -> String {
 /// are *reported*, not asserted: the output says which of the paper's
 /// requirements survive this adversary.
 fn discover_on<P: Layer>(
-    flags: &HashMap<String, String>,
+    args: &Args,
     topology: &str,
     variant: Variant,
     graph: &KnowledgeGraph,
     plans: &Plans,
-    mut sched: Box<dyn Scheduler>,
+    sched: SchedulerSpec,
 ) -> Result<String, CliError> {
-    let trace_limit = flag::<usize>(flags, "trace", 0)?;
-    let want_stats = flags.contains_key("stats");
+    let trace_limit = args.num::<usize>("trace")?;
+    let want_stats = args.has("stats");
     let mut d = DiscoveryOn::<P>::under(graph, variant, plans);
     if trace_limit > 0 || want_stats {
         d.runner_mut().enable_trace();
     }
-    if flags.contains_key("max-steps") {
-        d.cap_steps(flag(flags, "max-steps", 0)?);
+    if let Some(cap) = args.get("max-steps")? {
+        d.cap_steps(cap);
     }
 
-    let result = if let Some(path) = flags.get("record") {
+    let mut saved = String::new();
+    let result = if let Some(path) = args.value("record") {
         // The recording carries every injected event as an explicit choice
         // and is written even when the run fails: a failing prefix is still
         // worth replaying.
-        let (result, mut schedule) = d.run_recorded(sched);
+        let (result, mut schedule) = d.run_recorded(sched.build());
         schedule.set_meta("topology", topology.to_string());
-        write_schedule(path, &schedule)?;
+        save(&mut saved, "schedule  : written to", path, &schedule)?;
         result
     } else if !plans.is_empty() {
-        d.run_all(&mut plans.scheduler(sched, graph.len()))
-    } else if flags.get("scheduler").map(String::as_str) == Some("fifo") {
+        d.run_all(&mut plans.scheduler(sched.build(), graph.len()))
+    } else if sched == SchedulerSpec::Fifo {
         // A fault-free fifo run is the round loop's schedule: same output
         // without a scheduler object.
         d.run_all_rounds()
     } else {
-        d.run_all(sched.as_mut())
+        d.run_all(sched.build().as_mut())
     };
     let outcome = result.map_err(|e| CliError(format!("simulation failed: {e}")))?;
     d.check(&outcome)
@@ -437,13 +528,8 @@ fn discover_on<P: Layer>(
     }
     write!(out, "{}", outcome.metrics).unwrap();
     if trace_limit > 0 {
-        writeln!(out, "trace:").unwrap();
-        write!(
-            out,
-            "{}",
-            d.runner().trace().expect("enabled").render(trace_limit)
-        )
-        .unwrap();
+        out += "trace:\n";
+        out += &d.runner().trace().expect("enabled").render(trace_limit);
     }
     if want_stats {
         let stats = d.runner().trace().expect("enabled").stats();
@@ -455,19 +541,12 @@ fn discover_on<P: Layer>(
             writeln!(out, "  busiest link: {src} → {dst} ({count} messages)").unwrap();
         }
     }
-    if let Some(path) = flags.get("dot") {
+    if let Some(path) = args.value("dot") {
         std::fs::write(path, d.to_dot())
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         writeln!(out, "dot       : written to {path}").unwrap();
     }
-    if let Some(path) = flags.get("record") {
-        writeln!(
-            out,
-            "schedule  : written to {path} (re-run with `ard replay {path}`)"
-        )
-        .unwrap();
-    }
-    Ok(out)
+    Ok(out + &saved)
 }
 
 /// Runs `--sweep T` independent discovery trials over consecutive scheduler
@@ -475,36 +554,18 @@ fn discover_on<P: Layer>(
 /// but are merged back in seed order, so the report is byte-identical at
 /// any job count.
 fn discover_sweep(
-    flags: &HashMap<String, String>,
+    args: &Args,
     topology: &str,
     variant: Variant,
     graph: &KnowledgeGraph,
+    sched: SchedulerSpec,
 ) -> Result<String, CliError> {
-    let trials = flag::<usize>(flags, "sweep", 0)?;
-    let jobs = flag::<usize>(flags, "jobs", 1)?;
-    if trials == 0 {
-        return Err(CliError("--sweep must be ≥ 1".into()));
-    }
-    if jobs == 0 {
-        return Err(CliError("--jobs must be ≥ 1".into()));
-    }
-    let sched_spec = flags
-        .get("scheduler")
-        .map(String::as_str)
-        .unwrap_or("random");
-    let base = match sched_spec.strip_prefix("random") {
-        Some("") => 0,
-        Some(rest) => rest
-            .strip_prefix(':')
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or_else(|| {
-                CliError(format!("--sweep: bad scheduler seed in `{sched_spec}`"))
-            })?,
-        None => {
-            return Err(CliError(
-                "--sweep varies the seed, so it needs --scheduler random[:SEED]".into(),
-            ))
-        }
+    let trials = args.count("sweep")?;
+    let jobs = args.count("jobs")?;
+    let SchedulerSpec::Random(base) = sched else {
+        return Err(CliError(
+            "--sweep varies the seed, so it needs --scheduler random[:SEED]".into(),
+        ));
     };
 
     let seeds: Vec<u64> = (0..trials as u64).map(|i| base.wrapping_add(i)).collect();
@@ -533,8 +594,8 @@ fn discover_sweep(
     Ok(out)
 }
 
-fn adversary(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let levels = flag::<u32>(&flags, "levels", 8)?;
+fn adversary(args: &Args) -> Result<String, CliError> {
+    let levels = args.num::<u32>("levels")?;
     if !(2..=16).contains(&levels) {
         return Err(CliError("--levels must be in 2..=16".into()));
     }
@@ -548,14 +609,11 @@ fn adversary(flags: HashMap<String, String>) -> Result<String, CliError> {
     ))
 }
 
-fn reduction(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let sets = flag::<usize>(&flags, "sets", 64)?;
-    let finds = flag::<usize>(&flags, "finds", 32)?;
-    let seed = flag::<u64>(&flags, "seed", 0)?;
-    if sets == 0 {
-        return Err(CliError("--sets must be ≥ 1".into()));
-    }
-    let seq = if flags.contains_key("adversarial") {
+fn reduction(args: &Args) -> Result<String, CliError> {
+    let sets = args.count("sets")?;
+    let finds = args.num::<usize>("finds")?;
+    let seed = args.num::<u64>("seed")?;
+    let seq = if args.has("adversarial") {
         OpSequence::adversarial_deep(sets, finds)
     } else {
         OpSequence::random(sets, finds, seed)
@@ -573,21 +631,18 @@ fn reduction(flags: HashMap<String, String>) -> Result<String, CliError> {
     ))
 }
 
-fn overlay(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let n = flag::<usize>(&flags, "n", 64)?;
-    let lookups = flag::<usize>(&flags, "lookups", 100)?;
-    let seed = flag::<u64>(&flags, "seed", 0)?;
-    if n == 0 {
-        return Err(CliError("--n must be ≥ 1".into()));
-    }
+fn overlay(args: &Args) -> Result<String, CliError> {
+    let n = args.count("n")?;
+    let lookups = args.num::<usize>("lookups")?;
+    let seed = args.num::<u64>("seed")?;
     let graph = ard_graph::gen::random_weakly_connected(n, 2 * n, seed);
     let mut d = Discovery::new(&graph, Variant::AdHoc);
-    let mut sched = RandomScheduler::seeded(seed + 1);
+    let mut sched = RandomScheduler::seeded(seed.wrapping_add(1));
     let outcome = d.run_all(&mut sched).map_err(|e| CliError(e.to_string()))?;
     let leader = outcome.leaders[0];
     let members: Vec<NodeId> = d.runner().node(leader).done().iter().collect();
     let mut ring = bootstrap(&members);
-    let mut rng = StdRng::seed_from_u64(seed + 2);
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
     let mut hops = 0u64;
     let mut worst = 0u32;
     for _ in 0..lookups {
@@ -611,29 +666,24 @@ fn overlay(flags: HashMap<String, String>) -> Result<String, CliError> {
     ))
 }
 
-fn baselines(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let n = flag::<usize>(&flags, "n", 64)?;
-    let seed = flag::<u64>(&flags, "seed", 0)?;
-    let seeds = flag::<usize>(&flags, "seeds", 1)?;
-    let jobs = flag::<usize>(&flags, "jobs", 1)?;
-    if seeds == 0 {
-        return Err(CliError("--seeds must be ≥ 1".into()));
-    }
-    if jobs == 0 {
-        return Err(CliError("--jobs must be ≥ 1".into()));
-    }
+fn baselines(args: &Args) -> Result<String, CliError> {
+    let n = args.num::<usize>("n")?;
+    let seed = args.num::<u64>("seed")?;
+    let seeds = args.count("seeds")?;
+    let jobs = args.count("jobs")?;
     // Each trial owns its graph seed and its seeded schedulers (base seed,
     // +1, +2 internally — hence the stride of 3), so trials parallelize
     // freely; merging reports in seed order makes the output independent of
     // the job count.
-    let trial_seeds: Vec<u64> = (0..seeds as u64).map(|i| seed + 3 * i).collect();
-    let reports = ard_netsim::par::parallel_map(jobs, trial_seeds, |s| baseline_trial(n, s));
+    let stride = |i| seed.wrapping_add(3 * i);
+    let trials: Vec<u64> = (0..seeds as u64).map(stride).collect();
+    let reports = ard_netsim::par::parallel_map(jobs, trials.clone(), |s| baseline_trial(n, s));
     if seeds == 1 {
         return reports.into_iter().next().unwrap();
     }
     let mut out = String::new();
-    for (i, report) in reports.into_iter().enumerate() {
-        writeln!(out, "=== trial {} (seed {}) ===", i + 1, seed + 3 * i as u64).unwrap();
+    for (i, (report, seed)) in reports.into_iter().zip(trials).enumerate() {
+        writeln!(out, "=== trial {} (seed {seed}) ===", i + 1).unwrap();
         out.push_str(&report?);
     }
     Ok(out)
@@ -642,57 +692,28 @@ fn baselines(flags: HashMap<String, String>) -> Result<String, CliError> {
 fn baseline_trial(n: usize, seed: u64) -> Result<String, CliError> {
     let graph = ard_graph::gen::random_weakly_connected(n, 2 * n, seed);
     let mut out = String::new();
-    writeln!(
-        out,
-        "random graph: {} nodes, {} edges",
-        graph.len(),
-        graph.edge_count()
-    )
-    .unwrap();
+    let (nodes, edges) = (graph.len(), graph.edge_count());
+    writeln!(out, "random graph: {nodes} nodes, {edges} edges").unwrap();
+    let mut row = |name: &str, metrics: &Metrics| {
+        let (msgs, bits) = (metrics.total_messages(), metrics.total_bits());
+        writeln!(out, "{name:<28} {msgs:>9} msgs {bits:>12} bits").unwrap();
+    };
     for variant in [Variant::Oblivious, Variant::Bounded, Variant::AdHoc] {
         let mut d = Discovery::new(&graph, variant);
         let o = d
-            .run_all(&mut RandomScheduler::seeded(seed + 1))
+            .run_all(&mut RandomScheduler::seeded(seed.wrapping_add(1)))
             .map_err(|e| CliError(e.to_string()))?;
-        writeln!(
-            out,
-            "{:<28} {:>9} msgs {:>12} bits",
-            format!("abraham-dolev {variant}"),
-            o.metrics.total_messages(),
-            o.metrics.total_bits()
-        )
-        .unwrap();
+        row(&format!("abraham-dolev {variant}"), &o.metrics);
     }
-    let nd = ard_baselines::name_dropper::run(&graph, seed);
-    writeln!(
-        out,
-        "{:<28} {:>9} msgs {:>12} bits",
-        "name-dropper",
-        nd.metrics().total_messages(),
-        nd.metrics().total_bits()
-    )
-    .unwrap();
-    let ls = ard_baselines::law_siu::run(&graph, seed);
-    writeln!(
-        out,
-        "{:<28} {:>9} msgs {:>12} bits",
-        "law-siu push-pull",
-        ls.metrics().total_messages(),
-        ls.metrics().total_bits()
-    )
-    .unwrap();
+    let name_dropper = ard_baselines::name_dropper::run(&graph, seed);
+    row("name-dropper", name_dropper.metrics());
+    let law_siu = ard_baselines::law_siu::run(&graph, seed);
+    row("law-siu push-pull", law_siu.metrics());
     if n <= 192 {
-        let mut sched = RandomScheduler::seeded(seed + 2);
-        let (fl, _) = ard_baselines::flood::run(&graph, &mut sched, 100_000_000)
+        let mut sched = RandomScheduler::seeded(seed.wrapping_add(2));
+        let (flood, _) = ard_baselines::flood::run(&graph, &mut sched, 100_000_000)
             .map_err(|e| CliError(e.to_string()))?;
-        writeln!(
-            out,
-            "{:<28} {:>9} msgs {:>12} bits",
-            "flooding",
-            fl.metrics().total_messages(),
-            fl.metrics().total_bits()
-        )
-        .unwrap();
+        row("flooding", flood.metrics());
     } else {
         writeln!(
             out,
@@ -701,8 +722,7 @@ fn baseline_trial(n: usize, seed: u64) -> Result<String, CliError> {
         )
         .unwrap();
     }
-    let alpha_nn = alpha(n as u64, n as u64);
-    writeln!(out, "(α(n,n) = {alpha_nn})").unwrap();
+    writeln!(out, "(α(n,n) = {})", alpha(n as u64, n as u64)).unwrap();
     Ok(out)
 }
 
@@ -723,18 +743,16 @@ enum System {
         /// What the run is subjected to. A Byzantine or churn plan selects
         /// the hardened protocol and the survivor-restricted guarantees,
         /// and the churn plan's joiners get no initial wake-up — their
-        /// recorded `Join` choices wake them instead. Boxed: the fixture
-        /// variants are one word.
-        plans: Box<Plans>,
+        /// recorded `Join` choices wake them instead.
+        plans: Plans,
     },
-    Racy {
+    /// A fixture of [`fixtures`] with a planted race, fault-dependent or
+    /// equivocation-dependent bug: one hub/coordinator/voter plus `clients`
+    /// clients (candidates, for `equiv`). `spec` is its `--system` value.
+    Fixture {
+        spec: String,
         clients: usize,
-    },
-    Fragile {
-        clients: usize,
-    },
-    Equiv {
-        candidates: usize,
+        system: Box<dyn ForkSystem>,
     },
 }
 
@@ -759,46 +777,46 @@ impl System {
             graph: spec::parse_topology(topology)?,
             variant,
             reliable,
-            plans: Box::new(plans),
+            plans,
         })
     }
 
     fn parse_fixture(spec: &str) -> Result<Self, CliError> {
-        let (kind, clients) = spec.split_once(':').ok_or_else(|| {
+        let unknown = |kind: &str| {
             CliError(format!(
-                "unknown system `{spec}` (try discovery, racy:K, fragile:K, equiv:K)"
+                "unknown system `{kind}` (try discovery, racy:K, fragile:K, equiv:K)"
             ))
-        })?;
+        };
+        let (kind, clients) = spec.split_once(':').ok_or_else(|| unknown(spec))?;
         let clients = clients
             .parse::<usize>()
             .map_err(|_| CliError(format!("{kind}: `{clients}` is not a client count")))?;
         if clients == 0 {
             return Err(CliError(format!("{kind} needs at least one client")));
         }
-        match kind {
-            "racy" => Ok(System::Racy { clients }),
-            "fragile" => Ok(System::Fragile { clients }),
-            "equiv" => {
-                if clients < 2 {
-                    return Err(CliError(
-                        "equiv needs at least two candidates (a second leader needs a second candidate)".into(),
-                    ));
-                }
-                Ok(System::Equiv { candidates: clients })
-            }
-            other => Err(CliError(format!(
-                "unknown system `{other}` (try discovery, racy:K, fragile:K, equiv:K)"
-            ))),
-        }
+        let system: Box<dyn ForkSystem> = match kind {
+            "racy" => Box::new(fixtures::RacySystem::new(clients)),
+            "fragile" => Box::new(fixtures::FragileSystem::new(clients)),
+            "equiv" if clients < 2 => return Err(CliError(
+                "equiv needs at least two candidates (a second leader needs a second candidate)"
+                    .into(),
+            )),
+            "equiv" => Box::new(fixtures::EquivSystem::new(clients)),
+            other => return Err(unknown(other)),
+        };
+        let spec = format!("{kind}:{clients}");
+        Ok(System::Fixture {
+            spec,
+            clients,
+            system,
+        })
     }
 
     /// Number of nodes in the system — the domain crash events draw from.
     fn node_count(&self) -> usize {
         match self {
             System::Discovery { graph, .. } => graph.len(),
-            // The fixtures are one hub/coordinator/voter plus K clients.
-            System::Racy { clients } | System::Fragile { clients } => clients + 1,
-            System::Equiv { candidates } => candidates + 1,
+            System::Fixture { clients, .. } => clients + 1,
         }
     }
 
@@ -818,15 +836,7 @@ impl System {
                 // carry the faults themselves.
                 plans.stamp(schedule);
             }
-            System::Racy { clients } => {
-                schedule.set_meta("system", format!("racy:{clients}"));
-            }
-            System::Fragile { clients } => {
-                schedule.set_meta("system", format!("fragile:{clients}"));
-            }
-            System::Equiv { candidates } => {
-                schedule.set_meta("system", format!("equiv:{candidates}"));
-            }
+            System::Fixture { spec, .. } => schedule.set_meta("system", spec.clone()),
         }
     }
 
@@ -847,9 +857,7 @@ impl System {
                 // that fails under this schedule counts as the violation.
                 ard_core::run_checked(graph, *variant, *reliable, plans, sched)?.verdict()
             }
-            System::Racy { clients } => fixtures::run_racy(*clients, sched),
-            System::Fragile { clients } => fixtures::run_fragile(*clients, sched),
-            System::Equiv { candidates } => fixtures::run_equiv(*candidates, sched),
+            System::Fixture { system, .. } => run_fork_system(system.as_ref(), sched),
         }
     }
 
@@ -859,77 +867,77 @@ impl System {
     /// byte-identical either way.
     fn explore(&self, config: &ExploreConfig) -> ExploreReport {
         match self {
-            System::Racy { clients } => explore_fork(config, &fixtures::RacySystem::new(*clients)),
-            System::Fragile { clients } => {
-                explore_fork(config, &fixtures::FragileSystem::new(*clients))
-            }
-            System::Equiv { candidates } => {
-                explore_fork(config, &fixtures::EquivSystem::new(*candidates))
-            }
+            System::Fixture { system, .. } => explore_fork(config, system.as_ref()),
             System::Discovery { .. } => {
                 explore(config, || |sched: &mut dyn Scheduler| self.run_one(sched))
             }
         }
     }
+
+    /// ddmin-minimizes a failing `schedule` on `jobs` threads and reports
+    /// the `shrunk` line.
+    fn shrink(&self, schedule: &Schedule, jobs: usize, out: &mut String) -> Schedule {
+        let shrunk = shrink_jobs(schedule, jobs, || {
+            |sched: &mut dyn Scheduler| self.run_one(sched)
+        });
+        writeln!(
+            out,
+            "shrunk    : {} → {} choices ({} candidate runs)",
+            shrunk.original_len,
+            shrunk.schedule.len(),
+            shrunk.attempts
+        )
+        .unwrap();
+        shrunk.schedule
+    }
 }
 
-fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
-    let budget = flag::<u64>(&flags, "budget", 64)?;
-    let walks = flag::<u64>(&flags, "walks", budget / 2)?;
+fn explore_cmd(args: &Args) -> Result<String, CliError> {
+    let budget = args.num::<u64>("budget")?;
+    // The walks' default, half the budget, depends on another flag.
+    let walks = args.get::<u64>("walks")?.unwrap_or(budget / 2);
     if walks > budget {
         return Err(CliError(format!(
             "--walks {walks} exceeds the --budget of {budget}"
         )));
     }
-    let depth = flag::<usize>(&flags, "depth", 4)?;
-    let seed = flag::<u64>(&flags, "seed", 0)?;
-    let jobs = flag::<usize>(&flags, "jobs", 1)?;
-    if jobs == 0 {
-        return Err(CliError("--jobs must be ≥ 1".into()));
-    }
-    let out_path = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("ard-failure.schedule");
-    let (system, plans) = match flags.get("system").map(String::as_str) {
-        None | Some("discovery") => {
-            if flags.contains_key("check-snapshots") {
+    let depth = args.num::<usize>("depth")?;
+    let seed = args.num::<u64>("seed")?;
+    let jobs = args.count("jobs")?;
+    let (system, plans) = match args.str("system") {
+        "discovery" => {
+            if args.has("check-snapshots") {
                 return Err(CliError(
                     "--check-snapshots verifies checkpoint/fork snapshots, which discovery \
                      runs do not take: use a forkable --system (racy:K, fragile:K, equiv:K)"
                         .into(),
                 ));
             }
-            let topology = flags
-                .get("topology")
-                .map(String::as_str)
-                .unwrap_or("random:n=16,extra=24");
+            let topology = args.str("topology");
             // Parsed once, and eagerly, so a bad spec fails before any
             // exploration.
             let graph = spec::parse_topology(topology)?;
-            let plans = parse_plans(&flags, graph.len())?;
+            let plans = parse_plans(args, graph.len())?;
             let system = System::Discovery {
                 topology: topology.to_string(),
                 graph,
-                variant: spec::parse_variant(
-                    flags.get("variant").map(String::as_str).unwrap_or("adhoc"),
-                )?,
+                variant: spec::parse_variant(args.str("variant"))?,
                 reliable: plans.reliable(),
-                plans: Box::new(plans.clone()),
+                plans: plans.clone(),
             };
             (system, plans)
         }
-        Some(other) => {
+        other => {
             let fixture = System::parse_fixture(other)?;
-            let plans = parse_plans(&flags, fixture.node_count())?;
+            let plans = parse_plans(args, fixture.node_count())?;
             (fixture, plans)
         }
     };
     let n = system.node_count();
-    let reduce = match flags.get("reduce").map(String::as_str) {
-        None | Some("none") => ReduceMode::None,
-        Some("sleep") => ReduceMode::Sleep,
-        Some(other) => {
+    let reduce = match args.str("reduce") {
+        "none" => ReduceMode::None,
+        "sleep" => ReduceMode::Sleep,
+        other => {
             return Err(CliError(format!(
                 "--reduce takes `sleep` or `none`, got `{other}`"
             )))
@@ -945,7 +953,7 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         byzantine: plans.byzantine.clone().map(|plan| (plan, n)),
         churn: plans.churn.clone().map(|plan| (plan, n)),
         jobs,
-        verify_snapshots: flags.contains_key("check-snapshots"),
+        verify_snapshots: args.has("check-snapshots"),
         reduce,
         ..ExploreConfig::default()
     };
@@ -974,7 +982,7 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
     if let Some(plan) = &plans.churn {
         writeln!(out, "churn     : {}", churn_meta(plan)).unwrap();
     }
-    if flags.contains_key("stats") {
+    if args.has("stats") {
         writeln!(
             out,
             "reduction : mode={reduce}, sleep-pruned={}, state-deduped={}",
@@ -995,49 +1003,31 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         failure.run_index + 1
     )
     .unwrap();
-    let shrunk = shrink_jobs(&failure.schedule, jobs, || {
-        |sched: &mut dyn Scheduler| system.run_one(sched)
-    });
-    writeln!(
-        out,
-        "shrunk    : {} → {} choices ({} candidate runs)",
-        shrunk.original_len,
-        shrunk.schedule.len(),
-        shrunk.attempts
-    )
-    .unwrap();
-    let mut schedule = shrunk.schedule;
+    let mut schedule = system.shrink(&failure.schedule, jobs, &mut out);
     system.stamp(&mut schedule);
-    write_schedule(out_path, &schedule)?;
-    writeln!(out, "replay    : {out_path} (re-run with `ard replay {out_path}`)").unwrap();
+    save(&mut out, "replay    :", args.str("out"), &schedule)?;
     Ok(out)
 }
 
-/// Writes `schedule` to `path` in the text format, through a buffer: the
-/// file's text is never held in memory whole.
-fn write_schedule(path: &str, schedule: &Schedule) -> Result<(), CliError> {
+/// Writes `schedule` to `path` in the text format, through a buffer (the
+/// file's text is never held in memory whole), and reports it on a `label`
+/// line.
+fn save(out: &mut String, label: &str, path: &str, schedule: &Schedule) -> Result<(), CliError> {
     let write = || -> std::io::Result<()> {
         let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
         schedule.write_text(&mut file)?;
         std::io::Write::flush(&mut file)
     };
-    write().map_err(|e| CliError(format!("cannot write {path}: {e}")))
+    write().map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+    writeln!(out, "{label} {path} (re-run with `ard replay {path}`)").unwrap();
+    Ok(())
 }
 
-fn replay_cmd(args: &[String]) -> Result<String, CliError> {
-    let Some((path, rest)) = args.split_first() else {
-        return Err(CliError("replay needs a schedule file: ard replay <file>".into()));
-    };
-    if path.starts_with("--") {
-        return Err(CliError("replay needs a schedule file: ard replay <file>".into()));
-    }
-    let flags = parse_flags("replay", REPLAY_FLAGS, rest)?;
-    let want_shrink = flags.contains_key("shrink");
-    let jobs = flag::<usize>(&flags, "jobs", 1)?;
-    if jobs == 0 {
-        return Err(CliError("--jobs must be ≥ 1".into()));
-    }
-    if !want_shrink && (flags.contains_key("jobs") || flags.contains_key("out")) {
+fn replay_cmd(args: &Args) -> Result<String, CliError> {
+    let path = &args.positional;
+    let want_shrink = args.has("shrink");
+    let jobs = args.count("jobs")?;
+    if !want_shrink && (args.has("jobs") || args.has("out")) {
         return Err(CliError("--jobs/--out need --shrink".into()));
     }
     let text = std::fs::read_to_string(path)
@@ -1075,29 +1065,11 @@ fn replay_cmd(args: &[String]) -> Result<String, CliError> {
                 "--shrink needs a failing schedule, but the replay found no violation".into(),
             ));
         }
-        let shrunk = shrink_jobs(&schedule, jobs, || {
-            |sched: &mut dyn Scheduler| system.run_one(sched)
-        });
-        writeln!(
-            out,
-            "shrunk    : {} → {} choices ({} candidate runs)",
-            shrunk.original_len,
-            shrunk.schedule.len(),
-            shrunk.attempts
-        )
-        .unwrap();
-        let default_out = format!("{path}.min");
-        let out_path = flags.get("out").map(String::as_str).unwrap_or(&default_out);
-        write_schedule(out_path, &shrunk.schedule)?;
-        writeln!(
-            out,
-            "written   : {out_path} (re-run with `ard replay {out_path}`)"
-        )
-        .unwrap();
+        let shrunk = system.shrink(&schedule, jobs, &mut out);
+        save(&mut out, "written   :", args.str("out"), &shrunk)?;
     }
     Ok(out)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,6 +1083,93 @@ mod tests {
     fn help_and_empty_print_usage() {
         assert!(run(&[]).unwrap().contains("usage:"));
         assert!(run_line("help").unwrap().contains("commands:"));
+    }
+
+    #[test]
+    fn usage_lists_every_row_of_the_table() {
+        let usage = usage();
+        let words = |text: &str| text.split_whitespace().collect::<Vec<_>>().join(" ");
+        let mut lines = usage.lines().skip(3).peekable();
+        for command in COMMANDS {
+            let synopsis = format!("  {:<10} {}", command.name, command.synopsis);
+            assert_eq!(lines.next(), Some(synopsis.as_str()));
+            if let Some((metavar, _)) = command.positional {
+                let line = format!("ard {} <{metavar}> [--flag value]...", command.name);
+                assert_eq!(lines.next().map(str::trim), Some(line.as_str()));
+            }
+            for flag in command.flags {
+                // A flag's entry: its own line and the help lines under it.
+                let mut entry = lines.next().expect("an entry per flag").to_string();
+                while let Some(more) = lines.next_if(|line| line.starts_with(&" ".repeat(27))) {
+                    entry += more;
+                }
+                let (name, metavar) = (flag.name, flag.metavar);
+                let mut want = match flag.arity {
+                    Arity::Switch => format!("--{name} {}", flag.help),
+                    Arity::Value => format!("--{name} {metavar} {}", flag.help),
+                    Arity::Optional(_) => format!("--{name} [{metavar}] {}", flag.help),
+                };
+                match (flag.default, flag.arity) {
+                    (Some(d), Arity::Optional(bare)) => {
+                        want += &format!(" (default {d}; bare {bare})")
+                    }
+                    (Some(d), _) => want += &format!(" (default {d})"),
+                    (None, _) => {}
+                }
+                assert_eq!(words(&entry), words(&want));
+            }
+        }
+        assert_eq!(lines.next(), None);
+        // What the usage text listed before it was rendered from the table.
+        let listed = "
+            --topology SPEC
+            (default random:n=64,extra=128)
+            (default random:n=16,extra=24)
+            --variant oblivious|bounded|adhoc
+            (default adhoc)
+            --scheduler fifo|lifo|random[:SEED]|bounded:D[,SEED]
+            (default random)
+            --max-steps N
+            --trace N
+            --dot PATH
+            --stats
+            --record PATH
+            --faults drop=P,dup=P,crash=N[,seed=S]
+            --byzantine f=K[,seed=S][,class=C]
+            --churn rate=R[,seed=S]
+            --sweep T
+            --jobs N
+            --levels I
+            (default 8)
+            --sets N
+            --finds M
+            --adversarial
+            --seed S
+            --n N
+            --lookups K
+            --seeds T
+            --system discovery|racy:K|fragile:K|equiv:K
+            (default discovery)
+            --budget N
+            (default 64)
+            --walks W
+            (default half;
+            --depth D
+            (default 4)
+            (default 0)
+            --out PATH
+            (default ard-failure.schedule)
+            (default 1)
+            --reduce [sleep|none]
+            (default none
+            --check-snapshots
+            ard replay <file>
+            --shrink
+            (default <file>.min)
+            help       print this text";
+        for listed in listed.lines().skip(1).map(str::trim) {
+            assert!(usage.contains(listed), "usage lost `{listed}`");
+        }
     }
 
     #[test]
@@ -1158,6 +1217,39 @@ mod tests {
         assert!(out.contains(&format!("steps     : {}\n", want.steps)));
         assert!(out.contains(&want.metrics.to_string()));
         assert_eq!(run_line(&format!("{line} --shards 4")).unwrap(), out);
+    }
+
+    #[test]
+    fn scheduler_specs_are_case_insensitive_everywhere() {
+        // The spec grammar ignores case, so the sweep, the round loop and
+        // the `--shards` check must too.
+        let sweep = "discover --topology ring:8 --sweep 2 --scheduler";
+        assert_eq!(
+            run_line(&format!("{sweep} RANDOM:5")).unwrap(),
+            run_line(&format!("{sweep} random:5")).unwrap()
+        );
+        let fifo = "discover --topology ring:8 --scheduler";
+        let round_loop = run_line(&format!("{fifo} fifo")).unwrap();
+        assert_eq!(
+            run_line(&format!("{fifo} FIFO --shards 1")).unwrap(),
+            round_loop
+        );
+        assert_eq!(spec::parse_scheduler("FIFO").unwrap(), SchedulerSpec::Fifo);
+    }
+
+    #[test]
+    fn seeds_wrap_at_the_top_of_the_range() {
+        let max = u64::MAX;
+        let overlay = run_line(&format!("overlay --n 8 --lookups 4 --seed {max}")).unwrap();
+        assert!(overlay.contains("8 members"), "{overlay}");
+        let one = run_line(&format!("baselines --n 8 --seed {max}")).unwrap();
+        assert!(one.contains("name-dropper"), "{one}");
+        let two = run_line(&format!("baselines --n 8 --seed {} --seeds 2", max - 1)).unwrap();
+        let first = format!("=== trial 1 (seed {}) ===", max - 1);
+        assert!(two.contains(&first), "{two}");
+        assert!(two.contains("=== trial 2 (seed 1) ==="), "{two}");
+        let wrapped = run_line("baselines --n 8 --seed 1").unwrap();
+        assert!(two.ends_with(&wrapped), "{two}");
     }
 
     #[test]

@@ -37,12 +37,7 @@ fn err(msg: impl Into<String>) -> ParseSpecError {
     ParseSpecError(msg.into())
 }
 
-fn parse_usize(s: &str, what: &str) -> Result<usize, ParseSpecError> {
-    s.parse()
-        .map_err(|_| err(format!("{what}: `{s}` is not a number")))
-}
-
-fn parse_u64(s: &str, what: &str) -> Result<u64, ParseSpecError> {
+fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, ParseSpecError> {
     s.parse()
         .map_err(|_| err(format!("{what}: `{s}` is not a number")))
 }
@@ -74,13 +69,13 @@ fn parse_kv(s: &str) -> Result<Vec<(&str, &str)>, ParseSpecError> {
 pub fn parse_topology(spec: &str) -> Result<KnowledgeGraph, ParseSpecError> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     match kind.to_ascii_lowercase().as_str() {
-        "path" => Ok(gen::path(parse_usize(rest, "path size")?)),
-        "ring" => Ok(gen::ring(parse_usize(rest, "ring size")?)),
-        "star-in" => Ok(gen::star_in(parse_usize(rest, "star size")?)),
-        "star-out" => Ok(gen::star_out(parse_usize(rest, "star size")?)),
-        "complete" => Ok(gen::complete(parse_usize(rest, "clique size")?)),
+        "path" => Ok(gen::path(parse_num(rest, "path size")?)),
+        "ring" => Ok(gen::ring(parse_num(rest, "ring size")?)),
+        "star-in" => Ok(gen::star_in(parse_num(rest, "star size")?)),
+        "star-out" => Ok(gen::star_out(parse_num(rest, "star size")?)),
+        "complete" => Ok(gen::complete(parse_num(rest, "clique size")?)),
         "tree" => {
-            let levels = parse_usize(rest, "tree levels")?;
+            let levels: usize = parse_num(rest, "tree levels")?;
             if levels == 0 || levels > 24 {
                 return Err(err("tree levels must be in 1..=24"));
             }
@@ -92,9 +87,9 @@ pub fn parse_topology(spec: &str) -> Result<KnowledgeGraph, ParseSpecError> {
             let mut seed = 0;
             for (k, v) in parse_kv(rest)? {
                 match k {
-                    "n" => n = Some(parse_usize(v, "n")?),
-                    "extra" => extra = parse_usize(v, "extra")?,
-                    "seed" => seed = parse_u64(v, "seed")?,
+                    "n" => n = Some(parse_num(v, "n")?),
+                    "extra" => extra = parse_num(v, "extra")?,
+                    "seed" => seed = parse_num(v, "seed")?,
                     other => return Err(err(format!("unknown random-graph key `{other}`"))),
                 }
             }
@@ -105,10 +100,10 @@ pub fn parse_topology(spec: &str) -> Result<KnowledgeGraph, ParseSpecError> {
             let (mut count, mut per, mut extra, mut seed) = (None, None, 0, 0);
             for (k, v) in parse_kv(rest)? {
                 match k {
-                    "count" => count = Some(parse_usize(v, "count")?),
-                    "per" => per = Some(parse_usize(v, "per")?),
-                    "extra" => extra = parse_usize(v, "extra")?,
-                    "seed" => seed = parse_u64(v, "seed")?,
+                    "count" => count = Some(parse_num(v, "count")?),
+                    "per" => per = Some(parse_num(v, "per")?),
+                    "extra" => extra = parse_num(v, "extra")?,
+                    "seed" => seed = parse_num(v, "seed")?,
                     other => return Err(err(format!("unknown components key `{other}`"))),
                 }
             }
@@ -122,6 +117,39 @@ pub fn parse_topology(spec: &str) -> Result<KnowledgeGraph, ParseSpecError> {
     }
 }
 
+/// A parsed `--scheduler` value: which delivery order a run uses, with
+/// its parameters.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SchedulerSpec {
+    /// Oldest pending event first.
+    Fifo,
+    /// Newest pending event first.
+    Lifo,
+    /// A uniformly random pending event, from this seed.
+    Random(u64),
+    /// Random order in which no event waits more than `delay` choices.
+    Bounded {
+        /// The longest an event waits, in choices (≥ 1).
+        delay: u64,
+        /// The scheduler's seed.
+        seed: u64,
+    },
+}
+
+impl SchedulerSpec {
+    /// The scheduler object this spec names.
+    pub fn build(self) -> Box<dyn Scheduler> {
+        match self {
+            SchedulerSpec::Fifo => Box::new(FifoScheduler::new()),
+            SchedulerSpec::Lifo => Box::new(LifoScheduler::new()),
+            SchedulerSpec::Random(seed) => Box::new(RandomScheduler::seeded(seed)),
+            SchedulerSpec::Bounded { delay, seed } => {
+                Box::new(BoundedDelayScheduler::new(delay, seed))
+            }
+        }
+    }
+}
+
 /// Parses a scheduler specification.
 ///
 /// # Errors
@@ -131,32 +159,28 @@ pub fn parse_topology(spec: &str) -> Result<KnowledgeGraph, ParseSpecError> {
 /// # Example
 ///
 /// ```
-/// assert!(ard_cli::spec::parse_scheduler("random:42").is_ok());
-/// assert!(ard_cli::spec::parse_scheduler("bounded:8,1").is_ok());
-/// assert!(ard_cli::spec::parse_scheduler("psychic").is_err());
+/// use ard_cli::spec::{parse_scheduler, SchedulerSpec};
+///
+/// assert_eq!(parse_scheduler("RANDOM:42"), Ok(SchedulerSpec::Random(42)));
+/// assert_eq!(parse_scheduler("bounded:8,1"), Ok(SchedulerSpec::Bounded { delay: 8, seed: 1 }));
+/// assert!(parse_scheduler("psychic").is_err());
 /// ```
-pub fn parse_scheduler(spec: &str) -> Result<Box<dyn Scheduler>, ParseSpecError> {
+pub fn parse_scheduler(spec: &str) -> Result<SchedulerSpec, ParseSpecError> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     match kind.to_ascii_lowercase().as_str() {
-        "fifo" => Ok(Box::new(FifoScheduler::new())),
-        "lifo" => Ok(Box::new(LifoScheduler::new())),
-        "random" => {
-            let seed = if rest.is_empty() {
-                0
-            } else {
-                parse_u64(rest, "seed")?
-            };
-            Ok(Box::new(RandomScheduler::seeded(seed)))
-        }
+        "fifo" => Ok(SchedulerSpec::Fifo),
+        "lifo" => Ok(SchedulerSpec::Lifo),
+        "random" if rest.is_empty() => Ok(SchedulerSpec::Random(0)),
+        "random" => Ok(SchedulerSpec::Random(parse_num(rest, "seed")?)),
         "bounded" => {
             let (delay, seed) = match rest.split_once(',') {
-                Some((d, s)) => (parse_u64(d, "delay")?, parse_u64(s, "seed")?),
-                None => (parse_u64(rest, "delay")?, 0),
+                Some((d, s)) => (parse_num(d, "delay")?, parse_num(s, "seed")?),
+                None => (parse_num(rest, "delay")?, 0),
             };
             if delay == 0 {
                 return Err(err("bounded delay must be ≥ 1"));
             }
-            Ok(Box::new(BoundedDelayScheduler::new(delay, seed)))
+            Ok(SchedulerSpec::Bounded { delay, seed })
         }
         other => Err(err(format!(
             "unknown scheduler `{other}` (try fifo, lifo, random[:SEED], bounded:DELAY[,SEED])"
@@ -215,8 +239,8 @@ pub fn parse_faults(spec: &str, n: usize) -> Result<FaultPlan, ParseSpecError> {
         match k {
             "drop" => drop = parse_prob(v, "drop")?,
             "dup" => dup = parse_prob(v, "dup")?,
-            "crash" => crash = parse_usize(v, "crash")?,
-            "seed" => seed = parse_u64(v, "seed")?,
+            "crash" => crash = parse_num(v, "crash")?,
+            "seed" => seed = parse_num(v, "seed")?,
             other => {
                 return Err(err(format!(
                     "unknown fault key `{other}` (drop, dup, crash, seed)"
@@ -274,16 +298,18 @@ mod tests {
 
     #[test]
     fn schedulers_parse() {
-        for spec in [
-            "fifo",
-            "lifo",
-            "random",
-            "random:9",
-            "bounded:4",
-            "bounded:4,2",
+        for (spec, want) in [
+            ("fifo", SchedulerSpec::Fifo),
+            ("FIFO", SchedulerSpec::Fifo),
+            ("lifo", SchedulerSpec::Lifo),
+            ("random", SchedulerSpec::Random(0)),
+            ("Random:9", SchedulerSpec::Random(9)),
+            ("bounded:4", SchedulerSpec::Bounded { delay: 4, seed: 0 }),
+            ("bounded:4,2", SchedulerSpec::Bounded { delay: 4, seed: 2 }),
         ] {
-            assert!(parse_scheduler(spec).is_ok(), "{spec}");
+            assert_eq!(parse_scheduler(spec), Ok(want), "{spec}");
         }
+        assert!(parse_scheduler("random:x").is_err());
         assert!(parse_scheduler("bounded:0").is_err());
         assert!(parse_scheduler("warp").is_err());
     }

@@ -1,9 +1,8 @@
 //! Deterministic fault injection: seeded, policy-driven link loss,
-//! duplication, partitions and node crash/restart, composable with every
-//! [`Scheduler`].
+//! duplication and node crash/restart, composable with every [`Scheduler`].
 //!
-//! A [`FaultPlan`] describes *policy* (drop/duplicate probabilities, link
-//! overrides, partition windows, crash events); a [`FaultScheduler`] wraps
+//! A [`FaultPlan`] describes *policy* (drop/duplicate probabilities, crash
+//! events); a [`FaultScheduler`] wraps
 //! any inner scheduler and turns that policy into explicit fault
 //! [`Choice`]s. Every injected fault flows through the normal choice
 //! stream, so a [`RecordingScheduler`](crate::record::RecordingScheduler)
@@ -41,32 +40,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::scheduler::{Choice, Footprint, Scheduler, SendToken};
 use crate::NodeId;
-
-/// Per-link override of the global drop/duplicate probabilities.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LinkFault {
-    /// Sender side of the link.
-    pub src: NodeId,
-    /// Receiver side of the link.
-    pub dst: NodeId,
-    /// Probability a message sent on this link is dropped.
-    pub drop: f64,
-    /// Probability a delivered-bound message on this link is duplicated.
-    pub dup: f64,
-}
-
-/// A network partition over a window of choice indices: while active,
-/// every message crossing the cut (exactly one endpoint in `left`) is
-/// dropped.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Partition {
-    /// One side of the cut; everything else is the other side.
-    pub left: Vec<NodeId>,
-    /// First choice index at which the partition is active.
-    pub from: u64,
-    /// First choice index at which it is no longer active (exclusive).
-    pub until: u64,
-}
 
 /// A crash/restart pair: the node goes down at choice index `at` and comes
 /// back `restart_after` choices later.
@@ -363,10 +336,6 @@ pub struct FaultPlan {
     pub drop: f64,
     /// Global per-message duplicate probability (`0.0 ≤ p < 1.0`).
     pub dup: f64,
-    /// Per-link probability overrides (first match wins).
-    pub links: Vec<LinkFault>,
-    /// Partition windows.
-    pub partitions: Vec<Partition>,
     /// Crash/restart events.
     pub crashes: Vec<CrashEvent>,
 }
@@ -410,35 +379,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the probabilities of one directed link.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both probabilities are in `[0, 1)`.
-    pub fn with_link(mut self, src: NodeId, dst: NodeId, drop: f64, dup: f64) -> Self {
-        Self::check_prob(drop, "drop");
-        Self::check_prob(dup, "duplicate");
-        self.links.push(LinkFault {
-            src,
-            dst,
-            drop,
-            dup,
-        });
-        self
-    }
-
-    /// Partitions `left` from the rest of the network over the choice-index
-    /// window `[from, until)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty.
-    pub fn with_partition(mut self, left: Vec<NodeId>, from: u64, until: u64) -> Self {
-        assert!(from < until, "partition window [{from}, {until}) is empty");
-        self.partitions.push(Partition { left, from, until });
-        self
-    }
-
     /// Crashes `node` at choice index `at`, restarting it `restart_after`
     /// choices later.
     ///
@@ -478,27 +418,7 @@ impl FaultPlan {
 
     /// Whether the plan injects nothing (equivalent to no plan at all).
     pub fn is_vacuous(&self) -> bool {
-        self.drop == 0.0
-            && self.dup == 0.0
-            && self.links.iter().all(|l| l.drop == 0.0 && l.dup == 0.0)
-            && self.partitions.is_empty()
-            && self.crashes.is_empty()
-    }
-
-    /// The drop/duplicate probabilities in force on `src → dst`.
-    fn probs(&self, src: NodeId, dst: NodeId) -> (f64, f64) {
-        match self.links.iter().find(|l| l.src == src && l.dst == dst) {
-            Some(l) => (l.drop, l.dup),
-            None => (self.drop, self.dup),
-        }
-    }
-
-    /// Whether an active partition window severs `src → dst` at `index`.
-    fn partitioned(&self, src: NodeId, dst: NodeId, index: u64) -> bool {
-        self.partitions.iter().any(|p| {
-            (p.from..p.until).contains(&index)
-                && (p.left.contains(&src) != p.left.contains(&dst))
-        })
+        self.drop == 0.0 && self.dup == 0.0 && self.crashes.is_empty()
     }
 
     /// The crash/restart events as `(choice index, choice)` pairs, sorted
@@ -641,20 +561,15 @@ impl<S: Scheduler> FaultScheduler<S> {
     }
 
     /// Whether this layer perturbs *sends* in an order-sensitive way: RNG
-    /// fates (drop/dup/silence draws advance a stream shared by all sends)
-    /// or partitions (a send's fate reads the global choice index). While
-    /// true, no two steps commute for the explorer's purposes, so every
+    /// fates (drop/dup/silence draws advance a stream shared by all sends).
+    /// While true, no two steps commute for the explorer's purposes, so every
     /// footprint is reported as dependent-with-everything — reduction
     /// degrades gracefully instead of pruning unsoundly. Pure-timeline
     /// plans (crash/forge/churn at pinned indices) don't trip this: only
     /// the event-served steps themselves are pinned.
     fn perturbs_sends(&self) -> bool {
         if let Some(plan) = &self.plan {
-            if plan.drop > 0.0
-                || plan.dup > 0.0
-                || plan.links.iter().any(|l| l.drop > 0.0 || l.dup > 0.0)
-                || !plan.partitions.is_empty()
-            {
+            if plan.drop > 0.0 || plan.dup > 0.0 {
                 return true;
             }
         }
@@ -684,12 +599,7 @@ impl<S: Scheduler> Scheduler for FaultScheduler<S> {
             self.inner.note_send(token);
             return;
         };
-        if plan.partitioned(src, dst, self.choice_index) {
-            self.injected.push_back(Choice::Drop { src, dst });
-            return;
-        }
-        let (p_drop, p_dup) = plan.probs(src, dst);
-        if p_drop > 0.0 && self.rng.gen::<f64>() < p_drop {
+        if plan.drop > 0.0 && self.rng.gen::<f64>() < plan.drop {
             self.injected.push_back(Choice::Drop { src, dst });
             return;
         }
@@ -697,7 +607,7 @@ impl<S: Scheduler> Scheduler for FaultScheduler<S> {
         // A duplicate's copy is announced via note_send again when the
         // Duplicate choice executes, so its fate is drawn afresh: k extra
         // copies arise with probability dup^k (geometric), never unbounded.
-        if p_dup > 0.0 && self.rng.gen::<f64>() < p_dup {
+        if plan.dup > 0.0 && self.rng.gen::<f64>() < plan.dup {
             self.injected.push_back(Choice::Duplicate { src, dst });
         }
     }
@@ -742,7 +652,7 @@ impl<S: Scheduler> Scheduler for FaultScheduler<S> {
     fn note_footprint(&mut self, choice: Choice, footprint: &Footprint) {
         // A step served by the fault layer is pinned to its choice index; a
         // step under a send-perturbing plan couples with every other step
-        // through the RNG stream / partition clock. Either way the choice
+        // through the RNG stream. Either way the choice
         // cannot be commuted, so its footprint widens to everything.
         if self.served_fault || self.perturbs_sends() {
             self.inner.note_footprint(choice, &Footprint::everything());
@@ -848,29 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_window_drops_crossing_messages_only() {
-        let plan = FaultPlan::new(0).with_partition(vec![NodeId::new(0)], 0, 1_000);
-        let mut s = FaultScheduler::new(FifoScheduler::new(), Some(plan));
-        s.note_send(token(0, 1, 0)); // crosses the cut → dropped
-        s.note_send(token(1, 2, 1)); // stays on the right side → delivered
-        assert_eq!(
-            s.choose(),
-            Some(Choice::Drop {
-                src: NodeId::new(0),
-                dst: NodeId::new(1)
-            })
-        );
-        assert_eq!(
-            s.choose(),
-            Some(Choice::Deliver {
-                src: NodeId::new(1),
-                dst: NodeId::new(2)
-            })
-        );
-        assert_eq!(s.choose(), None);
-    }
-
-    #[test]
     fn crash_events_fire_in_order_and_flush_at_quiescence() {
         // Crash at index 1, restart 3 later — but the network quiesces
         // after two choices, so the restart flushes at quiescence.
@@ -904,23 +791,6 @@ mod tests {
                 dst: NodeId::new(1)
             })
         );
-    }
-
-    #[test]
-    fn link_overrides_beat_the_global_rates() {
-        let plan = FaultPlan::new(0)
-            .with_drop(0.9)
-            .with_link(NodeId::new(0), NodeId::new(1), 0.0, 0.0);
-        let mut s = FaultScheduler::new(FifoScheduler::new(), Some(plan));
-        for i in 0..50 {
-            s.note_send(token(0, 1, i));
-        }
-        let mut delivers = 0;
-        while let Some(c) = s.choose() {
-            assert!(matches!(c, Choice::Deliver { .. }));
-            delivers += 1;
-        }
-        assert_eq!(delivers, 50);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 # `benchmark/` is a Cargo workspace of its own, so nothing above compiles
 # it, and its Cargo.lock is part of the freeze. Last, the checked-in
 # BENCH_throughput.json must carry the keys scripts/bench.sh writes. The
-# seeded CLI smokes (chaos, byzantine, dpor, discover: tests/cli_snapshots.rs against
-# tests/snapshots/) and the explorer's determinism, --jobs and
-# --check-snapshots checks (`explore_*` in crates/cli/src/commands.rs) are
-# cargo tests. See docs/testing.md for the tiers.
+# seeded CLI smokes (chaos, byzantine, dpor, discover, cli-surface:
+# tests/cli_snapshots.rs against tests/snapshots/) and the explorer's
+# determinism, --jobs and --check-snapshots checks (`explore_*` in
+# crates/cli/src/commands.rs) are cargo tests. See docs/testing.md for the
+# tiers.
 #
 # Everything here builds into target/. Cargo trusts file mtimes, so a
 # target/ left over from other sources (an unmerged branch, files restored
