@@ -848,11 +848,27 @@ mod tests {
 
     #[test]
     fn every_table_renders_in_quick_mode() {
+        let mut quick = String::new();
         for table in crate::all_tables(true) {
             let s = table.render();
             assert!(s.contains(&table.id.to_uppercase()), "{}", table.id);
             assert!(!table.rows.is_empty(), "{} has no rows", table.id);
+            quick.push_str(&format!("{table}\n"));
         }
+        // What `tables --quick` prints, pinned byte for byte.
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/snapshots/tables-quick.snapshot");
+        if std::env::var_os("ARD_UPDATE_SNAPSHOTS").is_some_and(|v| v == "1") {
+            std::fs::write(&path, &quick).expect("snapshot is writable");
+            return;
+        }
+        let pinned = std::fs::read_to_string(&path).expect("snapshot exists");
+        assert!(
+            pinned == quick,
+            "`tables --quick` diverged from tests/snapshots/tables-quick.snapshot; if \
+             intentional, regenerate with `ARD_UPDATE_SNAPSHOTS=1 cargo test -p ard-bench \
+             every_table` and review the diff\n--- pinned\n{pinned}--- actual\n{quick}"
+        );
     }
 
     #[test]
