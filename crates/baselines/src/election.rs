@@ -36,24 +36,14 @@ impl Envelope for Candidate {
 /// its initial out-neighbours.
 #[derive(Debug)]
 pub struct ElectionNode {
-    id: NodeId,
     peers: Vec<NodeId>,
     best: NodeId,
 }
 
 impl ElectionNode {
     /// Creates a node with initial out-neighbours `peers`.
-    pub fn new(id: NodeId, peers: Vec<NodeId>) -> Self {
-        ElectionNode {
-            id,
-            peers,
-            best: id,
-        }
-    }
-
-    /// This node's own id.
-    pub fn id(&self) -> NodeId {
-        self.id
+    pub(crate) fn new(id: NodeId, peers: Vec<NodeId>) -> Self {
+        ElectionNode { peers, best: id }
     }
 
     /// The best (maximum) candidate this node has seen.

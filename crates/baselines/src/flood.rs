@@ -24,7 +24,7 @@ pub struct FloodNode {
 
 impl FloodNode {
     /// Creates a node that initially knows `initial` (its `E₀` out-edges).
-    pub fn new(id: NodeId, initial: Vec<NodeId>) -> Self {
+    pub(crate) fn new(id: NodeId, initial: Vec<NodeId>) -> Self {
         let mut known: BTreeSet<NodeId> = initial.into_iter().collect();
         known.insert(id);
         FloodNode { id, known }
@@ -63,7 +63,7 @@ impl Protocol for FloodNode {
 }
 
 /// Builds a flooding network over the graph's initial knowledge.
-pub fn network(graph: &ard_graph::KnowledgeGraph) -> Runner<FloodNode> {
+pub(crate) fn network(graph: &ard_graph::KnowledgeGraph) -> Runner<FloodNode> {
     let nodes = graph
         .ids()
         .map(|id| FloodNode::new(id, graph.out_edges(id).to_vec()))

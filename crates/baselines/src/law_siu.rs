@@ -68,7 +68,7 @@ pub struct LawSiuNode {
 
 impl LawSiuNode {
     /// Creates a node knowing `initial`, gossiping for `rounds` rounds.
-    pub fn new(id: NodeId, initial: Vec<NodeId>, rounds: u64, seed: u64) -> Self {
+    pub(crate) fn new(id: NodeId, initial: Vec<NodeId>, rounds: u64, seed: u64) -> Self {
         let mut known: BTreeSet<NodeId> = initial.into_iter().collect();
         known.insert(id);
         LawSiuNode {
@@ -78,17 +78,6 @@ impl LawSiuNode {
             rng: StdRng::seed_from_u64(seed ^ (id.index() as u64).wrapping_mul(0x1234_5677)),
             rounds_left: rounds,
         }
-    }
-
-    /// The node's current leader candidate (converges to the component's
-    /// minimum id).
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// Everything this node knows (including itself).
-    pub fn known(&self) -> &BTreeSet<NodeId> {
-        &self.known
     }
 
     fn absorb(&mut self, from: NodeId, msg: &RootGossip) {
@@ -155,7 +144,7 @@ impl SyncProtocol for LawSiuNode {
 }
 
 /// The announced round budget: `O(log n)` with a safety constant.
-pub fn round_budget(n: usize) -> u64 {
+pub(crate) fn round_budget(n: usize) -> u64 {
     let log = (usize::BITS - n.max(2).saturating_sub(1).leading_zeros()) as u64;
     6 * log + 6
 }
@@ -182,7 +171,7 @@ mod tests {
         for seed in 0..5 {
             let graph = gen::random_weakly_connected(60, 120, seed);
             let net = run(&graph, seed);
-            let roots: BTreeSet<NodeId> = net.nodes().map(|n| n.root()).collect();
+            let roots: BTreeSet<NodeId> = net.nodes().map(|n| n.root).collect();
             assert_eq!(roots.len(), 1, "seed {seed}: roots {roots:?}");
             assert_eq!(roots.into_iter().next().unwrap(), NodeId::new(0));
         }
@@ -215,7 +204,7 @@ mod tests {
         let graph = gen::path(40);
         let net = run(&graph, 11);
         for node in net.nodes() {
-            assert_eq!(node.known().len(), 40);
+            assert_eq!(node.known.len(), 40);
         }
     }
 }

@@ -80,7 +80,7 @@ impl SyncProtocol for NameDropperNode {
 
 /// The standard round budget: `⌈c · log₂² n⌉` with `c = 3`, which makes the
 /// with-high-probability guarantee hold comfortably at experiment scales.
-pub fn round_budget(n: usize) -> u64 {
+pub(crate) fn round_budget(n: usize) -> u64 {
     let log = (usize::BITS - n.max(2).saturating_sub(1).leading_zeros()) as u64;
     3 * log * log + 3
 }

@@ -107,7 +107,7 @@ fn message_sweep(variant: Variant, quick: bool, table: &mut Table) {
 
 /// E1 — Theorem 5: the generic (Oblivious) algorithm sends `O(n log n)`
 /// messages.
-pub fn e1_generic_messages(quick: bool, t: &mut Table) {
+pub(crate) fn e1_generic_messages(quick: bool, t: &mut Table) {
     t.set_header(&["n", "|E0|", "messages (mean ± sd)", "msgs/n", "msgs/(n·log n)", "msgs/(n·α)"]);
     message_sweep(Variant::Oblivious, quick, t);
     t.push_note("expect msgs/(n·log n) bounded by a constant (Theorem 5: O(n log n)); on benign random graphs it even shrinks — the log factor needs the adversarial tree of E5");
@@ -115,7 +115,7 @@ pub fn e1_generic_messages(quick: bool, t: &mut Table) {
 
 /// E2 — Theorems 4 & 6: the Bounded algorithm sends `O(n·α)` messages and
 /// detects termination.
-pub fn e2_bounded_messages(quick: bool, t: &mut Table) {
+pub(crate) fn e2_bounded_messages(quick: bool, t: &mut Table) {
     t.set_header(&[
         "n",
         "|E0|",
@@ -134,7 +134,7 @@ pub fn e2_bounded_messages(quick: bool, t: &mut Table) {
 }
 
 /// E3 — Theorem 6: the Ad-hoc algorithm sends `O(n·α)` messages.
-pub fn e3_adhoc_messages(quick: bool, t: &mut Table) {
+pub(crate) fn e3_adhoc_messages(quick: bool, t: &mut Table) {
     t.set_header(&[
         "n",
         "|E0|",
@@ -149,7 +149,7 @@ pub fn e3_adhoc_messages(quick: bool, t: &mut Table) {
 
 /// E4 — Theorem 7 and Lemmas 5.9/5.10: bit complexity
 /// `O(|E₀| log n + n log² n)`.
-pub fn e4_bit_complexity(quick: bool, t: &mut Table) {
+pub(crate) fn e4_bit_complexity(quick: bool, t: &mut Table) {
     t.set_header(&[
         "n",
         "|E0|",
@@ -193,7 +193,7 @@ pub fn e4_bit_complexity(quick: bool, t: &mut Table) {
 
 /// E5 — Theorem 1: the subtree-freezing adversary forces
 /// `≥ i·2^(i−1) − 2` messages on `T(i)` for the Oblivious problem.
-pub fn e5_tree_lower_bound(quick: bool, t: &mut Table) {
+pub(crate) fn e5_tree_lower_bound(quick: bool, t: &mut Table) {
     t.set_header(&[
         "levels i",
         "n=2^i−1",
@@ -220,7 +220,7 @@ pub fn e5_tree_lower_bound(quick: bool, t: &mut Table) {
 
 /// E6 — Theorem 2 / Lemma 3.1: the Union-Find reduction; Ad-hoc messages
 /// track `N·α(N,N)` for `N = 2n − 1 + m`.
-pub fn e6_uf_reduction(quick: bool, t: &mut Table) {
+pub(crate) fn e6_uf_reduction(quick: bool, t: &mut Table) {
     t.set_header(&[
         "sets n",
         "finds m",
@@ -254,7 +254,7 @@ pub fn e6_uf_reduction(quick: bool, t: &mut Table) {
 
 /// E7 — Lemmas 5.5–5.8: per-message-kind budgets on one representative run
 /// per size.
-pub fn e7_message_breakdown(quick: bool, t: &mut Table) {
+pub(crate) fn e7_message_breakdown(quick: bool, t: &mut Table) {
     t.set_header(&["n", "kind group", "measured", "bound", "lemma"]);
     // How E7 names the table's count rows (the ones before Lemma 5.9), and
     // the Bounded run's Lemma 5.8 row after them.
@@ -291,7 +291,7 @@ pub fn e7_message_breakdown(quick: bool, t: &mut Table) {
 
 /// E8 — Theorem 8: dynamic additions cost `O(m·α)` marginal messages, far
 /// below re-running from scratch.
-pub fn e8_dynamic_additions(quick: bool, t: &mut Table) {
+pub(crate) fn e8_dynamic_additions(quick: bool, t: &mut Table) {
     t.set_header(&[
         "base n",
         "added nodes",
@@ -360,7 +360,7 @@ pub fn e8_dynamic_additions(quick: bool, t: &mut Table) {
 }
 
 /// E9 — §1.1 context: the paper's algorithms vs Name-Dropper and flooding.
-pub fn e9_baseline_comparison(quick: bool, t: &mut Table) {
+pub(crate) fn e9_baseline_comparison(quick: bool, t: &mut Table) {
     t.set_header(&["n", "algorithm", "messages", "bits", "time (rounds/causal)"]);
     let sizes: &[usize] = if quick {
         &[64, 128]
@@ -424,7 +424,7 @@ pub fn e9_baseline_comparison(quick: bool, t: &mut Table) {
 }
 
 /// E10 — §4.5.2: amortized probe cost in the Ad-hoc variant.
-pub fn e10_probe_amortization(quick: bool, t: &mut Table) {
+pub(crate) fn e10_probe_amortization(quick: bool, t: &mut Table) {
     t.set_header(&[
         "n",
         "probes m",
@@ -469,7 +469,7 @@ pub fn e10_probe_amortization(quick: bool, t: &mut Table) {
 /// time complexity is `Ω(n)` and its algorithm's synchronous-model time is
 /// `O(T + n)`; the causal-depth measure (longest message chain ≈ rounds a
 /// synchronous network would need) should therefore be `Θ(n)`.
-pub fn e11_time_complexity(quick: bool, t: &mut Table) {
+pub(crate) fn e11_time_complexity(quick: bool, t: &mut Table) {
     t.set_header(&["n", "variant", "causal depth", "depth/n"]);
     for n in sweep(quick) {
         for variant in [Variant::Oblivious, Variant::Bounded, Variant::AdHoc] {
@@ -489,7 +489,7 @@ pub fn e11_time_complexity(quick: bool, t: &mut Table) {
 
 /// E12 — §1 motivation: the end-to-end pipeline (discover → build a DHT →
 /// serve lookups) with `O(log n)` routing hops.
-pub fn e12_overlay_pipeline(quick: bool, t: &mut Table) {
+pub(crate) fn e12_overlay_pipeline(quick: bool, t: &mut Table) {
     use ard_overlay::{bootstrap, Key};
     t.set_header(&[
         "n",
@@ -548,7 +548,7 @@ pub fn e12_overlay_pipeline(quick: bool, t: &mut Table) {
 /// leader nodes that reach phase i is at most n/2^(i−1)" (a phase-i leader
 /// commands ≥ 2^(i−1) members, and clusters are disjoint while their
 /// leaders live).
-pub fn e13_phase_distribution(quick: bool, t: &mut Table) {
+pub(crate) fn e13_phase_distribution(quick: bool, t: &mut Table) {
     t.set_header(&["n", "phase i", "nodes reaching i", "bound n/2^(i−1)"]);
     let sizes: &[usize] = if quick { &[256] } else { &[256, 1024, 4096] };
     for &n in sizes {
@@ -582,7 +582,7 @@ pub fn e13_phase_distribution(quick: bool, t: &mut Table) {
 /// E14 — robustness: the message bounds are schedule- and
 /// topology-insensitive (the theorems quantify over *all* asynchronous
 /// executions; this samples hostile corners of that space).
-pub fn e14_schedule_sensitivity(quick: bool, t: &mut Table) {
+pub(crate) fn e14_schedule_sensitivity(quick: bool, t: &mut Table) {
     use ard_netsim::{BoundedDelayScheduler, FifoScheduler, LifoScheduler, Scheduler};
     t.set_header(&[
         "topology",
@@ -646,7 +646,7 @@ pub fn e14_schedule_sensitivity(quick: bool, t: &mut Table) {
 /// (single seed per point; a 10⁶-node run is minutes, so no repetition),
 /// plus the engine-side scale metrics the million-node engine targets:
 /// executed events and knowledge-set bytes per node (`IdSet`s at these sizes).
-pub fn e15_scale(quick: bool, t: &mut Table) {
+pub(crate) fn e15_scale(quick: bool, t: &mut Table) {
     t.set_header(&[
         "variant",
         "n",
@@ -693,7 +693,7 @@ pub fn e15_scale(quick: bool, t: &mut Table) {
 }
 
 /// F1 — Figure 1: the observed transition set equals the diagram exactly.
-pub fn f1_transition_coverage(quick: bool, t: &mut Table) {
+pub(crate) fn f1_transition_coverage(quick: bool, t: &mut Table) {
     t.set_header(&["transition", "observed count", "in diagram"]);
     let mut counts: BTreeMap<Transition, u64> = BTreeMap::new();
     let seeds = if quick { 10 } else { 60 };
@@ -740,7 +740,7 @@ pub fn f1_transition_coverage(quick: bool, t: &mut Table) {
 
 /// A1 — ablation: path compression on releases/probe replies, on the
 /// staged find-heavy reduction workload where pointer chains get deep.
-pub fn a1_path_compression(quick: bool, t: &mut Table) {
+pub(crate) fn a1_path_compression(quick: bool, t: &mut Table) {
     t.set_header(&["sets n", "N", "config", "search+release msgs", "total msgs", "msgs/N"]);
     let sizes: &[usize] = if quick {
         &[128, 256]
@@ -769,7 +769,7 @@ pub fn a1_path_compression(quick: bool, t: &mut Table) {
 
 /// A2 — ablation: balanced queries (`|more|+|done|+1` vs fetch-everything),
 /// on complete graphs where Lemma 5.10's invariant is load-bearing.
-pub fn a2_balanced_queries(quick: bool, t: &mut Table) {
+pub(crate) fn a2_balanced_queries(quick: bool, t: &mut Table) {
     t.set_header(&["n", "|E0|", "config", "info bits", "max single info", "Lemma 5.10", "total bits"]);
     let sizes: &[usize] = if quick { &[48, 96] } else { &[64, 128, 256] };
     for &n in sizes {
@@ -804,7 +804,7 @@ pub fn a2_balanced_queries(quick: bool, t: &mut Table) {
 
 /// A3 — ablation: union-find policy variants (context for the Theorem 2/6
 /// connection).
-pub fn a3_union_find_variants(quick: bool, t: &mut Table) {
+pub(crate) fn a3_union_find_variants(quick: bool, t: &mut Table) {
     t.set_header(&["n", "policy", "pointer traversals", "traversals/op"]);
     let sizes: &[usize] = if quick {
         &[1 << 10]
@@ -836,16 +836,8 @@ pub fn a3_union_find_variants(quick: bool, t: &mut Table) {
     t.push_note("rank+compression achieves O(α) amortized — the data-structure twin of the Ad-hoc algorithm's message bound; naive policies degrade toward the log/linear regimes");
 }
 
-/// Helper for tests: a tiny representative metrics run.
-pub fn quick_metrics() -> Metrics {
-    let (d, _) = run_once(32, 64, Variant::Oblivious, Config::paper(), 1);
-    d.runner().metrics().clone()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn every_table_renders_in_quick_mode() {
         let mut quick = String::new();
@@ -876,12 +868,6 @@ mod tests {
         assert_eq!(crate::table_by_id("e5", true).unwrap().id, "e5");
         assert_eq!(crate::table_by_id("F1", true).unwrap().id, "f1");
         assert!(crate::table_by_id("zz", true).is_none());
-    }
-
-    #[test]
-    fn quick_metrics_nonempty() {
-        let m = quick_metrics();
-        assert!(m.total_messages() > 0);
     }
 
     /// `--jobs N` must be a pure wall-clock knob: the sweep tables render

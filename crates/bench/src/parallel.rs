@@ -24,11 +24,11 @@ pub fn set_jobs(n: usize) {
 }
 
 /// The currently configured worker count.
-pub fn jobs() -> usize {
+pub(crate) fn jobs() -> usize {
     JOBS.load(Ordering::Relaxed)
 }
 
-/// [`parallel_map`] with the process-wide [`jobs`] worker count.
+/// [`parallel_map`] with the process-wide worker count ([`set_jobs`]).
 ///
 /// # Example
 ///

@@ -18,7 +18,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(id: &'static str, title: impl Into<String>, header: &[&str]) -> Self {
+    pub(crate) fn new(id: &'static str, title: impl Into<String>, header: &[&str]) -> Self {
         Table {
             id,
             title: title.into(),
@@ -29,12 +29,12 @@ impl Table {
     }
 
     /// Names the columns (before the first row is pushed).
-    pub fn set_header(&mut self, header: &[&str]) {
+    pub(crate) fn set_header(&mut self, header: &[&str]) {
         self.header = header.iter().map(|s| s.to_string()).collect();
     }
 
     /// Appends a row (must match the header width).
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.header.len(),
@@ -45,12 +45,12 @@ impl Table {
     }
 
     /// Appends a note line.
-    pub fn push_note(&mut self, note: impl Into<String>) {
+    pub(crate) fn push_note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
     }
 
     /// Column-aligned plain-text rendering.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {

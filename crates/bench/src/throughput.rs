@@ -21,7 +21,7 @@ pub const THROUGHPUT_SIZES: [usize; 5] = [256, 1024, 4096, 65536, 1_048_576];
 /// Sizes above this measure with a single repetition (a full 10⁶-node
 /// discovery is ~1.5·10⁷ events; best-of-3 would triple a minutes-long
 /// sweep for noise reduction the big numbers don't need).
-pub const SINGLE_REP_ABOVE: usize = 16_384;
+pub(crate) const SINGLE_REP_ABOVE: usize = 16_384;
 
 /// One measured (n, scheduler) throughput point.
 #[derive(Clone, Debug)]
@@ -52,21 +52,6 @@ fn make_scheduler(name: &'static str, seed: u64) -> Box<dyn Scheduler> {
         "random" => Box::new(RandomScheduler::seeded(seed)),
         other => panic!("unknown scheduler {other}"),
     }
-}
-
-/// Runs one full discovery on a fresh `G(n, 3n)` graph and returns the
-/// executed event count (the graph build is excluded from timing by the
-/// caller re-using this via [`measure`]).
-pub fn run_events(n: usize, scheduler: &'static str) -> u64 {
-    let graph = gen::random_weakly_connected(n, 2 * n, n as u64);
-    let mut d = Discovery::new(&graph, Variant::Oblivious);
-    if scheduler == "fifo" {
-        d.run_all_rounds().expect("throughput run livelocked");
-    } else {
-        let mut sched = make_scheduler(scheduler, n as u64 ^ 0xa5a5);
-        d.run_all(sched.as_mut()).expect("throughput run livelocked");
-    }
-    d.runner().steps_executed()
 }
 
 /// Measures events/sec for every `(n, scheduler)` pair in the sweep,
@@ -162,10 +147,5 @@ mod tests {
         assert_eq!(json.matches("\"scheduler\"").count(), points.len());
         assert!(json.contains("\"payload_bytes_per_event\""));
         assert!(!json.contains(",\n  ]"), "no trailing comma:\n{json}");
-    }
-
-    #[test]
-    fn deterministic_event_counts() {
-        assert_eq!(run_events(48, "random"), run_events(48, "random"));
     }
 }

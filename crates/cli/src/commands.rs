@@ -1276,6 +1276,21 @@ mod tests {
     }
 
     #[test]
+    fn rings_below_two_nodes_are_a_usage_error() {
+        for line in [
+            "discover --topology ring:0",
+            "discover --topology ring:1",
+            "explore --topology ring:1",
+        ] {
+            assert_eq!(
+                run_line(line).unwrap_err().to_string(),
+                "invalid specification: ring size must be ≥ 2",
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
     fn adversary_reports_bound() {
         let out = run_line("adversary --levels 4").unwrap();
         assert!(out.contains("Theorem 1 bound : 30"));

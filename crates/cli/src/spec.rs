@@ -70,7 +70,13 @@ pub fn parse_topology(spec: &str) -> Result<KnowledgeGraph, ParseSpecError> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     match kind.to_ascii_lowercase().as_str() {
         "path" => Ok(gen::path(parse_num(rest, "path size")?)),
-        "ring" => Ok(gen::ring(parse_num(rest, "ring size")?)),
+        "ring" => {
+            let n = parse_num(rest, "ring size")?;
+            if n < 2 {
+                return Err(err("ring size must be ≥ 2"));
+            }
+            Ok(gen::ring(n))
+        }
         "star-in" => Ok(gen::star_in(parse_num(rest, "star size")?)),
         "star-out" => Ok(gen::star_out(parse_num(rest, "star size")?)),
         "complete" => Ok(gen::complete(parse_num(rest, "clique size")?)),
@@ -138,7 +144,7 @@ pub enum SchedulerSpec {
 
 impl SchedulerSpec {
     /// The scheduler object this spec names.
-    pub fn build(self) -> Box<dyn Scheduler> {
+    pub(crate) fn build(self) -> Box<dyn Scheduler> {
         match self {
             SchedulerSpec::Fifo => Box::new(FifoScheduler::new()),
             SchedulerSpec::Lifo => Box::new(LifoScheduler::new()),
@@ -294,6 +300,28 @@ mod tests {
             .0
             .contains("unknown random-graph key"));
         assert!(parse_topology("tree:0").is_err());
+    }
+
+    #[test]
+    fn tiny_topologies_parse_or_fail_without_panicking() {
+        for size in 0..=3 {
+            for spec in [
+                format!("path:{size}"),
+                format!("ring:{size}"),
+                format!("star-in:{size}"),
+                format!("star-out:{size}"),
+                format!("complete:{size}"),
+                format!("tree:{size}"),
+                format!("random:n={size},extra={size}"),
+                format!("components:count={size},per={size}"),
+            ] {
+                let parsed = std::panic::catch_unwind(|| parse_topology(&spec).map(|g| g.len()));
+                assert!(parsed.is_ok(), "`{spec}` panicked");
+            }
+        }
+        for spec in ["ring:0", "ring:1"] {
+            assert_eq!(parse_topology(spec).unwrap_err().0, "ring size must be ≥ 2");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! the traffic its meters hold beyond the protocol's own (forged messages,
 //! retransmissions and acks, per-message sequence numbers), which the table
 //! nets out before a bound applies. [`check_all`], [`check_all_faulty`] and
-//! [`check_all_byzantine`] differ in nothing but the netting they pass.
+//! `check_all_byzantine` differ in nothing but the netting they pass.
 //!
 //! Bit rows add the simulator's fixed per-message overhead (kind tag plus
 //! non-id payload; see [`Message`]) on top of the paper's id-only
@@ -39,7 +39,7 @@ fn log2_ceil(n: u64) -> u64 {
 /// that are pure fault-recovery overhead: retransmissions of already-metered
 /// logical messages and acknowledgements. [`Netting::RELIABLE`] subtracts
 /// them before the paper's fault-free complexity theorems apply.
-pub const OVERHEAD_KINDS: [&str; 2] = ["retransmit", "rd-ack"];
+pub(crate) const OVERHEAD_KINDS: [&str; 2] = ["retransmit", "rd-ack"];
 
 /// What a run's meters hold beyond the honest protocol's own traffic, to be
 /// netted out before the paper's bounds apply. The parts are independent
@@ -73,12 +73,12 @@ impl Netting {
     /// Traffic metered on the [`crate::Reliable`] layer: a first
     /// transmission keeps its logical kind and gains a sequence number;
     /// retransmissions and acks are metered under [`OVERHEAD_KINDS`].
-    pub const RELIABLE: Netting =
+    pub(crate) const RELIABLE: Netting =
         Netting { overhead_kinds: &OVERHEAD_KINDS, envelope_bits: SEQ_BITS, ..Netting::NONE };
 
     /// A run of the bare protocol under the adversary whose counters
     /// ([`Metrics::byzantine`]) are `counts`.
-    pub const fn forgery(counts: ByzantineCounts) -> Netting {
+    pub(crate) const fn forgery(counts: ByzantineCounts) -> Netting {
         Netting { adversary: Some(counts), ..Netting::NONE }
     }
 
@@ -239,12 +239,12 @@ pub fn table(metrics: &Metrics, n: u64, e0: u64, variant: Variant, net: &Netting
 /// # Errors
 ///
 /// Returns the first row, in table order, with `measured > bound`.
-pub fn check(metrics: &Metrics, n: u64, e0: u64, variant: Variant, net: &Netting) -> Result<(), String> {
+pub(crate) fn check(metrics: &Metrics, n: u64, e0: u64, variant: Variant, net: &Netting) -> Result<(), String> {
     table(metrics, n, e0, variant, net).iter().try_for_each(Row::check)
 }
 
 /// Every per-kind lemma plus the matching total-complexity theorem for one
-/// finished honest fault-free run: [`check`] under [`Netting::NONE`].
+/// finished honest fault-free run: `check` under [`Netting::NONE`].
 ///
 /// # Errors
 ///
@@ -254,7 +254,7 @@ pub fn check_all(metrics: &Metrics, n: u64, e0: u64, variant: Variant) -> Result
 }
 
 /// [`check_all`] for a run under fault injection with the reliable-delivery
-/// envelope ([`crate::Reliable`]): [`check`] under [`Netting::RELIABLE`].
+/// envelope ([`crate::Reliable`]): `check` under `Netting::RELIABLE`.
 /// The per-kind count lemmas apply unchanged, the bit lemmas allow the
 /// sequence number on every message, and the theorems bound the **net**
 /// totals.
@@ -273,7 +273,7 @@ pub fn check_all_faulty(metrics: &Metrics, n: u64, e0: u64, variant: Variant) ->
 /// # Errors
 ///
 /// Propagates the first violated bound.
-pub fn check_all_byzantine(metrics: &Metrics, n: u64, e0: u64, variant: Variant) -> Result<(), String> {
+pub(crate) fn check_all_byzantine(metrics: &Metrics, n: u64, e0: u64, variant: Variant) -> Result<(), String> {
     check(metrics, n, e0, variant, &Netting::forgery(metrics.byzantine()))
 }
 

@@ -35,7 +35,7 @@ impl Variant {
     /// Whether this variant maintains the `unaware` set and broadcasts
     /// `conquer` after every merge (only the generic/Oblivious algorithm
     /// does; the variants of §4.5 drop it).
-    pub fn broadcasts_each_merge(self) -> bool {
+    pub(crate) fn broadcasts_each_merge(self) -> bool {
         matches!(self, Variant::Oblivious)
     }
 }

@@ -104,7 +104,7 @@ pub enum ProbeStatus {
     /// snapshot, costing zero messages.
     Immediate(Vec<NodeId>),
     /// A probe message is in flight toward the leader; the answer will land
-    /// in the node's [`probe_results`](ArdNode::probe_results) once the
+    /// in the node's `probe_results` once the
     /// scheduler delivers it.
     InFlight,
 }
@@ -163,13 +163,13 @@ pub struct Survivors {
     /// Nodes that permanently left, in draw order.
     pub left: Vec<NodeId>,
     /// Requirement 1 over the honest survivors
-    /// ([`invariants::check_survivor_single_leader`]).
+    /// (`invariants::check_survivor_single_leader`).
     pub single_leader: Result<(), String>,
     /// Requirement 2 over the honest survivors
-    /// ([`invariants::check_survivor_leader_knows_all`]).
+    /// (`invariants::check_survivor_leader_knows_all`).
     pub leader_knows_all: Result<(), String>,
     /// The paper's budget lemmas net of forged traffic
-    /// ([`budgets::check_all_byzantine`]).
+    /// (`budgets::check_all_byzantine`).
     pub budgets: Result<(), String>,
 }
 
@@ -255,7 +255,7 @@ impl<P: Layer> DiscoveryOn<P> {
     }
 
     /// Builds the network a run under `plans` needs: configured by
-    /// [`Plans::config`], with the plans kept to withhold the churn
+    /// `Plans::config`, with the plans kept to withhold the churn
     /// joiners' wake-ups, single out the survivors and stamp recordings.
     /// Injecting the plans is the scheduler's job — [`run_recorded`]
     /// attaches them itself, any other run expects `sched` to carry them
@@ -266,16 +266,6 @@ impl<P: Layer> DiscoveryOn<P> {
         let mut d = Self::with_config(graph, variant, plans.config());
         d.plans = plans.clone();
         d
-    }
-
-    /// The problem variant in force.
-    pub fn variant(&self) -> Variant {
-        self.variant
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> Config {
-        self.config
     }
 
     /// The knowledge graph as currently known (initial graph plus dynamic

@@ -146,7 +146,7 @@ pub fn check_requirements<P: Protocol + AsArdNode>(
 ///
 /// Returns a description of the first component without a unique honest
 /// leader.
-pub fn check_survivor_single_leader<P: Protocol + AsArdNode>(
+pub(crate) fn check_survivor_single_leader<P: Protocol + AsArdNode>(
     runner: &Runner<P>,
     graph: &KnowledgeGraph,
     excluded: &BTreeSet<NodeId>,
@@ -188,7 +188,7 @@ pub fn check_survivor_single_leader<P: Protocol + AsArdNode>(
 /// Returns the first component whose honest leader is missing an honest
 /// member (or which has no unique honest leader, without which "the leader
 /// knows all" is not even well-posed).
-pub fn check_survivor_leader_knows_all<P: Protocol + AsArdNode>(
+pub(crate) fn check_survivor_leader_knows_all<P: Protocol + AsArdNode>(
     runner: &Runner<P>,
     graph: &KnowledgeGraph,
     excluded: &BTreeSet<NodeId>,
@@ -237,7 +237,7 @@ pub fn check_survivor_leader_knows_all<P: Protocol + AsArdNode>(
 /// # Errors
 ///
 /// Returns an error if the chain cycles (forest invariant violated).
-pub fn resolve_leader<P: Protocol + AsArdNode>(
+pub(crate) fn resolve_leader<P: Protocol + AsArdNode>(
     runner: &Runner<P>,
     v: NodeId,
 ) -> Result<NodeId, String> {
@@ -259,7 +259,7 @@ pub fn resolve_leader<P: Protocol + AsArdNode>(
 /// # Errors
 ///
 /// Returns the offending component's smallest member on violation.
-pub fn check_leader_exists<P: Protocol + AsArdNode>(
+pub(crate) fn check_leader_exists<P: Protocol + AsArdNode>(
     runner: &Runner<P>,
     graph: &KnowledgeGraph,
 ) -> Result<(), String> {
@@ -281,7 +281,7 @@ pub fn check_leader_exists<P: Protocol + AsArdNode>(
 /// # Errors
 ///
 /// Returns the node whose chain cycles.
-pub fn check_forest<P: Protocol + AsArdNode>(runner: &Runner<P>) -> Result<(), String> {
+pub(crate) fn check_forest<P: Protocol + AsArdNode>(runner: &Runner<P>) -> Result<(), String> {
     for v in runner.ids() {
         resolve_leader(runner, v)?;
     }
@@ -294,7 +294,7 @@ pub fn check_forest<P: Protocol + AsArdNode>(runner: &Runner<P>) -> Result<(), S
 /// # Errors
 ///
 /// Returns the offending node.
-pub fn check_phase_bound<P: Protocol + AsArdNode>(runner: &Runner<P>) -> Result<(), String> {
+pub(crate) fn check_phase_bound<P: Protocol + AsArdNode>(runner: &Runner<P>) -> Result<(), String> {
     for node in runner.nodes().map(AsArdNode::ard) {
         let size = (node.more().len() + node.done().len() + node.unaware().len()) as u64;
         let bound = 1u64 << (node.phase() + 1);
@@ -317,7 +317,7 @@ pub fn check_phase_bound<P: Protocol + AsArdNode>(runner: &Runner<P>) -> Result<
 /// # Errors
 ///
 /// Returns a description of the duplicate pair on violation.
-pub fn check_leader_pairs_distinct<P: Protocol + AsArdNode>(
+pub(crate) fn check_leader_pairs_distinct<P: Protocol + AsArdNode>(
     runner: &Runner<P>,
     graph: &KnowledgeGraph,
 ) -> Result<(), String> {

@@ -9,13 +9,13 @@ use ard_netsim::{Envelope, IdSeq, IdSet, NodeId};
 /// per-message overhead terms from the same sums (via
 /// [`Message::QUERY_REPLY_AUX_BITS`] and [`Message::INFO_AUX_BITS`]), so
 /// metering and bounds cannot drift apart.
-pub const PHASE_BITS: u64 = 8;
+pub(crate) const PHASE_BITS: u64 = 8;
 
 /// Bits charged for a counter or set-length prefix (`n ≤ 2³²`).
-pub const COUNT_BITS: u64 = 32;
+pub(crate) const COUNT_BITS: u64 = 32;
 
 /// Bits charged for a boolean flag.
-pub const FLAG_BITS: u64 = 1;
+pub(crate) const FLAG_BITS: u64 = 1;
 
 /// Answer carried by a [`Message::Release`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,12 +191,6 @@ impl Message {
     /// checks (previously a hand-copied `8 + 4 * 32` on both sides).
     pub const INFO_AUX_BITS: u64 = PHASE_BITS + 4 * COUNT_BITS;
 
-    /// Whether this message is routed leaf-to-leader along `next` pointers
-    /// (and therefore serialized through relays' `previous` queues).
-    pub fn is_routable_request(&self) -> bool {
-        Request::of(self).is_some()
-    }
-
     /// Calls `f` with each id-carrying field, in wire order: the one
     /// statement of which variant carries which ids, read by every
     /// [`Envelope`] method that walks, counts or sizes them.
@@ -233,10 +227,10 @@ impl Message {
     }
 }
 
-/// A routable request ([`Message::is_routable_request`]) as a node's
-/// `previous` and \[D1] `deferred` queues store it: the same fields as the
-/// [`Message::Search`] / [`Message::Probe`] it stands for in 16 B, where
-/// the full enum is sized by its set-carrying variants.
+/// A routable request (routed leaf-to-leader along `next` pointers) as a
+/// node's `previous` and \[D1] `deferred` queues store it: the same fields
+/// as the [`Message::Search`] / [`Message::Probe`] it stands for in 16 B,
+/// where the full enum is sized by its set-carrying variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Request {
     /// A [`Message::Search`].
@@ -635,22 +629,6 @@ mod tests {
         // queues; the rare `Info` variant is boxed so it does not set the
         // size of all the common variants.
         assert!(std::mem::size_of::<Message>() <= 48);
-    }
-
-    #[test]
-    fn routable_requests_are_search_and_probe() {
-        assert!(Message::Probe {
-            origin: NodeId::new(0)
-        }
-        .is_routable_request());
-        assert!(Message::Search {
-            origin: NodeId::new(0),
-            origin_phase: 1,
-            target: NodeId::new(1),
-            new_edge: false
-        }
-        .is_routable_request());
-        assert!(!Message::MergeAccept.is_routable_request());
     }
 
     #[test]

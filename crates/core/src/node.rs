@@ -293,24 +293,24 @@ impl ArdNode {
 
     /// Snapshots received in answer to this node's probes (Ad-hoc variant),
     /// oldest first.
-    pub fn probe_results(&self) -> &[Vec<NodeId>] {
+    pub(crate) fn probe_results(&self) -> &[Vec<NodeId>] {
         &self.cold().probe_results
     }
 
     /// Number of probes issued but not yet answered.
-    pub fn probes_outstanding(&self) -> usize {
+    pub(crate) fn probes_outstanding(&self) -> usize {
         self.cold().probes_outstanding as usize
     }
 
     /// Messages deferred by the current state (\[D1]); must be empty at
     /// quiescence.
-    pub fn deferred_len(&self) -> usize {
+    pub(crate) fn deferred_len(&self) -> usize {
         self.cold().deferred.len()
     }
 
     /// Relayed searches/probes awaiting their release; must be empty at
     /// quiescence.
-    pub fn previous_len(&self) -> usize {
+    pub(crate) fn previous_len(&self) -> usize {
         self.cold().previous.len()
     }
 
@@ -409,7 +409,7 @@ impl ArdNode {
     ///
     /// Panics if called on a node in a transient state (`Conquered`,
     /// `Conqueror`, `Asleep`) — probe issuers must be settled nodes.
-    pub fn start_probe(&mut self, ctx: &mut Context<'_, Message>) {
+    pub(crate) fn start_probe(&mut self, ctx: &mut Context<'_, Message>) {
         match self.status {
             Status::Explore | Status::Wait | Status::Passive => {
                 // We are our own (possibly provisional) leader.
@@ -430,7 +430,7 @@ impl ArdNode {
     /// joins `local` (case 1). If it already reported everything (case 2),
     /// it notifies its leader with a `new`-flagged search so the leader
     /// moves it from `done` back to `more` and re-queries it later.
-    pub fn add_dynamic_edge(&mut self, v: NodeId, ctx: &mut Context<'_, Message>) {
+    pub(crate) fn add_dynamic_edge(&mut self, v: NodeId, ctx: &mut Context<'_, Message>) {
         self.record_new_id(v, ctx);
     }
 

@@ -61,7 +61,7 @@ impl Plans {
     /// with [`Config::byzantine`] under a Byzantine or churn plan so forged
     /// "impossible" messages are dropped instead of tripping the honest-run
     /// asserts.
-    pub fn config(&self) -> Config {
+    pub(crate) fn config(&self) -> Config {
         if self.byzantine.is_some() || self.churn.is_some() {
             Config::byzantine()
         } else {

@@ -193,11 +193,6 @@ impl<P: Protocol> Reliable<P> {
         }
     }
 
-    /// The wrapped protocol node.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
     /// Number of transmissions currently awaiting acknowledgement.
     pub fn unacked_len(&self) -> usize {
         self.unacked.len()
@@ -468,7 +463,7 @@ mod tests {
         runner.enqueue_wake(NodeId::new(0), &mut sched);
         runner.run(&mut sched, 1_000).unwrap();
         assert_eq!(
-            runner.node(NodeId::new(1)).inner().seen_from(NodeId::new(0)),
+            runner.node(NodeId::new(1)).inner.seen_from(NodeId::new(0)),
             [0, 1, 2, 3, 4]
         );
         assert_eq!(runner.node(NodeId::new(0)).unacked_len(), 0);
@@ -486,7 +481,7 @@ mod tests {
             runner.enqueue_wake(NodeId::new(0), &mut sched);
             runner.run(&mut sched, 100_000).unwrap();
             assert_eq!(
-                runner.node(NodeId::new(1)).inner().seen_from(NodeId::new(0)),
+                runner.node(NodeId::new(1)).inner.seen_from(NodeId::new(0)),
                 (0..8).collect::<Vec<_>>(),
                 "seed {seed}"
             );
@@ -523,10 +518,10 @@ mod tests {
             let receiver = runner.node(rx);
             for s in senders {
                 let first = 100 * s.index() as u32;
-                let seen = receiver.inner().seen_from(s);
+                let seen = receiver.inner.seen_from(s);
                 assert_eq!(seen, (first..first + 6).collect::<Vec<_>>(), "seed {seed}, source {s}");
             }
-            assert_eq!(receiver.inner().seen.len(), 18, "seed {seed}");
+            assert_eq!(receiver.inner.seen.len(), 18, "seed {seed}");
             // Exactly-once: the logical kind is metered once per payload.
             assert_eq!(runner.metrics().kind("num").messages, 18, "seed {seed}");
             assert!(runner.metrics().kind("retransmit").messages > 0, "seed {seed}");
@@ -550,7 +545,7 @@ mod tests {
             runner.enqueue_wake(NodeId::new(0), &mut sched);
             runner.run(&mut sched, 100_000).unwrap();
             assert_eq!(
-                runner.node(NodeId::new(1)).inner().seen_from(NodeId::new(0)),
+                runner.node(NodeId::new(1)).inner.seen_from(NodeId::new(0)),
                 (0..6).collect::<Vec<_>>(),
                 "seed {seed}"
             );
@@ -647,7 +642,7 @@ mod tests {
         ] {
             node.on_message(src, msg, &mut ctx);
         }
-        assert_eq!(node.inner().seen_from(a), [10]);
+        assert_eq!(node.inner.seen_from(a), [10]);
         assert_eq!(node.unacked_len(), 2);
         let mut d = StateDigest::new();
         node.digest_state(&mut d);

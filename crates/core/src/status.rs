@@ -44,7 +44,7 @@ impl Status {
     ];
 
     /// Whether a node in this state is a leader in the paper's sense.
-    pub fn is_leader(self) -> bool {
+    pub(crate) fn is_leader(self) -> bool {
         matches!(self, Status::Explore | Status::Wait | Status::Conqueror)
     }
 }

@@ -105,7 +105,7 @@ pub fn random_weakly_connected(n: usize, extra_edges: usize, seed: u64) -> Knowl
 }
 
 /// As [`random_weakly_connected`], drawing from a caller-supplied RNG.
-pub fn random_weakly_connected_with(
+pub(crate) fn random_weakly_connected_with(
     n: usize,
     extra_edges: usize,
     rng: &mut StdRng,

@@ -126,7 +126,7 @@ pub fn theorem1_bound(levels: u32) -> u64 {
 
 /// Internal nodes of `T(levels)` in bottom-up (deepest first) order — the
 /// thaw order of the proof's recursion.
-pub fn bottom_up_internal_nodes(levels: u32) -> Vec<NodeId> {
+pub(crate) fn bottom_up_internal_nodes(levels: u32) -> Vec<NodeId> {
     let n = (1usize << levels) - 1;
     let first_leaf = n / 2;
     // Heap layout: node i is at depth ⌊log₂(i+1)⌋; internal nodes are
@@ -147,7 +147,7 @@ pub fn run(levels: u32) -> TreeRunResult {
 
 /// As [`run`], for an arbitrary variant (the Theorem 1 bound is a statement
 /// about the Oblivious problem; other variants are informative only).
-pub fn run_variant(levels: u32, variant: Variant) -> TreeRunResult {
+pub(crate) fn run_variant(levels: u32, variant: Variant) -> TreeRunResult {
     assert!(levels >= 2, "the bound needs at least 3 nodes");
     let graph = gen::binary_tree_down(levels);
     let n = graph.len() as u64;

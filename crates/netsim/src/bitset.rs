@@ -83,7 +83,7 @@ impl BitSet {
     }
 
     /// Removes `index`. Returns `true` if it was present.
-    pub fn remove(&mut self, index: usize) -> bool {
+    pub(crate) fn remove(&mut self, index: usize) -> bool {
         let word = index / 64;
         let mask = 1u64 << (index % 64);
         let Some(w) = self.words.get_mut(word) else {
@@ -105,7 +105,7 @@ impl BitSet {
     }
 
     /// The smallest index in the set, in O(1).
-    pub fn first(&self) -> Option<usize> {
+    pub(crate) fn first(&self) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
@@ -176,7 +176,7 @@ impl BitSet {
     }
 
     /// Heap bytes backing the set (capacity, not just occupancy).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
 }

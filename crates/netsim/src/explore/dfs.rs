@@ -18,9 +18,9 @@ use crate::NodeId;
 ///
 /// Cloning captures the full state (pending events, position on the
 /// decision path, branch counts) — a clone is a checkpoint the DFS can
-/// later resume with a deeper prefix via [`DfsScheduler::set_prefix`].
+/// later resume with a deeper prefix via `DfsScheduler::set_prefix`.
 ///
-/// In **reduce mode** ([`DfsScheduler::reduced`]) the scheduler
+/// In **reduce mode** (`DfsScheduler::reduced`) the scheduler
 /// additionally records, at every branch point, the pending choices, the
 /// runner's pre-decision state digest and the footprint of the steps the
 /// decision executed — the observations the engine's sleep-set and dedup
@@ -67,7 +67,7 @@ pub(crate) struct BranchObs {
 impl DfsScheduler {
     /// A scheduler following `prefix`, recording branch counts for the
     /// first `depth` steps.
-    pub fn new(prefix: Vec<usize>, depth: usize) -> Self {
+    pub(crate) fn new(prefix: Vec<usize>, depth: usize) -> Self {
         DfsScheduler {
             prefix,
             depth,
@@ -78,7 +78,7 @@ impl DfsScheduler {
     /// A scheduler like [`DfsScheduler::new`] that also records the
     /// per-branch observations partial-order reduction needs and drains
     /// canonically past the branch window.
-    pub fn reduced(prefix: Vec<usize>, depth: usize) -> Self {
+    pub(crate) fn reduced(prefix: Vec<usize>, depth: usize) -> Self {
         DfsScheduler {
             reduce: true,
             ..Self::new(prefix, depth)
@@ -86,7 +86,7 @@ impl DfsScheduler {
     }
 
     /// Pending-event counts observed at each of the first `depth` steps.
-    pub fn branch_counts(&self) -> &[usize] {
+    pub(crate) fn branch_counts(&self) -> &[usize] {
         &self.branch_counts
     }
 
@@ -97,7 +97,7 @@ impl DfsScheduler {
 
     /// Number of scheduling decisions made so far — the run's position on
     /// its branch-decision path.
-    pub fn decisions(&self) -> usize {
+    pub(crate) fn decisions(&self) -> usize {
         self.step
     }
 
@@ -105,7 +105,7 @@ impl DfsScheduler {
     /// state. This is how a checkpoint cloned at decision `d` is pointed
     /// at a deeper sibling prefix before resuming: the first `d` decisions
     /// of the new prefix must match the path already taken.
-    pub fn set_prefix(&mut self, prefix: Vec<usize>) {
+    pub(crate) fn set_prefix(&mut self, prefix: Vec<usize>) {
         self.prefix = prefix;
     }
 }

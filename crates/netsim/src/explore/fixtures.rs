@@ -113,7 +113,7 @@ pub fn racy_network(clients: usize) -> Runner<RacyNode> {
 /// The fixture's property check: the lease must not sit with the
 /// highest-id client (the coordinator's bookkeeping assumes it never
 /// can). Returns a failure description when the planted bug fired.
-pub fn racy_violation(runner: &Runner<RacyNode>) -> Option<String> {
+pub(crate) fn racy_violation(runner: &Runner<RacyNode>) -> Option<String> {
     let highest = NodeId::new(runner.len() - 1);
     match runner.node(NodeId::new(0)) {
         RacyNode::Coordinator {
@@ -214,7 +214,7 @@ impl ForkRun for RacyRun {
 }
 
 /// Runs the fixture under `sched` to quiescence (or a small step
-/// budget) and applies [`racy_violation`] — the `run_one` closure the
+/// budget) and applies `racy_violation` — the `run_one` closure the
 /// explorer and shrinker tests use.
 ///
 /// # Errors
@@ -306,7 +306,7 @@ impl Protocol for FragileNode {
 /// # Panics
 ///
 /// Panics if `clients == 0`.
-pub fn fragile_network(clients: usize) -> Runner<FragileNode> {
+pub(crate) fn fragile_network(clients: usize) -> Runner<FragileNode> {
     assert!(clients >= 1, "the fragile hub needs at least one client");
     let mut nodes = vec![FragileNode::Hub { pongs: 0, clients }];
     let mut knowledge = vec![(1..=clients).map(NodeId::new).collect::<Vec<_>>()];
@@ -435,7 +435,7 @@ impl Protocol for EquivNode {
 ///
 /// Panics if `candidates < 2` (a second leader needs a second
 /// candidate).
-pub fn equiv_network(candidates: usize) -> Runner<EquivNode> {
+pub(crate) fn equiv_network(candidates: usize) -> Runner<EquivNode> {
     assert!(candidates >= 2, "equivocation needs at least two candidates");
     let mut nodes = vec![EquivNode::Voter];
     let mut knowledge = vec![(1..=candidates).map(NodeId::new).collect::<Vec<_>>()];
@@ -449,7 +449,7 @@ pub fn equiv_network(candidates: usize) -> Runner<EquivNode> {
 /// The equiv fixture's property check: at most one candidate may lead.
 /// Returns a failure description when forged endorsements elected a
 /// second leader.
-pub fn equiv_violation(runner: &Runner<EquivNode>) -> Option<String> {
+pub(crate) fn equiv_violation(runner: &Runner<EquivNode>) -> Option<String> {
     let leaders: Vec<NodeId> = (1..runner.len())
         .map(NodeId::new)
         .filter(|&c| matches!(runner.node(c), EquivNode::Candidate { leader: true }))

@@ -126,7 +126,7 @@ pub(crate) struct RunnerRun<P: Protocol> {
 impl<P: Protocol> RunnerRun<P> {
     /// Wakes every node of `runner` into `sched` and wraps it, to stop
     /// with a livelock report after `budget` events.
-    pub fn spawn(
+    pub(crate) fn spawn(
         mut runner: Runner<P>,
         budget: u64,
         check: fn(&Runner<P>) -> Result<(), String>,

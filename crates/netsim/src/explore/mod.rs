@@ -161,7 +161,7 @@ pub enum ReduceMode {
     /// interleaving covers; under a fault/Byzantine/churn plan the dedup
     /// arm switches off (timeline state is not captured by the digest) and
     /// sleep sets degrade gracefully via the fault layer's
-    /// [`Footprint::everything`](crate::Footprint::everything) widening.
+    /// `Footprint::everything` widening.
     Sleep,
 }
 

@@ -74,7 +74,7 @@ fn lcg_seed(seed: u64) -> u64 {
 /// The plan is pure policy (`f` nodes, four fault classes); concrete
 /// choices are derived deterministically from the seed once the network
 /// size is known — [`byzantine_nodes`](ByzantinePlan::byzantine_nodes)
-/// picks the liars, [`timeline`](ByzantinePlan::timeline) lays out their
+/// picks the liars, `timeline` lays out their
 /// forgeries and stale restarts on the choice-index axis, and the
 /// [`silence`](ByzantinePlan::silence) class withholds a fraction of their
 /// outgoing sends at send time. Attach with
@@ -135,12 +135,6 @@ impl ByzantinePlan {
         self
     }
 
-    /// Whether the plan injects nothing.
-    pub fn is_vacuous(&self) -> bool {
-        self.f == 0
-            || !(self.equivocate || self.fabricate || self.silence || self.stale_restart)
-    }
-
     /// The Byzantine node set of an `n`-node network: `min(f, n)` distinct
     /// nodes derived from the seed.
     pub fn byzantine_nodes(&self, n: usize) -> Vec<NodeId> {
@@ -163,7 +157,7 @@ impl ByzantinePlan {
     /// choice)` pairs, sorted by index. Every forged id is `< n`, so
     /// fabricated payloads always name addressable (if never-learned)
     /// nodes.
-    pub fn timeline(&self, n: usize) -> Vec<(u64, Choice)> {
+    pub(crate) fn timeline(&self, n: usize) -> Vec<(u64, Choice)> {
         let mut events: Vec<(u64, Choice)> = Vec::new();
         if n < 2 {
             return events;
@@ -267,11 +261,6 @@ impl ChurnPlan {
         ChurnPlan { seed, rate }
     }
 
-    /// Whether the plan injects nothing.
-    pub fn is_vacuous(&self) -> bool {
-        self.rate == 0.0
-    }
-
     /// Number of joiners (= number of leavers) in an `n`-node network.
     fn count(&self, n: usize) -> usize {
         ((self.rate * n as f64).ceil() as usize).min(n / 2)
@@ -312,7 +301,7 @@ impl ChurnPlan {
     /// The churn events as `(choice index, choice)` pairs, sorted by
     /// index: joins early (the paper's late wake-ups), leaves staggered
     /// through the run.
-    pub fn timeline(&self, n: usize) -> Vec<(u64, Choice)> {
+    pub(crate) fn timeline(&self, n: usize) -> Vec<(u64, Choice)> {
         let mut events: Vec<(u64, Choice)> = Vec::new();
         for (k, j) in self.joiners(n).into_iter().enumerate() {
             events.push((10 + 25 * k as u64, Choice::Join(j)));
@@ -486,7 +475,7 @@ impl<S: Scheduler> FaultScheduler<S> {
     /// Wraps `inner` under `plan` with an explicit fault-RNG seed (the
     /// explorer's random-walk phase varies the seed per walk while keeping
     /// one plan).
-    pub fn seeded(inner: S, plan: Option<FaultPlan>, seed: u64) -> Self {
+    pub(crate) fn seeded(inner: S, plan: Option<FaultPlan>, seed: u64) -> Self {
         let events = plan.as_ref().map(FaultPlan::timeline).unwrap_or_default();
         FaultScheduler {
             inner,
@@ -546,12 +535,12 @@ impl<S: Scheduler> FaultScheduler<S> {
     }
 
     /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
+    pub(crate) fn inner(&self) -> &S {
         &self.inner
     }
 
     /// Mutable access to the wrapped scheduler.
-    pub fn inner_mut(&mut self) -> &mut S {
+    pub(crate) fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
     }
 
@@ -859,8 +848,6 @@ mod tests {
         assert!(events
             .iter()
             .all(|&(_, c)| matches!(c, Choice::Crash(_) | Choice::StaleRestart(_))));
-        assert!(ByzantinePlan::new(5, 0).is_vacuous());
-        assert!(!plan.is_vacuous());
     }
 
     #[test]
@@ -882,7 +869,6 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].0 <= w[1].0));
         // Tiny rates still churn at least one node each way.
         assert_eq!(ChurnPlan::new(3, 0.05).joiners(8).len(), 1);
-        assert!(ChurnPlan::new(3, 0.0).is_vacuous());
     }
 
     #[test]

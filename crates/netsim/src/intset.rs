@@ -99,16 +99,6 @@ impl IntervalSet {
         at > 0 && i < self.runs[at - 1].1
     }
 
-    /// Whether every index in the half-open run `[start, end)` is present
-    /// (one binary search: a covered run lies inside a single stored run).
-    pub fn covers(&self, start: u32, end: u32) -> bool {
-        if start >= end {
-            return true;
-        }
-        let at = self.runs.partition_point(|&(s, _)| s <= start);
-        at > 0 && end <= self.runs[at - 1].1
-    }
-
     /// Number of indices in the set.
     pub fn len(&self) -> usize {
         self.len as usize
@@ -129,43 +119,6 @@ impl IntervalSet {
         self.runs
             .iter()
             .flat_map(|&(start, end)| (start..end).map(|i| i as usize))
-    }
-
-    /// Removes every index (keeping the run buffer for reuse).
-    pub fn clear(&mut self) {
-        self.runs.clear();
-        self.len = 0;
-    }
-
-    /// Inserts `index`, optimized for (mostly) ascending streams: an index
-    /// at or past the end of the last run is handled in O(1); anything
-    /// else falls back to [`insert`](IntervalSet::insert). Building a set
-    /// from a sorted id list this way is O(ids), where repeated `insert`
-    /// would pay a tail-memmove per new run.
-    pub fn push(&mut self, index: usize) -> bool {
-        let i = u32::try_from(index).expect("interval set index fits u32");
-        assert!(i < u32::MAX, "interval set index below u32::MAX");
-        match self.runs.last_mut() {
-            None => {
-                self.runs.push((i, i + 1));
-                self.len += 1;
-                true
-            }
-            Some((start, end)) if *start <= i => {
-                if i < *end {
-                    false
-                } else {
-                    if i == *end {
-                        *end = i + 1;
-                    } else {
-                        self.runs.push((i, i + 1));
-                    }
-                    self.len += 1;
-                    true
-                }
-            }
-            Some(_) => self.insert(index),
-        }
     }
 
     /// Inserts every index in the half-open run `[start, end)`, merging
@@ -199,35 +152,6 @@ impl IntervalSet {
         self.runs[lo] = (s, e);
         self.runs.drain(lo + 1..hi);
         self.len += u64::from(e - s) - covered;
-    }
-
-    /// Inserts the run `[start, end)`, optimized for (mostly) ascending
-    /// streams: a run starting at or past the end of the last stored run
-    /// is handled in O(1); anything else falls back to
-    /// [`insert_run`](IntervalSet::insert_run). The delivery path builds
-    /// its scratch set from a payload's run decomposition this way.
-    pub fn push_run(&mut self, start: u32, end: u32) {
-        if start >= end {
-            return;
-        }
-        match self.runs.last_mut() {
-            None => {
-                self.runs.push((start, end));
-                self.len += u64::from(end - start);
-            }
-            Some((_, last_end)) if start >= *last_end => {
-                if start == *last_end {
-                    *last_end = end;
-                } else {
-                    self.runs.push((start, end));
-                }
-                self.len += u64::from(end - start);
-            }
-            Some(&mut (ls, le)) if start >= ls && end <= le => {
-                // Fully covered: nothing to learn.
-            }
-            _ => self.insert_run(start, end),
-        }
     }
 
     /// Unions `other` into `self` in O(runs of self + runs of other) — the
@@ -272,11 +196,6 @@ impl IntervalSet {
         }
         self.runs = merged;
         self.len = len;
-    }
-
-    /// Heap bytes backing the set (capacity, not just occupancy).
-    pub fn heap_bytes(&self) -> usize {
-        self.runs.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -392,23 +311,6 @@ mod tests {
             assert_eq!(by_run.len(), by_id.len());
         }
         assert_eq!(by_run.runs(), &[(0, 31)]);
-    }
-
-    #[test]
-    fn push_run_fast_path_and_fallback() {
-        let mut s = IntervalSet::new();
-        s.push_run(0, 4); // empty-set path
-        s.push_run(4, 8); // adjacent extend
-        assert_eq!(s.runs(), &[(0, 8)]);
-        s.push_run(10, 12); // disjoint append
-        assert_eq!(s.runs(), &[(0, 8), (10, 12)]);
-        s.push_run(10, 12); // fully covered no-op
-        assert_eq!(s.len(), 10);
-        s.push_run(5, 11); // overlapping fallback to insert_run
-        assert_eq!(s.runs(), &[(0, 12)]);
-        assert_eq!(s.len(), 12);
-        s.push_run(1, 2); // covered by first (non-last) run
-        assert_eq!(s.len(), 12);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub struct ByzantineCounts {
 
 impl ByzantineCounts {
     /// Whether any Byzantine/churn event was observed.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.forged != 0
             || self.forge_noops != 0
             || self.silenced != 0

@@ -557,13 +557,13 @@ impl<S> RecordingScheduler<S> {
     }
 
     /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
+    pub(crate) fn inner(&self) -> &S {
         &self.inner
     }
 
     /// Mutable access to the wrapped scheduler (the explorer retargets a
     /// checkpointed scheduler stack through this before resuming it).
-    pub fn inner_mut(&mut self) -> &mut S {
+    pub(crate) fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
     }
 
@@ -574,7 +574,7 @@ impl<S> RecordingScheduler<S> {
 
     /// Consumes the wrapper, returning the inner scheduler and the
     /// recorded [`Schedule`].
-    pub fn into_parts(self) -> (S, Schedule) {
+    pub(crate) fn into_parts(self) -> (S, Schedule) {
         (self.inner, self.recorded)
     }
 }
@@ -634,8 +634,7 @@ impl<S: Scheduler> Scheduler for RecordingScheduler<S> {
 ///   scheduler reports quiescence; [`leftover`](ReplayScheduler::leftover)
 ///   tells whether the run was truncated.
 /// * **lenient** ([`ReplayScheduler::lenient`]) — recorded choices that are
-///   not enabled are silently skipped (counted in
-///   [`skipped`](ReplayScheduler::skipped)). This is what schedule
+///   not enabled are silently skipped. This is what schedule
 ///   *shrinking* needs: a candidate subsequence executes its enabled
 ///   choices and ends, and the actually-executed sequence (re-recorded via
 ///   [`RecordingScheduler`]) is strict-replayable again.
@@ -654,7 +653,6 @@ pub struct ReplayScheduler {
     /// The sum of `pending`'s counts.
     live: usize,
     strict: bool,
-    skipped: u64,
 }
 
 impl ReplayScheduler {
@@ -677,7 +675,6 @@ impl ReplayScheduler {
             pending: HashMap::new(),
             live: 0,
             strict,
-            skipped: 0,
         }
     }
 
@@ -690,12 +687,6 @@ impl ReplayScheduler {
     /// schedule was a truncation of the full run).
     pub fn leftover(&self) -> usize {
         self.live
-    }
-
-    /// Recorded choices skipped because they were not enabled (always 0 in
-    /// strict mode).
-    pub fn skipped(&self) -> u64 {
-        self.skipped
     }
 
     fn announce(&mut self, token: Choice) {
@@ -777,7 +768,6 @@ impl Scheduler for ReplayScheduler {
                 Err(()) => {
                     self.at = next;
                     self.cursor += 1;
-                    self.skipped += 1;
                 }
             }
         }
@@ -998,7 +988,6 @@ mod tests {
         assert_eq!(r.choose(), Some(Choice::Wake(NodeId::new(0))));
         assert_eq!(r.choose(), Some(Choice::Wake(NodeId::new(1))));
         assert_eq!(r.choose(), None);
-        assert_eq!(r.skipped(), 2);
         assert_eq!(r.position(), 4);
     }
 

@@ -156,7 +156,7 @@ macro_rules! kinds {
         /// and churn replay byte-exactly.
         ///
         /// Declaration order is the canonical order of
-        /// [`Choice::sort_key`] and the row order of [`Kind::TABLE`],
+        /// `Choice::sort_key` and the row order of [`Kind::TABLE`],
         /// which states everything else that depends on the kind alone.
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub enum Kind {
@@ -273,7 +273,7 @@ impl Choice {
     /// same intermediate state (with the same pending multiset) finish
     /// identically — a prerequisite for sound sleep-set pruning on
     /// terminal-state checks.
-    pub fn sort_key(&self) -> (u8, u32, u32, u32) {
+    pub(crate) fn sort_key(&self) -> (u8, u32, u32, u32) {
         let n = |id: NodeId| u32::try_from(id.index()).expect("node id fits u32");
         let (kind, a, b, salt) = self.parts();
         match kind.row().shape {
@@ -308,12 +308,12 @@ pub struct Footprint {
 
 impl Footprint {
     /// An empty footprint (conflicts with nothing).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// A footprint dependent with everything.
-    pub fn everything() -> Self {
+    pub(crate) fn everything() -> Self {
         Footprint {
             global: true,
             ..Self::default()
@@ -347,7 +347,7 @@ impl Footprint {
     }
 
     /// Clears the footprint for reuse without releasing its buffers.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.nodes.clear();
         self.links.clear();
         self.sends_from = None;
@@ -355,7 +355,7 @@ impl Footprint {
     }
 
     /// Records a touched node state.
-    pub fn touch_node(&mut self, node: NodeId) {
+    pub(crate) fn touch_node(&mut self, node: NodeId) {
         let n = u32::try_from(node.index()).expect("node id fits u32");
         if !self.nodes.contains(&n) {
             self.nodes.push(n);
@@ -363,7 +363,7 @@ impl Footprint {
     }
 
     /// Records a mutated link queue by runner link key.
-    pub fn touch_link(&mut self, key: u64) {
+    pub(crate) fn touch_link(&mut self, key: u64) {
         if !self.links.contains(&key) {
             self.links.push(key);
         }
@@ -376,7 +376,7 @@ impl Footprint {
     /// practice unreachable: the explorer merges one scheduler-decided
     /// step (at most one wildcard) with fault-layer steps that are already
     /// global.
-    pub fn merge(&mut self, other: &Footprint) {
+    pub(crate) fn merge(&mut self, other: &Footprint) {
         if other.global {
             self.global = true;
         }
@@ -832,11 +832,6 @@ impl BoundedDelayScheduler {
             step: 0,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// The configured delay bound.
-    pub fn max_delay(&self) -> u64 {
-        self.max_delay
     }
 
     fn insert(&mut self, choice: Choice) {

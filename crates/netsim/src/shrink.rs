@@ -41,16 +41,6 @@ pub struct ShrinkResult {
     pub attempts: u64,
 }
 
-impl ShrinkResult {
-    /// Fraction of the original choices removed, in `[0, 1]`.
-    pub fn reduction(&self) -> f64 {
-        if self.original_len == 0 {
-            return 0.0;
-        }
-        1.0 - self.schedule.len() as f64 / self.original_len as f64
-    }
-}
-
 /// Minimizes a failing schedule to a 1-minimal subsequence that still fails.
 ///
 /// `factory` is the same system factory the explorer takes: each call
@@ -205,7 +195,7 @@ mod tests {
             |sched: &mut dyn Scheduler| fixtures::run_racy(4, sched)
         });
         assert!(
-            result.reduction() >= 0.5,
+            2 * result.schedule.len() <= result.original_len,
             "only shrank {} → {} choices",
             result.original_len,
             result.schedule.len()

@@ -103,16 +103,6 @@ impl<P: SyncProtocol> SyncNetwork<P> {
         }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Immutable access to a node.
     pub fn node(&self, id: NodeId) -> &P {
         &self.nodes[id.index()]
@@ -133,13 +123,8 @@ impl<P: SyncProtocol> SyncNetwork<P> {
         self.round
     }
 
-    /// Whether node `u` knows `v`'s id.
-    pub fn knows(&self, u: NodeId, v: NodeId) -> bool {
-        self.knowledge[u.index()].contains(v.index())
-    }
-
     /// Executes one round. Returns the number of messages sent in it.
-    pub fn step_round(&mut self) -> u64 {
+    pub(crate) fn step_round(&mut self) -> u64 {
         let n = self.nodes.len();
         let mut outgoing: Vec<(NodeId, NodeId, P::Message)> = Vec::new();
         for i in 0..n {
@@ -271,7 +256,7 @@ mod tests {
         assert_eq!(net.metrics().total_messages(), (n - 1) as u64);
         // Receiver of each share learns the sender's id.
         for i in 1..n {
-            assert!(net.knows(NodeId::new(i), NodeId::new(i - 1)));
+            assert!(net.knowledge[i].contains(i - 1));
         }
     }
 

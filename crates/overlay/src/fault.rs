@@ -16,12 +16,9 @@ use ard_netsim::{NodeId, Scheduler};
 
 use crate::protocol::Overlay;
 
-/// Replication factor: a primary copy plus one replica at the successor.
-pub const REPLICAS: usize = 2;
-
 /// Length of each node's successor list (tolerates `SUCCESSOR_LIST_LEN − 1`
 /// consecutive ring deaths for routing).
-pub const SUCCESSOR_LIST_LEN: usize = 4;
+pub(crate) const SUCCESSOR_LIST_LEN: usize = 4;
 
 /// Why [`Overlay::fail_and_stabilize`] refused a failure pattern. The
 /// overlay is left untouched when this is returned: validation runs before
@@ -120,13 +117,20 @@ impl Overlay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bootstrap, Key};
+    use crate::{bootstrap, key_of, Key};
     use ard_netsim::{FifoScheduler, RandomScheduler};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn members(n: usize) -> Vec<NodeId> {
         (0..n).map(NodeId::new).collect()
+    }
+
+    /// `overlay`'s members in ring (key) order.
+    fn in_ring_order(overlay: &Overlay) -> Vec<NodeId> {
+        let mut order = overlay.members_vec().to_vec();
+        order.sort_by_key(|&m| key_of(m));
+        order
     }
 
     #[test]
@@ -173,7 +177,7 @@ mod tests {
         }
         // Kill every 6th member by *ring* position so deaths are spread and
         // never adjacent (the design's tolerance envelope).
-        let ring_order: Vec<NodeId> = overlay.ring().members().collect();
+        let ring_order = in_ring_order(&overlay);
         let victims: Vec<NodeId> = ring_order.iter().copied().step_by(6).collect();
         overlay.fail_and_stabilize(&victims, &mut sched).unwrap();
         let reader = overlay.live_members()[0];
@@ -188,7 +192,7 @@ mod tests {
         let m = members(20);
         let mut overlay = bootstrap(&m);
         let mut sched = FifoScheduler::new();
-        let ring_order: Vec<NodeId> = overlay.ring().members().collect();
+        let ring_order = in_ring_order(&overlay);
         let victims = vec![ring_order[3], ring_order[9]];
         overlay.fail_and_stabilize(&victims, &mut sched).unwrap();
         let reader = overlay.live_members()[2];
@@ -240,7 +244,7 @@ mod tests {
         let mut sched = FifoScheduler::new();
         // Kill SUCCESSOR_LIST_LEN consecutive ring members: their
         // predecessor's whole list is dead.
-        let ring_order: Vec<NodeId> = overlay.ring().members().collect();
+        let ring_order = in_ring_order(&overlay);
         let victims: Vec<NodeId> = ring_order[1..=SUCCESSOR_LIST_LEN].to_vec();
         let err = overlay
             .fail_and_stabilize(&victims, &mut sched)
@@ -261,7 +265,7 @@ mod tests {
         overlay
             .put_blocking(m[0], Key::new(11), 7, &mut sched)
             .unwrap();
-        let ring_order: Vec<NodeId> = overlay.ring().members().collect();
+        let ring_order = in_ring_order(&overlay);
         let victims: Vec<NodeId> = ring_order[1..=SUCCESSOR_LIST_LEN].to_vec();
         assert!(overlay.fail_and_stabilize(&victims, &mut sched).is_err());
         // Validate-then-mutate: nobody was marked failed by the rejected
@@ -284,7 +288,7 @@ mod tests {
         let mut overlay = bootstrap(&m);
         let mut sched = FifoScheduler::new();
         assert_eq!(overlay.live_members().len(), 10);
-        let ring_order: Vec<NodeId> = overlay.ring().members().collect();
+        let ring_order = in_ring_order(&overlay);
         overlay
             .fail_and_stabilize(&[ring_order[0], ring_order[5]], &mut sched)
             .unwrap();

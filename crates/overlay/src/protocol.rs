@@ -207,12 +207,12 @@ impl OverlayNode {
 
     /// Number of key-value pairs this node currently stores (primary
     /// copies only; replicas are counted separately).
-    pub fn store_len(&self) -> usize {
+    pub(crate) fn store_len(&self) -> usize {
         self.store.len()
     }
 
     /// Whether this node has been failed.
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         self.failed
     }
 
@@ -431,7 +431,7 @@ impl Protocol for OverlayNode {
 ///
 /// Created by [`bootstrap`] from a discovered membership list; lookups are
 /// issued through [`lookup_blocking`](Overlay::lookup_blocking) (or
-/// [`lookup`](Overlay::lookup) plus manual stepping) and metered by the
+/// `lookup` plus manual stepping) and metered by the
 /// underlying [`Metrics`](ard_netsim::Metrics).
 pub struct Overlay {
     runner: Runner<OverlayNode>,
@@ -534,12 +534,12 @@ impl Overlay {
     }
 
     /// All members (original ids), in id order.
-    pub fn members_vec(&self) -> &[NodeId] {
+    pub(crate) fn members_vec(&self) -> &[NodeId] {
         &self.members
     }
 
     /// Mutable access to the underlying simulator.
-    pub fn runner_mut(&mut self) -> &mut Runner<OverlayNode> {
+    pub(crate) fn runner_mut(&mut self) -> &mut Runner<OverlayNode> {
         &mut self.runner
     }
 
@@ -567,7 +567,7 @@ impl Overlay {
     /// # Panics
     ///
     /// Panics if `from` is not a member.
-    pub fn lookup(&mut self, from: NodeId, key: Key, sched: &mut dyn Scheduler) {
+    pub(crate) fn lookup(&mut self, from: NodeId, key: Key, sched: &mut dyn Scheduler) {
         let origin = self.dense(from);
         self.runner.exec(origin, sched, |node, ctx| {
             node.route(key, node.id, 0, ctx);
@@ -598,21 +598,6 @@ impl Overlay {
             .expect("lookup answered at quiescence");
         result.owner = self.members[result.owner.index()];
         Ok(result)
-    }
-
-    /// All completed lookups recorded at `from`, owners translated to
-    /// original ids.
-    pub fn results_of(&self, from: NodeId) -> Vec<LookupResult> {
-        let origin = self.dense(from);
-        self.runner
-            .node(origin)
-            .results
-            .iter()
-            .map(|r| LookupResult {
-                owner: self.members[r.owner.index()],
-                ..*r
-            })
-            .collect()
     }
 }
 
@@ -710,19 +695,5 @@ mod tests {
         assert_eq!(r.hops, 0);
         assert_eq!(overlay.runner().metrics().total_messages(), before);
         assert_eq!(r.owner, overlay.ring().successor_of(from));
-    }
-
-    #[test]
-    fn results_accumulate_per_origin() {
-        let m = members(16);
-        let mut overlay = bootstrap(&m);
-        let mut sched = FifoScheduler::new();
-        for raw in [1u64, 2, 3] {
-            overlay
-                .lookup_blocking(m[0], Key::new(raw), &mut sched)
-                .unwrap();
-        }
-        assert_eq!(overlay.results_of(m[0]).len(), 3);
-        assert_eq!(overlay.results_of(m[1]).len(), 0);
     }
 }

@@ -29,7 +29,7 @@ impl Key {
     }
 
     /// The raw value.
-    pub fn raw(self) -> u64 {
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 
@@ -48,7 +48,7 @@ impl Key {
     }
 
     /// The point `2^exponent` steps clockwise (wrapping).
-    pub fn offset(self, exponent: u32) -> Key {
+    pub(crate) fn offset(self, exponent: u32) -> Key {
         Key(self.0.wrapping_add(1u64 << exponent))
     }
 }
@@ -105,21 +105,6 @@ impl RingTable {
         RingTable { placed }
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.placed.len()
-    }
-
-    /// Whether the ring is empty (never true for a constructed ring).
-    pub fn is_empty(&self) -> bool {
-        self.placed.is_empty()
-    }
-
-    /// The members in key order.
-    pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.placed.iter().map(|&(_, m)| m)
-    }
-
     /// The node that owns `key`: the first node clockwise from it (its
     /// *successor* in Chord terms).
     pub fn owner(&self, key: Key) -> NodeId {
@@ -145,7 +130,7 @@ impl RingTable {
 
     /// The finger table for `node`: for each `i` in `0..64`, the owner of
     /// `key_of(node) + 2^i`, deduplicated and excluding `node` itself.
-    pub fn fingers_of(&self, node: NodeId) -> Vec<(Key, NodeId)> {
+    pub(crate) fn fingers_of(&self, node: NodeId) -> Vec<(Key, NodeId)> {
         let base = key_of(node);
         let mut fingers: Vec<(Key, NodeId)> = Vec::new();
         for exponent in 0..64 {
@@ -194,7 +179,7 @@ mod tests {
         let ring = RingTable::new(&members(8));
         // Exhaustive: for each member's key, owner is itself; just past it,
         // owner is the successor.
-        for m in ring.members().collect::<Vec<_>>() {
+        for &(_, m) in &ring.placed {
             assert_eq!(ring.owner(key_of(m)), m);
             let just_past = Key::new(key_of(m).raw().wrapping_add(1));
             assert_eq!(ring.owner(just_past), ring.successor_of(m));
@@ -221,8 +206,8 @@ mod tests {
     #[test]
     fn fingers_are_members_and_logarithmic() {
         let ring = RingTable::new(&members(128));
-        let all: std::collections::BTreeSet<NodeId> = ring.members().collect();
-        for m in ring.members().collect::<Vec<_>>() {
+        let all: std::collections::BTreeSet<NodeId> = ring.placed.iter().map(|&(_, m)| m).collect();
+        for &(_, m) in &ring.placed {
             let fingers = ring.fingers_of(m);
             assert!(!fingers.is_empty());
             // Distinct fingers number O(log n) — generous cap.

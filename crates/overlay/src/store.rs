@@ -92,15 +92,6 @@ impl Overlay {
         Ok(r)
     }
 
-    /// Number of key-value pairs stored at `member`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `member` is not a member.
-    pub fn stored_at(&self, member: NodeId) -> usize {
-        self.runner().node(self.dense_id(member)).store_len()
-    }
-
     /// Total key-value pairs across the whole ring.
     pub fn stored_total(&self) -> usize {
         self.runner().nodes().map(|n| n.store_len()).sum()
@@ -117,6 +108,11 @@ mod tests {
 
     fn members(n: usize) -> Vec<NodeId> {
         (0..n).map(NodeId::new).collect()
+    }
+
+    /// Number of key-value pairs stored at `member`.
+    fn stored_at(overlay: &Overlay, member: NodeId) -> usize {
+        overlay.runner().node(overlay.dense_id(member)).store_len()
     }
 
     #[test]
@@ -146,7 +142,7 @@ mod tests {
             let key = Key::new(raw);
             overlay.put_blocking(m[0], key, raw, &mut sched).unwrap();
             let owner = overlay.ring().owner(key);
-            assert!(overlay.stored_at(owner) >= 1, "key {key} not at {owner}");
+            assert!(stored_at(&overlay, owner) >= 1, "key {key} not at {owner}");
         }
     }
 
@@ -214,10 +210,10 @@ mod tests {
         }
         // Consistent hashing: no member owns more than half of 160 keys.
         for &member in &m {
-            assert!(overlay.stored_at(member) < 80, "{member} hoards keys");
+            assert!(stored_at(&overlay, member) < 80, "{member} hoards keys");
         }
         // key_of spreads members, so at least a few distinct owners exist.
-        let populated = m.iter().filter(|&&v| overlay.stored_at(v) > 0).count();
+        let populated = m.iter().filter(|&&v| stored_at(&overlay, v) > 0).count();
         assert!(populated >= 8, "only {populated} members own keys");
         let _ = key_of(m[0]);
     }

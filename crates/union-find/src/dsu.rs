@@ -81,13 +81,8 @@ impl UnionFind {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.parent.len()
-    }
-
-    /// Whether there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 
     /// Number of disjoint sets remaining.
@@ -100,36 +95,6 @@ impl UnionFind {
     /// `search`/`release` message count.
     pub fn traversals(&self) -> u64 {
         self.traversals
-    }
-
-    /// Adds a fresh singleton, returning its index.
-    pub fn push(&mut self) -> usize {
-        let i = self.parent.len();
-        self.parent.push(i);
-        self.rank.push(0);
-        self.size.push(1);
-        self.sets += 1;
-        i
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let root = self.find(x);
-        self.size[root] as usize
-    }
-
-    /// Enumerates the current sets, each as a sorted list of elements;
-    /// sets ordered by smallest member.
-    pub fn sets(&mut self) -> Vec<Vec<usize>> {
-        use std::collections::BTreeMap;
-        let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for x in 0..self.parent.len() {
-            let root = self.find(x);
-            by_root.entry(root).or_default().push(x);
-        }
-        let mut out: Vec<Vec<usize>> = by_root.into_values().collect();
-        out.sort_by_key(|set| set[0]);
-        out
     }
 
     /// Returns the representative of `x`'s set, applying the configured
@@ -179,7 +144,7 @@ impl UnionFind {
 
     /// The representative of `x`'s set without restructuring or counting
     /// (for assertions and oracles).
-    pub fn find_immutable(&self, x: usize) -> usize {
+    pub(crate) fn find_immutable(&self, x: usize) -> usize {
         let mut cur = x;
         while self.parent[cur] != cur {
             cur = self.parent[cur];
@@ -233,17 +198,6 @@ impl UnionFind {
         self.size[new_root] = merged_size;
         true
     }
-
-    /// Depth of `x` in its tree (root has depth 0); diagnostic only.
-    pub fn depth(&self, x: usize) -> usize {
-        let mut cur = x;
-        let mut d = 0;
-        while self.parent[cur] != cur {
-            cur = self.parent[cur];
-            d += 1;
-        }
-        d
-    }
 }
 
 impl fmt::Debug for UnionFind {
@@ -262,6 +216,17 @@ impl fmt::Debug for UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Depth of `x` in its tree (root has depth 0).
+    fn depth(uf: &UnionFind, x: usize) -> usize {
+        let mut cur = x;
+        let mut d = 0;
+        while uf.parent[cur] != cur {
+            cur = uf.parent[cur];
+            d += 1;
+        }
+        d
+    }
 
     #[test]
     fn singletons_are_disjoint() {
@@ -285,25 +250,15 @@ mod tests {
     }
 
     #[test]
-    fn push_adds_singleton() {
-        let mut uf = UnionFind::new(2);
-        let c = uf.push();
-        assert_eq!(c, 2);
-        assert_eq!(uf.set_count(), 3);
-        uf.union(0, c);
-        assert!(uf.same_set(0, 2));
-    }
-
-    #[test]
     fn full_compression_flattens() {
         let mut uf = UnionFind::with_policies(8, UnionPolicy::Naive, Compression::Full);
         // Chain: 0 under 1 under 2 under ... (naive unions make a path)
         for i in 0..7 {
             uf.union(i, i + 1);
         }
-        assert!(uf.depth(0) > 1);
+        assert!(depth(&uf, 0) > 1);
         uf.find(0);
-        assert_eq!(uf.depth(0), 1);
+        assert_eq!(depth(&uf, 0), 1);
     }
 
     #[test]
@@ -313,7 +268,7 @@ mod tests {
         for i in 0..n - 1 {
             uf.union(i, i + 1);
         }
-        assert_eq!(uf.depth(0), n - 1);
+        assert_eq!(depth(&uf, 0), n - 1);
     }
 
     #[test]
@@ -325,7 +280,7 @@ mod tests {
         }
         // Union by rank alone bounds depth by log₂ n.
         for i in 0..n {
-            assert!(uf.depth(i) <= 10, "depth({i}) = {}", uf.depth(i));
+            assert!(depth(&uf, i) <= 10, "depth({i}) = {}", depth(&uf, i));
         }
     }
 
@@ -335,9 +290,9 @@ mod tests {
         for i in 0..15 {
             uf.union(i, i + 1);
         }
-        let before = uf.depth(0);
+        let before = depth(&uf, 0);
         uf.find(0);
-        assert!(uf.depth(0) < before);
+        assert!(depth(&uf, 0) < before);
     }
 
     #[test]
@@ -373,11 +328,6 @@ mod tests {
             assert_eq!(uf.find_immutable(i), uf.clone().find(i));
         }
     }
-}
-
-#[cfg(test)]
-mod size_tests {
-    use super::*;
 
     #[test]
     fn by_size_keeps_trees_shallow() {
@@ -387,48 +337,7 @@ mod size_tests {
             uf.union(i, i + 1);
         }
         for i in 0..n {
-            assert!(uf.depth(i) <= 10, "depth({i}) = {}", uf.depth(i));
+            assert!(depth(&uf, i) <= 10, "depth({i}) = {}", depth(&uf, i));
         }
-    }
-
-    #[test]
-    fn set_size_tracks_merges() {
-        let mut uf = UnionFind::new(6);
-        assert_eq!(uf.set_size(0), 1);
-        uf.union(0, 1);
-        uf.union(2, 3);
-        uf.union(0, 2);
-        assert_eq!(uf.set_size(3), 4);
-        assert_eq!(uf.set_size(4), 1);
-    }
-
-    #[test]
-    fn set_size_tracked_under_all_policies() {
-        for policy in [UnionPolicy::ByRank, UnionPolicy::BySize, UnionPolicy::Naive] {
-            let mut uf = UnionFind::with_policies(8, policy, Compression::Full);
-            uf.union(0, 1);
-            uf.union(1, 2);
-            uf.union(5, 6);
-            assert_eq!(uf.set_size(2), 3, "{policy:?}");
-            assert_eq!(uf.set_size(6), 2, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn sets_enumerates_partition() {
-        let mut uf = UnionFind::new(5);
-        uf.union(0, 3);
-        uf.union(1, 4);
-        let sets = uf.sets();
-        assert_eq!(sets, vec![vec![0, 3], vec![1, 4], vec![2]]);
-    }
-
-    #[test]
-    fn push_after_unions_is_singleton() {
-        let mut uf = UnionFind::new(2);
-        uf.union(0, 1);
-        let c = uf.push();
-        assert_eq!(uf.set_size(c), 1);
-        assert_eq!(uf.sets().len(), 2);
     }
 }

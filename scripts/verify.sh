@@ -22,29 +22,39 @@
 # target/ left over from other sources (an unmerged branch, files restored
 # with old timestamps) can pass for fresh and the gate then runs a binary
 # that is in no tree: `cargo clean` first when in doubt.
+#
+# Each step prints its wall seconds (bash SECONDS) to stderr when it
+# finishes, and the last line gives the total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
+step() {
+    local start=$SECONDS
+    "$@"
+    echo "verify: $((SECONDS - start)) s  $*" >&2
+}
+
+step cargo build --release
 # --workspace: a bare `cargo test` at the root covers the umbrella package
 # only and skips every crate-level suite (unit tests, set/payload oracles,
 # netsim/graph/overlay props).
-cargo test --workspace --offline -q
-# --all-targets: tests, examples and benches are linted with the libraries.
-cargo clippy --workspace --all-targets -- -D warnings
+step cargo test --workspace --offline -q
+# --all-targets: every crate's unit and integration tests, the examples and
+# the `tables` and `ard` binaries are linted with the libraries.
+step cargo clippy --workspace --all-targets -- -D warnings
 # Doc comments link to types by name; nothing above notices when a refactor
 # deletes or renames one.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+RUSTDOCFLAGS="-D warnings" step cargo doc --workspace --no-deps --offline
 
 # Large-n smoke: a 10⁵-node discovery must complete inside a capped step
 # budget, and the fifo round loop must agree with the FifoScheduler run on
 # steps, leaders, metrics (value and text) and the terminal state digest.
-cargo test --release --offline --test round_fifo -- --ignored
+step cargo test --release --offline --test round_fifo -- --ignored
 
 # Full-size record -> strict replay: 1.37 M choices recorded under the
 # faulty-16k plan must all replay, leave no token pending and reproduce
 # the outcome.
-cargo test --release --offline --test faulty_replay -- --ignored
+step cargo test --release --offline --test faulty_replay -- --ignored
 
 # The frozen benchmark crate: outside the workspace, so only this step
 # notices a public-API change that stops it compiling, or a workload whose
@@ -53,7 +63,7 @@ cargo test --release --offline --test faulty_replay -- --ignored
 # from `ard-cli` gains or drops a dependency, and the benchmark driver
 # must not build against a graph nobody reviewed.
 lock_before="$(cksum < benchmark/Cargo.lock)"
-benchmark/ci-smoke.sh > /dev/null
+step benchmark/ci-smoke.sh > /dev/null
 if [[ "$(cksum < benchmark/Cargo.lock)" != "$lock_before" ]]; then
     echo "verify: benchmark/ci-smoke.sh rewrote benchmark/Cargo.lock" >&2
     echo "verify: a crate under ard-cli changed its dependency list; restore it (git checkout benchmark/Cargo.lock)" >&2
@@ -71,4 +81,5 @@ for key in '"payload_bytes_per_event"' '"payload_peak_bytes"'; do
     fi
 done
 
+echo "verify: $SECONDS s in all" >&2
 echo "verify: OK (workspace tests, clippy and docs clean; n=100000 round loop equals the FifoScheduler run; n=16384 faulty recording replays strictly; benchmark/ci-smoke.sh green with benchmark/Cargo.lock untouched; bench JSON schema ok)"
