@@ -430,9 +430,8 @@ impl Protocol for OverlayNode {
 /// The assembled overlay network.
 ///
 /// Created by [`bootstrap`] from a discovered membership list; lookups are
-/// issued through [`lookup_blocking`](Overlay::lookup_blocking) (or
-/// `lookup` plus manual stepping) and metered by the
-/// underlying [`Metrics`](ard_netsim::Metrics).
+/// issued through [`lookup_blocking`](Overlay::lookup_blocking) and metered
+/// by the underlying [`Metrics`](ard_netsim::Metrics).
 pub struct Overlay {
     runner: Runner<OverlayNode>,
     members: Vec<NodeId>,
