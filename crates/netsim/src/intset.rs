@@ -13,8 +13,8 @@
 //! **No in-tree user.** The engine's knowledge sets moved onto
 //! [`IdSet`](crate::IdSet) (one heap, binary search, runs spliced by
 //! `IdSet::insert_run`); this module and its oracle
-//! `tests/intset_equiv.rs` are kept, unchanged, only because the frozen
-//! `benchmark/` crate times the type (`netsim.intset.*` in
+//! `tests/intset_equiv.rs` are kept, cut to what those two call, only
+//! because the frozen `benchmark/` crate times the type (`netsim.intset.*` in
 //! `benchmark/src/layers.rs`). Delete both when `benchmark/` is thawed
 //! (ROADMAP item 1(a)).
 
