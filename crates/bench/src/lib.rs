@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
+mod experiments;
 pub mod parallel;
 mod table;
 pub mod throughput;
