@@ -943,6 +943,14 @@ fn explore_cmd(args: &Args) -> Result<String, CliError> {
             )))
         }
     };
+    if n == 0 {
+        // An empty network has no event to order, so no schedule to run
+        // (`discover` on it reports `steps : 0`).
+        return Ok(format!(
+            "explored  : 0 schedules (0 random walks, 0 dfs, depth {depth})\n\
+             result    : nothing to explore (the topology has no nodes)\n"
+        ));
+    }
 
     let config = ExploreConfig {
         random_walks: walks,

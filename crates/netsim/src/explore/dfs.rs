@@ -21,17 +21,19 @@ use crate::NodeId;
 /// later resume with a deeper prefix via `DfsScheduler::set_prefix`.
 ///
 /// In **reduce mode** (`DfsScheduler::reduced`) the scheduler
-/// additionally records, at every branch point, the pending choices, the
-/// runner's pre-decision state digest and the footprint of the steps the
-/// decision executed — the observations the engine's sleep-set and dedup
-/// logic runs on — and past the branch window it drains pending events in
-/// a canonical order (a function of the pending *set*, not arrival order),
-/// so interleaving-equivalent prefixes converge to identical terminal
-/// states.
+/// additionally records, at every branch point of the run's *live window*
+/// (decisions `prefix.len()..depth`, the only ones the engine generates
+/// children at), the pending choices, the runner's pre-decision state
+/// digest and the footprint of the steps the decision executed — the
+/// observations the engine's sleep-set and dedup logic runs on; decisions
+/// inside the prefix keep an empty placeholder and ask for nothing. Past
+/// the branch window it drains pending events in a canonical order (a
+/// function of the pending *set*, not arrival order), so
+/// interleaving-equivalent prefixes converge to identical terminal states.
 #[derive(Clone, Debug, Default)]
 pub struct DfsScheduler {
     /// Pending events, oldest first. Only the ≤ `depth` branch decisions
-    /// remove by rank; the rest pop the front or scan one drain round.
+    /// remove by rank; the canonical tail takes whole drain rounds.
     pending: VecDeque<Choice>,
     prefix: Vec<usize>,
     depth: usize,
@@ -42,15 +44,17 @@ pub struct DfsScheduler {
     branch_obs: Vec<BranchObs>,
     /// The most recent runner state digest reported before a `choose`.
     last_digest: u64,
-    /// Live entries left in the current canonical-drain round; `0` starts
-    /// a new round on the next tail decision.
-    round_live: usize,
+    /// What is left of the current canonical-drain round, sorted by
+    /// `Choice::sort_key`; empty starts a new round on the next tail
+    /// decision.
+    round: VecDeque<Choice>,
 }
 
 /// Everything the reduction engine needs to know about one branch-point
 /// decision, recorded by a reduce-mode [`DfsScheduler`] as the run
-/// executes.
-#[derive(Clone, Debug, PartialEq)]
+/// executes. A decision inside the run's prefix, which the engine never
+/// reads, keeps the empty default.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct BranchObs {
     /// The pending choices at the decision, in arrival (rank) order — the
     /// enabled set the DFS enumerates children over.
@@ -85,14 +89,11 @@ impl DfsScheduler {
         }
     }
 
-    /// Pending-event counts observed at each of the first `depth` steps.
-    pub(crate) fn branch_counts(&self) -> &[usize] {
-        &self.branch_counts
-    }
-
-    /// The reduce-mode branch observations (empty outside reduce mode).
-    pub(crate) fn branch_obs(&self) -> &[BranchObs] {
-        &self.branch_obs
+    /// The pending-event counts observed at each of the first `depth`
+    /// steps and the reduce-mode branch observations (empty outside reduce
+    /// mode), moved out of the finished scheduler.
+    pub(crate) fn into_observations(self) -> (Vec<usize>, Vec<BranchObs>) {
+        (self.branch_counts, self.branch_obs)
     }
 
     /// Number of scheduling decisions made so far — the run's position on
@@ -101,12 +102,21 @@ impl DfsScheduler {
         self.step
     }
 
-    /// Retargets the branch-decision prefix without touching any other
-    /// state. This is how a checkpoint cloned at decision `d` is pointed
-    /// at a deeper sibling prefix before resuming: the first `d` decisions
-    /// of the new prefix must match the path already taken.
+    /// Retargets the branch-decision prefix. This is how a checkpoint
+    /// cloned at decision `d` is pointed at a deeper sibling prefix before
+    /// resuming: the first `d` decisions of the new prefix must match the
+    /// path already taken. The observations the checkpoint made inside
+    /// the new prefix are blanked, as a run started on it would have left
+    /// them.
     pub(crate) fn set_prefix(&mut self, prefix: Vec<usize>) {
+        let inside = prefix.len().min(self.branch_obs.len());
+        self.branch_obs[..inside].fill(BranchObs::default());
         self.prefix = prefix;
+    }
+
+    /// Whether decision `j` is in the live window the engine reads.
+    fn live(&self, j: usize) -> bool {
+        self.reduce && self.prefix.len() <= j && j < self.depth
     }
 }
 
@@ -124,41 +134,41 @@ impl Scheduler for DfsScheduler {
         self.pending.push_back(Choice::Tick(node));
     }
     fn choose(&mut self) -> Option<Choice> {
-        if self.pending.is_empty() {
-            return None;
-        }
         if self.step >= self.depth && self.reduce {
             // Canonical tail: past the branch window, drain in rounds. A
-            // round snapshots the pending count at its start and serves
-            // those entries smallest-sort-key first; events arriving
-            // during a round wait for the next one (fair — a tick cascade
-            // cannot starve older events). The order is a function of the
-            // pending set and the arrivals it generates, not of the
-            // arrival order the branch decisions happened to produce, so
-            // equivalent prefixes converge to identical terminal states.
-            if self.round_live == 0 {
-                self.round_live = self.pending.len();
+            // round takes every pending event at its start and serves them
+            // smallest-sort-key first (a stable sort: ties go to the
+            // oldest, as repeatedly taking the first minimum would); events
+            // arriving during a round wait in `pending` for the next one
+            // (fair — a tick cascade cannot starve older events). The
+            // order is a function of the pending set and the arrivals it
+            // generates, not of the arrival order the branch decisions
+            // happened to produce, so equivalent prefixes converge to
+            // identical terminal states.
+            if self.round.is_empty() {
+                std::mem::swap(&mut self.round, &mut self.pending);
+                self.round.make_contiguous().sort_by_key(Choice::sort_key);
             }
-            // `min_by_key` keeps the first minimum: ties go to the oldest.
-            let (pos, _) = self
-                .pending
-                .iter()
-                .take(self.round_live)
-                .enumerate()
-                .min_by_key(|(_, choice)| choice.sort_key())
-                .expect("a round starts non-empty");
-            self.round_live -= 1;
+            let choice = self.round.pop_front()?;
             self.step += 1;
-            return self.pending.remove(pos);
+            return Some(choice);
+        }
+        if self.pending.is_empty() {
+            return None;
         }
         if self.step < self.depth {
             self.branch_counts.push(self.pending.len());
             if self.reduce {
-                self.branch_obs.push(BranchObs {
-                    pending: self.pending.iter().copied().collect(),
-                    digest: self.last_digest,
-                    fp: Footprint::new(),
-                });
+                let obs = if self.live(self.step) {
+                    BranchObs {
+                        pending: self.pending.iter().copied().collect(),
+                        digest: self.last_digest,
+                        fp: Footprint::new(),
+                    }
+                } else {
+                    BranchObs::default()
+                };
+                self.branch_obs.push(obs);
             }
         }
         let want = self.prefix.get(self.step).copied().unwrap_or(0);
@@ -167,23 +177,26 @@ impl Scheduler for DfsScheduler {
         self.pending.remove(idx)
     }
     fn pending(&self) -> usize {
-        self.pending.len()
+        self.pending.len() + self.round.len()
     }
     fn wants_footprints(&self) -> bool {
-        self.reduce
+        // Asked after `choose`: the step belongs to the decision in
+        // flight, `step - 1` (fault-layer-served steps before the next
+        // decision included).
+        self.step.checked_sub(1).is_some_and(|j| self.live(j))
     }
     fn note_footprint(&mut self, _choice: Choice, footprint: &Footprint) {
         // Attribute the executed step to the decision currently in flight:
         // after decision `j` executes, `step == j + 1`, and any
         // fault-layer-served steps before decision `j + 1` still land
-        // here. Steps outside the branch window (or before the first
-        // decision) have no observation to extend.
-        if let Some(obs) = self.step.checked_sub(1).and_then(|j| self.branch_obs.get_mut(j)) {
-            obs.fp.merge(footprint);
+        // here. Steps outside the live window have no observation to
+        // extend.
+        if self.wants_footprints() {
+            self.branch_obs[self.step - 1].fp.merge(footprint);
         }
     }
     fn wants_state_digest(&self) -> bool {
-        self.reduce && self.step < self.depth
+        self.live(self.step)
     }
     fn note_state_digest(&mut self, digest: u64) {
         self.last_digest = digest;
@@ -203,7 +216,7 @@ mod tests {
         for i in 0..4 {
             assert_eq!(s.choose(), Some(Choice::Wake(NodeId::new(i))));
         }
-        assert_eq!(s.branch_counts(), &[4, 3]);
+        assert_eq!(s.branch_counts, [4, 3]);
     }
 
     #[test]
@@ -235,5 +248,174 @@ mod tests {
         assert_eq!(s.choose(), Some(Choice::Tick(NodeId::new(0))));
         assert_eq!(s.choose(), Some(Choice::Wake(NodeId::new(0))));
         assert_eq!(s.choose(), None);
+    }
+
+    /// The canonical drain the sorted rounds replaced, kept as their
+    /// reference: each tail choice scans the round's live entries for the
+    /// first minimum and removes it by position.
+    #[derive(Default)]
+    struct MinScan {
+        pending: VecDeque<Choice>,
+        prefix: Vec<usize>,
+        depth: usize,
+        step: usize,
+        round_live: usize,
+    }
+
+    impl MinScan {
+        fn choose(&mut self) -> Option<Choice> {
+            if self.pending.is_empty() {
+                return None;
+            }
+            let pos = if self.step >= self.depth {
+                if self.round_live == 0 {
+                    self.round_live = self.pending.len();
+                }
+                // `min_by_key` keeps the first minimum: ties go to the oldest.
+                let live = self.pending.iter().take(self.round_live).enumerate();
+                let (pos, _) = live
+                    .min_by_key(|(_, choice)| choice.sort_key())
+                    .expect("a round");
+                self.round_live -= 1;
+                pos
+            } else {
+                let want = self.prefix.get(self.step).copied().unwrap_or(0);
+                want.min(self.pending.len() - 1)
+            };
+            self.step += 1;
+            self.pending.remove(pos)
+        }
+    }
+
+    #[test]
+    fn sorted_rounds_drain_exactly_as_the_min_scan_did() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let node = |rng: &mut StdRng| NodeId::new(rng.gen_range(0..4));
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let depth = rng.gen_range(0..4);
+            let prefix: Vec<usize> = (0..rng.gen_range(0..depth + 1))
+                .map(|_| rng.gen_range(0..3))
+                .collect();
+            let mut sorted = DfsScheduler::reduced(prefix.clone(), depth);
+            let mut reference = MinScan {
+                prefix,
+                depth,
+                ..MinScan::default()
+            };
+            // Arrivals land between choices, so rounds see mid-round
+            // arrivals, several messages on one link, and ticks.
+            for _ in 0..200 {
+                let arrival = match rng.gen_range(0..8u32) {
+                    0 => Choice::Wake(node(&mut rng)),
+                    1 => Choice::Tick(node(&mut rng)),
+                    2..=4 => Choice::Deliver {
+                        src: node(&mut rng),
+                        dst: node(&mut rng),
+                    },
+                    _ => {
+                        assert_eq!(sorted.choose(), reference.choose(), "seed {seed}");
+                        assert_eq!(sorted.pending(), reference.pending.len(), "seed {seed}");
+                        continue;
+                    }
+                };
+                match arrival {
+                    Choice::Wake(n) => sorted.note_wake(n),
+                    Choice::Tick(n) => sorted.note_tick(n),
+                    Choice::Deliver { src, dst } => sorted.note_send(SendToken {
+                        src,
+                        dst,
+                        seq: 0,
+                        kind: "msg",
+                    }),
+                    _ => unreachable!("only wakes, ticks and deliveries arrive"),
+                }
+                reference.pending.push_back(arrival);
+            }
+            loop {
+                let choice = sorted.choose();
+                assert_eq!(choice, reference.choose(), "seed {seed}");
+                if choice.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Drives `s` the way `Runner::step` queries a scheduler until it is
+    /// quiescent: per executed step, the decisions made before it and
+    /// whether a state digest and a footprint were asked for.
+    fn drive(s: &mut DfsScheduler) -> Vec<(usize, bool, bool)> {
+        let mut log = Vec::new();
+        loop {
+            let before = s.decisions();
+            let digest = s.wants_state_digest();
+            if digest {
+                s.note_state_digest(100 + before as u64);
+            }
+            let Some(choice) = s.choose() else { break };
+            let footprint = s.wants_footprints();
+            if footprint {
+                s.note_footprint(choice, &Footprint::may(choice));
+            }
+            log.push((before, digest, footprint));
+        }
+        log
+    }
+
+    fn woken(mut s: DfsScheduler, n: usize) -> DfsScheduler {
+        for i in 0..n {
+            s.note_wake(NodeId::new(i));
+        }
+        s
+    }
+
+    #[test]
+    fn a_reduced_run_observes_only_its_live_window() {
+        // Prefix length 2, depth 5: digests before decisions 2, 3 and 4
+        // only, footprints of exactly the steps those decisions execute.
+        let mut s = woken(DfsScheduler::reduced(vec![1, 1], 5), 7);
+        for (before, digest, footprint) in drive(&mut s) {
+            let live = (2..5).contains(&before);
+            assert_eq!((digest, footprint), (live, live), "decision {before}");
+        }
+        assert_eq!(s.branch_counts, [7, 6, 5, 4, 3]);
+        for (j, obs) in s.branch_obs.iter().enumerate() {
+            if j < 2 {
+                assert_eq!(
+                    *obs,
+                    BranchObs::default(),
+                    "decision {j} is inside the prefix"
+                );
+            } else {
+                assert_eq!(obs.pending.len(), 7 - j);
+                assert_eq!(obs.digest, 100 + j as u64);
+                assert_eq!(obs.fp, Footprint::may(obs.pending[0]));
+            }
+        }
+        // Unreduced, nothing is observed at all.
+        let mut plain = woken(DfsScheduler::new(vec![], 5), 7);
+        assert!(drive(&mut plain).iter().all(|&(_, d, f)| !d && !f));
+    }
+
+    #[test]
+    fn a_retargeted_checkpoint_observes_what_a_fresh_run_does() {
+        // A checkpoint taken at decision 3 of the run on prefix [] and
+        // resumed on [0, 0, 0, 2] must end with the observations of a run
+        // started on [0, 0, 0, 2]: the three it made are now inside the
+        // prefix.
+        let mut checkpoint = woken(DfsScheduler::reduced(vec![], 6), 8);
+        for _ in 0..3 {
+            checkpoint.note_state_digest(7);
+            let choice = checkpoint.choose().expect("pending");
+            checkpoint.note_footprint(choice, &Footprint::may(choice));
+        }
+        assert_ne!(checkpoint.branch_obs[0], BranchObs::default());
+        let prefix = vec![0, 0, 0, 2];
+        checkpoint.set_prefix(prefix.clone());
+        drive(&mut checkpoint);
+        let mut fresh = woken(DfsScheduler::reduced(prefix, 6), 8);
+        drive(&mut fresh);
+        assert_eq!(checkpoint.into_observations(), fresh.into_observations());
     }
 }

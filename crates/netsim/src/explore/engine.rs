@@ -12,7 +12,7 @@ use super::fork::{
 use super::{ExploreConfig, ExploreFailure, ExploreReport, Origin, ReduceMode, StopReason};
 use crate::par;
 use crate::record::Schedule;
-use crate::scheduler::{Choice, Footprint, RandomScheduler, StateDigest};
+use crate::scheduler::{Choice, RandomScheduler, StateDigest};
 
 /// Derives the seed of walk `i` from the configured base seed.
 ///
@@ -146,12 +146,10 @@ pub(super) fn explore_engine(config: &ExploreConfig, system: &dyn ForkSystem) ->
             let mut targets: Vec<Vec<usize>> = vec![prefix.clone()];
             let speculated = stack.iter().rev().map(|(p, _)| p).filter(|p| !cache.contains_key(*p));
             targets.extend(speculated.take(wave_cap - 1).cloned());
-            let outcomes = par::parallel_map(jobs, targets.clone(), |p| {
-                run_prefix(system, config, &p, reuse)
-            });
-            for (p, outcome) in targets.into_iter().zip(outcomes) {
-                cache.insert(p, outcome);
-            }
+            cache.extend(par::parallel_map(jobs, targets, |p| {
+                let outcome = run_prefix(system, config, &p, reuse);
+                (p, outcome)
+            }));
         }
         let outcome = cache.remove(&prefix).expect("wave cached the popped prefix");
         report.dfs_runs += 1;
@@ -218,11 +216,10 @@ pub(super) fn explore_engine(config: &ExploreConfig, system: &dyn ForkSystem) ->
                 // inherits every slept-or-already-explored choice that
                 // commutes with `ci` (may-footprints on both sides — the
                 // sibling hasn't executed, so no exact footprint exists).
-                let ci_fp = Footprint::may(ci);
                 let child_sleep: Vec<Choice> = sleep
                     .iter()
                     .chain(done.iter())
-                    .filter(|u| !Footprint::may(**u).conflicts(&ci_fp))
+                    .filter(|u| !u.may_conflict(&ci))
                     .copied()
                     .collect();
                 let mut child = Vec::with_capacity(j + 1);
@@ -243,7 +240,7 @@ pub(super) fn explore_engine(config: &ExploreConfig, system: &dyn ForkSystem) ->
             // choices that commute with everything this decision actually
             // touched (its exact footprint, plus any fault-layer steps
             // merged in pre-widened).
-            sleep.retain(|u| !Footprint::may(*u).conflicts(&ob.fp));
+            sleep.retain(|u| !ob.fp.conflicts_may(*u));
         }
         // Reverse push order so the stack pops children in lexicographic
         // (earliest-position, smallest-index) order.

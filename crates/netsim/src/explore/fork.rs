@@ -306,12 +306,13 @@ pub(super) fn run_prefix(
     } else {
         None
     };
-    let (fault_sched, schedule) = sched.into_parts();
+    let (mut fault_sched, schedule) = sched.into_parts();
+    let (branch_counts, branch_obs) = std::mem::take(fault_sched.inner_mut()).into_observations();
     let out = PrefixOutcome {
         result,
         schedule,
-        branch_counts: fault_sched.inner().branch_counts().to_vec(),
-        branch_obs: fault_sched.inner().branch_obs().to_vec(),
+        branch_counts,
+        branch_obs,
         terminal_digest,
     };
     if verify {

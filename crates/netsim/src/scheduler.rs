@@ -346,6 +346,24 @@ impl Footprint {
         fp
     }
 
+    /// Whether this footprint conflicts with
+    /// [`may`](Footprint::may)`(choice)`, decided from the choice's row
+    /// and operands without building the may-footprint.
+    pub(crate) fn conflicts_may(&self, choice: Choice) -> bool {
+        if self.global {
+            return true;
+        }
+        let may = May::of(choice);
+        may.node.is_some_and(|n| self.nodes.contains(&n))
+            || may.link.is_some_and(|l| self.links.contains(&l))
+            || may.sends_from.is_some_and(|n| {
+                self.sends_from == Some(n) || self.links.iter().any(|&l| link_src(l) == n)
+            })
+            || self
+                .sends_from
+                .is_some_and(|n| may.link.map(link_src) == Some(n))
+    }
+
     /// Clears the footprint for reuse without releasing its buffers.
     pub(crate) fn clear(&mut self) {
         self.nodes.clear();
@@ -412,18 +430,62 @@ impl Footprint {
         if self.links.iter().any(|l| other.links.contains(l)) {
             return true;
         }
-        let src_of = |l: u64| (l >> 32) as u32;
         if let Some(n) = self.sends_from {
-            if other.sends_from == Some(n) || other.links.iter().any(|&l| src_of(l) == n) {
+            if other.sends_from == Some(n) || other.links.iter().any(|&l| link_src(l) == n) {
                 return true;
             }
         }
         if let Some(n) = other.sends_from {
-            if self.links.iter().any(|&l| src_of(l) == n) {
+            if self.links.iter().any(|&l| link_src(l) == n) {
                 return true;
             }
         }
         false
+    }
+}
+
+/// The sending node of a runner link key (`src << 32 | dst`).
+fn link_src(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
+/// [`Footprint::may`] without the heap: a may-footprint holds at most one
+/// node, one link and one sending node, read off the choice's
+/// [`Kind::TABLE`] row and operands.
+struct May {
+    node: Option<u32>,
+    link: Option<u64>,
+    sends_from: Option<u32>,
+}
+
+impl May {
+    fn of(choice: Choice) -> Self {
+        let n = |id: NodeId| u32::try_from(id.index()).expect("node id fits u32");
+        let (kind, a, b, _) = choice.parts();
+        let row = kind.row();
+        let node = choice.touched_node().map(n);
+        May {
+            node,
+            link: (row.shape != Shape::Node).then(|| crate::runner::link_key(a, b)),
+            sends_from: node.filter(|_| row.steps),
+        }
+    }
+}
+
+impl Choice {
+    /// Whether the two choices may be dependent: exactly
+    /// `Footprint::may(*self).conflicts(&Footprint::may(*other))`, decided
+    /// without building either footprint.
+    pub fn may_conflict(&self, other: &Choice) -> bool {
+        let (a, b) = (May::of(*self), May::of(*other));
+        // Two steps sending from one node share that node, so the node
+        // test covers the `sends_from` pair `Footprint::conflicts` checks.
+        a.node.is_some() && a.node == b.node
+            || a.link.is_some() && a.link == b.link
+            || a.sends_from
+                .is_some_and(|n| b.link.map(link_src) == Some(n))
+            || b.sends_from
+                .is_some_and(|n| a.link.map(link_src) == Some(n))
     }
 }
 
@@ -1231,5 +1293,39 @@ mod tests {
             .collect();
         nodes.sort_unstable();
         assert_eq!(nodes, (0..10).collect::<Vec<_>>());
+    }
+
+    /// `Footprint::conflicts_may` against the may-footprint it avoids
+    /// building, for every kind over two nodes, and footprints that are
+    /// merges of two may-footprints, exact ones (links, no wildcard) and
+    /// the global one.
+    #[test]
+    fn conflicts_may_agrees_with_the_built_may_footprint() {
+        let mut choices = Vec::new();
+        for row in Kind::TABLE {
+            for (a, b, salt) in [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 0)] {
+                let (a, b) = (NodeId::new(a), NodeId::new(b));
+                choices.push(Choice::from_parts(row.kind, a, b, salt));
+            }
+        }
+        let mut footprints = vec![Footprint::new(), Footprint::everything()];
+        for &x in &choices {
+            let exact = Footprint {
+                sends_from: None,
+                ..Footprint::may(x)
+            };
+            footprints.push(exact);
+            for &y in &choices {
+                let mut merged = Footprint::may(x);
+                merged.merge(&Footprint::may(y));
+                footprints.push(merged);
+            }
+        }
+        for fp in &footprints {
+            for &c in &choices {
+                let built = fp.conflicts(&Footprint::may(c));
+                assert_eq!(fp.conflicts_may(c), built, "{fp:?} / {c:?}");
+            }
+        }
     }
 }

@@ -7,8 +7,9 @@ use asynchronous_resource_discovery::core::{budgets, record, replay, Discovery, 
 use asynchronous_resource_discovery::graph::{components, gen, KnowledgeGraph};
 use asynchronous_resource_discovery::netsim::explore::{fixtures, run_fork_system};
 use asynchronous_resource_discovery::netsim::{
-    BoundedDelayScheduler, ByzantinePlan, ChurnPlan, FaultPlan, Footprint, LifoScheduler, NodeId,
-    RandomScheduler, RecordingScheduler, ReplayScheduler, Schedule, Scheduler,
+    BoundedDelayScheduler, ByzantinePlan, Choice, ChurnPlan, FaultPlan, Footprint, Kind,
+    LifoScheduler, NodeId, RandomScheduler, RecordingScheduler, ReplayScheduler, Schedule,
+    Scheduler,
 };
 use asynchronous_resource_discovery::union_find::{
     Compression, Op, OpSequence, UnionFind, UnionPolicy,
@@ -434,12 +435,27 @@ proptest! {
     /// in-flight queues, metrics) unchanged — that commutation is exactly
     /// what sleep-set pruning assumes. Failing pairs land in
     /// `target/failed-schedules/` with the swap position in the metadata
-    /// so `ard replay` can re-execute them.
+    /// so `ard replay` can re-execute them. The explorer decides the
+    /// relation with `Choice::may_conflict`, which builds no footprint: it
+    /// must agree with `Footprint::may` on every pair of kinds.
     #[test]
     fn independent_adjacent_swaps_preserve_the_terminal_state(
         clients in 2usize..6,
         seed in 0u64..1_000_000,
     ) {
+        // Operands from three node ids, so nodes and links often coincide.
+        let node = |shift: u32| NodeId::new((seed >> shift) as usize % 3);
+        for ra in Kind::TABLE {
+            for rb in Kind::TABLE {
+                let a = Choice::from_parts(ra.kind, node(0), node(2), 0);
+                let b = Choice::from_parts(rb.kind, node(4), node(6), 1);
+                prop_assert_eq!(
+                    a.may_conflict(&b),
+                    Footprint::may(a).conflicts(&Footprint::may(b)),
+                    "{:?} / {:?}", a, b
+                );
+            }
+        }
         // Violation-tolerant mode: every interleaving runs to quiescence,
         // so each swap compares full executions.
         let system = fixtures::RacySystem::tolerant(clients);
@@ -449,7 +465,8 @@ proptest! {
         let choices: Vec<_> = rec.recorded().collect();
         for i in 0..choices.len().saturating_sub(1) {
             let (a, b) = (choices[i], choices[i + 1]);
-            if a == b || Footprint::may(a).conflicts(&Footprint::may(b)) {
+            prop_assert_eq!(a.may_conflict(&b), Footprint::may(a).conflicts(&Footprint::may(b)));
+            if a == b || a.may_conflict(&b) {
                 continue;
             }
             let mut swapped = choices.clone();
