@@ -21,8 +21,7 @@
 //! strict byte-exact replay; which *guarantees* survive each cell is
 //! pinned separately in `tests/survival_matrix.rs`.
 
-use asynchronous_resource_discovery::core::{record, replay, Outcome, Plans, Variant};
-use asynchronous_resource_discovery::graph::gen;
+use asynchronous_resource_discovery::core::{record, replay, Outcome, Plans, RunSpec, Variant};
 use asynchronous_resource_discovery::netsim::{
     BoundedDelayScheduler, ByzantinePlan, ChurnPlan, FaultPlan, FifoScheduler, RandomScheduler,
     Schedule, Scheduler,
@@ -42,6 +41,15 @@ fn make_scheduler(kind: &str, seed: u64) -> Box<dyn Scheduler> {
     }
 }
 
+/// The run on `random:n=N,extra=2N,seed=CELL` under `plans`.
+fn cell_spec(n: usize, cell: u64, variant: Variant, plans: Plans) -> RunSpec {
+    RunSpec {
+        topology: format!("random:n={n},extra={},seed={cell}", 2 * n),
+        variant,
+        plans,
+    }
+}
+
 /// Runs one matrix cell and applies the shared assertions. Returns the
 /// outcome and recorded schedule for cells that want extra checks.
 fn run_cell(
@@ -53,7 +61,6 @@ fn run_cell(
     cell: u64,
 ) -> (Outcome, Schedule) {
     let name = format!("n={n} drop={drop} crashes={crashes} {variant} {sched_kind} cell={cell}");
-    let graph = gen::random_weakly_connected(n, 2 * n, cell);
     let plans = Plans {
         faults: Some(
             FaultPlan::new(1000 + cell)
@@ -66,7 +73,7 @@ fn run_cell(
     let sched = make_scheduler(sched_kind, 2000 + cell);
     // `record` holds the run to the requirements and to the budgets net of
     // the explicitly metered recovery overhead.
-    let (result, schedule) = record(&graph, variant, &plans, sched);
+    let (result, schedule) = record(&cell_spec(n, cell, variant, plans), sched);
     let outcome = result.unwrap_or_else(|e| panic!("{name}: {e}"));
 
     // Re-assert the shape.
@@ -124,9 +131,7 @@ fn chaos_matrix_medium_networks() {
 fn harshest_cell_replays_byte_exactly() {
     let n = 32;
     let (outcome, schedule) = run_cell(n, 0.3, 3, Variant::AdHoc, "random", 9_999);
-    let graph = gen::random_weakly_connected(n, 2 * n, 9_999);
-    let replayed =
-        replay(&graph, Variant::AdHoc, &schedule).expect("recorded faulty schedule replays");
+    let replayed = replay(&schedule).expect("recorded faulty schedule replays");
     assert_eq!(replayed.steps, outcome.steps);
     assert_eq!(replayed.steps, schedule.len() as u64);
     assert_eq!(replayed.leaders, outcome.leaders);
@@ -155,18 +160,13 @@ fn run_byzantine_cell(
     cell: u64,
 ) -> (Outcome, Schedule) {
     let name = format!("n={n} f={f} class={class} churn={churn_rate} cell={cell}");
-    let graph = gen::random_weakly_connected(n, 2 * n, cell);
     let plans = Plans {
         byzantine: Some(ByzantinePlan::new(3_000 + cell, f).only(class)),
         churn: (churn_rate > 0.0).then(|| ChurnPlan::new(4_000 + cell, churn_rate)),
         ..Plans::default()
     };
-    let (result, schedule) = record(
-        &graph,
-        Variant::AdHoc,
-        &plans,
-        RandomScheduler::seeded(5_000 + cell),
-    );
+    let spec = cell_spec(n, cell, Variant::AdHoc, plans);
+    let (result, schedule) = record(&spec, RandomScheduler::seeded(5_000 + cell));
     let outcome = result.unwrap_or_else(|e| panic!("{name}: {e}"));
     let survivors = outcome.survivors.as_ref().expect("judged over survivors");
     let injected = outcome.metrics.byzantine();
@@ -189,7 +189,7 @@ fn run_byzantine_cell(
         ),
         _ => {}
     }
-    if let Some(plan) = &plans.churn {
+    if let Some(plan) = &spec.plans.churn {
         assert_eq!(survivors.joined.len(), plan.joiners(n).len(), "{name}: joins");
         assert_eq!(survivors.left.len(), plan.leavers(n).len(), "{name}: leaves");
     } else {
@@ -238,21 +238,15 @@ fn byzantine_matrix_medium_networks() {
 #[test]
 fn harshest_byzantine_cell_replays_byte_exactly() {
     let n = 32;
-    let graph = gen::random_weakly_connected(n, 2 * n, 8_888);
     let plans = Plans {
         byzantine: Some(ByzantinePlan::new(8_888, 2)),
         churn: Some(ChurnPlan::new(8_889, 0.1)),
         ..Plans::default()
     };
-    let (result, schedule) = record(
-        &graph,
-        Variant::AdHoc,
-        &plans,
-        RandomScheduler::seeded(8_890),
-    );
+    let spec = cell_spec(n, 8_888, Variant::AdHoc, plans);
+    let (result, schedule) = record(&spec, RandomScheduler::seeded(8_890));
     let outcome = result.expect("harshest Byzantine cell quiesces");
-    let replayed =
-        replay(&graph, Variant::AdHoc, &schedule).expect("recorded Byzantine schedule replays");
+    let replayed = replay(&schedule).expect("recorded Byzantine schedule replays");
     assert_eq!(replayed.steps, outcome.steps);
     assert_eq!(replayed.leaders, outcome.leaders);
     assert_eq!(replayed.metrics.byzantine(), outcome.metrics.byzantine());
@@ -273,12 +267,12 @@ fn harshest_byzantine_cell_replays_byte_exactly() {
 fn pure_crash_churn_is_survivable() {
     for (seed, variant) in [(1u64, Variant::Oblivious), (2, Variant::Bounded), (3, Variant::AdHoc)]
     {
-        let graph = gen::random_weakly_connected(16, 32, seed);
         let plans = Plans {
             faults: Some(FaultPlan::new(seed).with_spread_crashes(3, 16)),
             ..Plans::default()
         };
-        let (result, _) = record(&graph, variant, &plans, RandomScheduler::seeded(seed + 50));
+        let spec = cell_spec(16, seed, variant, plans);
+        let (result, _) = record(&spec, RandomScheduler::seeded(seed + 50));
         let outcome = result.unwrap_or_else(|e| panic!("variant {variant}: {e}"));
         assert_eq!(outcome.metrics.faults().crashes, 3);
         assert_eq!(outcome.metrics.faults().drops, 0, "no link faults in this plan");

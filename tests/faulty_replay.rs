@@ -8,34 +8,22 @@
 //! The n = 1,024 run is tier 1. The full n = 16,384 run (1.37 M choices)
 //! is `--ignored`; `scripts/verify.sh` runs it in release mode.
 
-use asynchronous_resource_discovery::core::{record, run_checked, Plans, Variant};
-use asynchronous_resource_discovery::graph::gen;
-use asynchronous_resource_discovery::netsim::{FaultPlan, RandomScheduler, ReplayScheduler};
+use asynchronous_resource_discovery::core::{record, run_checked, Plans, RunSpec, Variant};
+use asynchronous_resource_discovery::netsim::{RandomScheduler, ReplayScheduler};
 
 fn assert_strict_replay_reproduces(n: usize) {
-    // `random:n=N,extra=2N,seed=1` under `--faults drop=0.1,dup=0.05,crash=3,seed=1`.
-    let graph = gen::random_weakly_connected(n, 2 * n, 1);
-    let plans = Plans {
-        faults: Some(
-            FaultPlan::new(1)
-                .with_drop(0.1)
-                .with_dup(0.05)
-                .with_spread_crashes(3, n),
-        ),
-        ..Plans::default()
+    let spec = RunSpec {
+        topology: format!("random:n={n},extra={},seed=1", 2 * n),
+        variant: Variant::Oblivious,
+        plans: Plans::parse(Some("drop=0.1,dup=0.05,crash=3,seed=1"), None, None, n).unwrap(),
     };
-    let (result, schedule) = record(
-        &graph,
-        Variant::Oblivious,
-        &plans,
-        RandomScheduler::seeded(1),
-    );
+    let (result, schedule) = record(&spec, RandomScheduler::seeded(1));
     let want = result.expect("the recorded run completes correctly");
 
-    let (reliable, replans) = Plans::from_schedule(&schedule).expect("stamped metadata");
-    assert!(reliable, "a fault plan replays on the reliable layer");
+    let (respec, graph) = RunSpec::from_schedule(&schedule).expect("stamped metadata");
+    assert_eq!(respec, spec, "the schedule's metadata is the recorded run");
     let mut replay = ReplayScheduler::strict(&schedule);
-    let got = run_checked(&graph, Variant::Oblivious, reliable, &replans, &mut replay)
+    let got = run_checked(&graph, respec.variant, &respec.plans, &mut replay)
         .expect("the replay completes correctly");
 
     assert_eq!(replay.position(), schedule.len(), "every choice replayed");

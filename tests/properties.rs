@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use asynchronous_resource_discovery::core::{budgets, record, replay, Discovery, Plans, Variant};
+use asynchronous_resource_discovery::core::{
+    budgets, record, replay, Discovery, Plans, RunSpec, Variant,
+};
 use asynchronous_resource_discovery::graph::{components, gen, KnowledgeGraph};
 use asynchronous_resource_discovery::netsim::explore::{fixtures, run_fork_system};
 use asynchronous_resource_discovery::netsim::{
@@ -129,7 +131,7 @@ fn churn_strategy() -> impl Strategy<Value = Option<ChurnSpec>> {
     ]
 }
 
-/// Writes the recorded schedule of a failing run under
+/// Writes the recorded schedule of a failing plan-free run under
 /// `target/failed-schedules/` and returns a test failure naming the
 /// artifact, so any property failure is replayable via `ard replay <path>`
 /// (the vendored proptest does not shrink; the replay file is the
@@ -140,8 +142,12 @@ fn fail_with_artifact(
     mut schedule: Schedule,
     reason: &str,
 ) -> TestCaseError {
-    schedule.set_meta("topology", topology);
-    schedule.set_meta("variant", variant.to_string());
+    let spec = RunSpec {
+        topology: topology.into(),
+        variant,
+        plans: Plans::default(),
+    };
+    spec.stamp(&mut schedule);
     write_artifact(schedule, reason)
 }
 
@@ -331,31 +337,34 @@ proptest! {
         variant in variant_strategy(),
         fault in fault_strategy(),
     ) {
-        let topology = format!("random:n={n},extra={extra},seed={graph_seed}");
-        let graph = gen::random_weakly_connected(n, extra, graph_seed);
-        let plans = Plans {
-            faults: Some(fault.plan(n)),
-            ..Plans::default()
+        let spec = RunSpec {
+            topology: format!("random:n={n},extra={extra},seed={graph_seed}"),
+            variant,
+            plans: Plans {
+                faults: Some(fault.plan(n)),
+                ..Plans::default()
+            },
         };
-        // `record` judges requirements and net-of-overhead budgets itself.
-        let (result, schedule) = record(&graph, variant, &plans, sched.build());
+        // `record` judges requirements and net-of-overhead budgets itself,
+        // and stamps the spec `ard replay` rebuilds the run from.
+        let (result, schedule) = record(&spec, sched.build());
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(reason) => {
-                return Err(fail_with_artifact(&topology, variant, schedule, &reason));
+                return Err(write_artifact(schedule, &reason));
             }
         };
-        match replay(&graph, variant, &schedule) {
+        match replay(&schedule) {
             Err(reason) => {
                 let reason = format!("faulty replay diverged: {reason}");
-                return Err(fail_with_artifact(&topology, variant, schedule, &reason));
+                return Err(write_artifact(schedule, &reason));
             }
             Ok(replayed) => {
                 if replayed.steps != outcome.steps
                     || format!("{}", replayed.metrics) != format!("{}", outcome.metrics)
                 {
                     let reason = "faulty replay diverged from the recording";
-                    return Err(fail_with_artifact(&topology, variant, schedule, reason));
+                    return Err(write_artifact(schedule, reason));
                 }
             }
         }
@@ -380,18 +389,20 @@ proptest! {
         byz in byzantine_strategy(),
         churn in churn_strategy(),
     ) {
-        let topology = format!("random:n={n},extra={extra},seed={graph_seed}");
-        let graph = gen::random_weakly_connected(n, extra, graph_seed);
-        let plans = Plans {
-            byzantine: Some(byz.plan()),
-            churn: churn.as_ref().map(ChurnSpec::plan),
-            ..Plans::default()
+        let spec = RunSpec {
+            topology: format!("random:n={n},extra={extra},seed={graph_seed}"),
+            variant,
+            plans: Plans {
+                byzantine: Some(byz.plan()),
+                churn: churn.as_ref().map(ChurnSpec::plan),
+                ..Plans::default()
+            },
         };
-        let (result, schedule) = record(&graph, variant, &plans, sched.build());
+        let (result, schedule) = record(&spec, sched.build());
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(reason) => {
-                return Err(fail_with_artifact(&topology, variant, schedule, &reason));
+                return Err(write_artifact(schedule, &reason));
             }
         };
         let survivors = outcome.survivors.as_ref().expect("judged over survivors");
@@ -401,20 +412,20 @@ proptest! {
                 byz.f.min(n),
                 survivors.byzantine_nodes.len()
             );
-            return Err(fail_with_artifact(&topology, variant, schedule, &reason));
+            return Err(write_artifact(schedule, &reason));
         }
-        if let Some(churn_plan) = &plans.churn {
+        if let Some(churn_plan) = &spec.plans.churn {
             if survivors.joined.len() != churn_plan.joiners(n).len()
                 || survivors.left.len() != churn_plan.leavers(n).len()
             {
                 let reason = "membership churn diverged from the plan";
-                return Err(fail_with_artifact(&topology, variant, schedule, reason));
+                return Err(write_artifact(schedule, reason));
             }
         }
-        match replay(&graph, variant, &schedule) {
+        match replay(&schedule) {
             Err(reason) => {
                 let reason = format!("byzantine replay diverged: {reason}");
-                return Err(fail_with_artifact(&topology, variant, schedule, &reason));
+                return Err(write_artifact(schedule, &reason));
             }
             Ok(replayed) => {
                 if replayed.steps != outcome.steps
@@ -423,7 +434,7 @@ proptest! {
                     || format!("{}", replayed.metrics) != format!("{}", outcome.metrics)
                 {
                     let reason = "byzantine replay diverged from the recording";
-                    return Err(fail_with_artifact(&topology, variant, schedule, reason));
+                    return Err(write_artifact(schedule, reason));
                 }
             }
         }
