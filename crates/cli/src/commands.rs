@@ -10,7 +10,8 @@ use std::fmt::Write as _;
 
 use ard_core::node::ArdNode;
 use ard_core::spec::{
-    byzantine_meta, churn_meta, faults_meta, parse_topology, parse_variant, ParseSpecError,
+    byzantine_meta, churn_meta, faults_meta, parse_plans, parse_topology, parse_variant,
+    ParseSpecError,
 };
 use ard_core::{Discovery, DiscoveryOn, Layer, Plans, Reliable, RunSpec, Variant};
 use ard_graph::KnowledgeGraph;
@@ -341,7 +342,7 @@ fn help(_: &Args) -> Result<String, CliError> {
 /// The `--faults` / `--byzantine` / `--churn` plans of an `n`-node system.
 fn plan_flags(args: &Args, n: usize) -> Result<Plans, CliError> {
     let [faults, byzantine, churn] = ["faults", "byzantine", "churn"].map(|k| args.value(k));
-    Ok(Plans::parse(faults, byzantine, churn, n)?)
+    Ok(parse_plans(faults, byzantine, churn, n)?)
 }
 
 /// The two lines every `discover` report opens with.
@@ -906,9 +907,8 @@ fn explore_cmd(args: &Args) -> Result<String, CliError> {
         dfs_budget: budget - walks,
         dfs_depth: depth,
         seed,
-        fault: plans.faults.clone(),
-        byzantine: plans.byzantine.clone().map(|plan| (plan, n)),
-        churn: plans.churn.clone().map(|plan| (plan, n)),
+        plans,
+        nodes: n,
         jobs,
         verify_snapshots: args.has("check-snapshots"),
         reduce,
@@ -922,16 +922,9 @@ fn explore_cmd(args: &Args) -> Result<String, CliError> {
         report.runs, report.random_walks, report.dfs_runs
     )
     .unwrap();
+    let plans = &config.plans;
     if let Some(plan) = &plans.faults {
-        writeln!(
-            out,
-            "faults    : drop={}, dup={}, crash={} (seed {})",
-            plan.drop,
-            plan.dup,
-            plan.crashes.len(),
-            plan.seed
-        )
-        .unwrap();
+        writeln!(out, "faults    : {}", faults_meta(plan)).unwrap();
     }
     if let Some(plan) = &plans.byzantine {
         writeln!(out, "byzantine : {}", byzantine_meta(plan)).unwrap();
@@ -1625,6 +1618,25 @@ mod tests {
         assert!(run_line("discover --topology ring:6 --byzantine f=1,class=bribe").is_err());
         assert!(run_line("discover --topology ring:6 --churn rate=0.9").is_err());
         assert!(run_line("explore --system equiv:1").is_err());
+    }
+
+    /// `replay` refuses the plans `discover` refuses: a hand-written
+    /// schedule with a faults plan beside a churn plan describes no run.
+    #[test]
+    fn replay_rejects_faults_beside_churn_as_discover_does() {
+        let (faults, churn) = ("drop=0.1,dup=0,crash=0,seed=1", "rate=0.2,seed=1");
+        let discover = format!("discover --topology ring:6 --faults {faults} --churn {churn}");
+        let path = std::env::temp_dir().join("ard-cli-test-faults-churn.schedule");
+        let meta = format!("meta churn {churn}\nmeta faults {faults}\n");
+        let meta = meta + "meta topology ring:6\nmeta variant ad-hoc\n";
+        std::fs::write(&path, format!("ard-schedule v1\n{meta}")).unwrap();
+        let replay = run_line(&format!("replay {}", path.display())).map_err(|e| e.0);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(replay, Err(run_line(&discover).unwrap_err().0));
+        assert_eq!(
+            replay,
+            Err(ParseSpecError::FaultsUnderAdversary.to_string())
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 use std::fmt;
 
+use ard_netsim::Plans;
+
 /// Which of the paper's three problem variants to run (§1.2, §4.5).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Variant {
@@ -102,6 +104,18 @@ impl Config {
             ..Config::default()
         }
     }
+
+    /// The configuration a run under `plans` calls for: the paper's,
+    /// hardened with [`Config::byzantine`] under a Byzantine or churn plan
+    /// so forged "impossible" messages are dropped instead of tripping the
+    /// honest-run asserts.
+    pub(crate) fn under(plans: &Plans) -> Self {
+        if plans.byzantine.is_some() || plans.churn.is_some() {
+            Config::byzantine()
+        } else {
+            Config::paper()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -130,6 +144,23 @@ mod tests {
         assert!(Config::without_path_compression().balanced_queries);
         assert!(!Config::without_balanced_queries().balanced_queries);
         assert!(Config::without_balanced_queries().path_compression);
+    }
+
+    #[test]
+    fn only_adversarial_membership_hardens_the_nodes() {
+        use ard_netsim::{ChurnPlan, FaultPlan};
+        assert_eq!(Config::under(&Plans::default()), Config::paper());
+        let lossy = Plans {
+            faults: Some(FaultPlan::new(1).with_drop(0.1)),
+            ..Plans::default()
+        };
+        assert_eq!(Config::under(&lossy), Config::paper());
+        let churned = Plans {
+            churn: Some(ChurnPlan::new(1, 0.1)),
+            ..Plans::default()
+        };
+        assert_eq!(Config::under(&churned), Config::byzantine());
+        assert_eq!(churned.withheld(20).len(), 2);
     }
 
     #[test]

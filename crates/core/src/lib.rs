@@ -49,11 +49,11 @@ mod driver;
 pub mod invariants;
 mod msg;
 pub mod node;
-mod plans;
 mod reliable;
 pub mod spec;
 mod status;
 
+pub use ard_netsim::Plans;
 pub use config::{Config, Variant};
 pub use driver::{
     record, replay, run_checked, Discovery, DiscoveryOn, FaultyDiscovery, Layer, Outcome,
@@ -61,7 +61,6 @@ pub use driver::{
 };
 pub use msg::{InfoPayload, Message, Verdict};
 pub use node::AsArdNode;
-pub use plans::Plans;
 pub use reliable::{Reliable, ReliableMsg};
 pub use spec::{ParseSpecError, RunSpec};
 pub use status::{Status, Transition, EXPECTED_TRANSITIONS};

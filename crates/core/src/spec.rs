@@ -14,21 +14,27 @@
 //! churn     := rate=R[,seed=S]
 //! ```
 //!
-//! [`RunSpec::stamp`] writes a recording's `topology`, `variant`,
-//! `faults`, `byzantine` and `churn` metadata, each plan in the spelling
-//! its parser reads back, and [`RunSpec::from_schedule`] is their one
-//! reader. The recorded choices carry every injected event, so the plans
-//! only say which network a replay builds: the layer (a `faults` plan puts
-//! every node inside [`Reliable`](crate::Reliable)), the withheld churn
-//! wake-ups and the traitors the survivor guarantees exclude.
+//! [`parse_plans`] reads `ard`'s `--faults`, `--byzantine` and `--churn`
+//! values into one [`Plans`] bundle. [`RunSpec::stamp`] writes a
+//! recording's `topology`, `variant`, `faults`, `byzantine` and `churn`
+//! metadata, each plan in the spelling its parser reads back (and every
+//! `ard` report prints: [`faults_meta`], [`byzantine_meta`],
+//! [`churn_meta`]), and [`RunSpec::from_schedule`] is their one reader.
+//! Both readers share one check: link faults beside a Byzantine or churn
+//! plan are [`ParseSpecError::FaultsUnderAdversary`], on the command line
+//! and in a schedule alike. The recorded choices carry every injected
+//! event, so the plans only say which network a replay builds: the layer
+//! (a `faults` plan puts every node inside [`Reliable`](crate::Reliable)),
+//! the withheld churn wake-ups and the traitors the survivor guarantees
+//! exclude.
 
 use std::fmt;
 use std::str::FromStr;
 
 use ard_graph::{gen, KnowledgeGraph};
-use ard_netsim::{ByzantinePlan, ChurnPlan, FaultPlan, Schedule};
+use ard_netsim::{ByzantinePlan, ChurnPlan, FaultPlan, Plans, Schedule};
 
-use crate::{Plans, Variant};
+use crate::Variant;
 
 /// Why a run's description does not parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -313,25 +319,35 @@ pub fn churn_meta(plan: &ChurnPlan) -> String {
     format!("rate={},seed={}", plan.rate, plan.seed)
 }
 
-impl Plans {
-    /// The plans of an `n`-node system from `ard`'s `--faults`,
-    /// `--byzantine` and `--churn` values (`None`: no such plan).
-    pub fn parse(
-        faults: Option<&str>,
-        byzantine: Option<&str>,
-        churn: Option<&str>,
-        n: usize,
-    ) -> Result<Plans, ParseSpecError> {
-        let plans = Plans {
-            faults: faults.map(|spec| parse_faults(spec, n)).transpose()?,
-            byzantine: byzantine.map(parse_byzantine).transpose()?,
-            churn: churn.map(parse_churn).transpose()?,
-        };
-        if plans.faults.is_some() && (plans.byzantine.is_some() || plans.churn.is_some()) {
-            return Err(ParseSpecError::FaultsUnderAdversary);
-        }
-        Ok(plans)
+/// The plans of an `n`-node system from `ard`'s `--faults`, `--byzantine`
+/// and `--churn` values (`None`: no such plan).
+///
+/// # Errors
+///
+/// Returns [`ParseSpecError`] for a value outside its grammar, or
+/// [`ParseSpecError::FaultsUnderAdversary`] for link faults beside a
+/// Byzantine or churn plan.
+pub fn parse_plans(
+    faults: Option<&str>,
+    byzantine: Option<&str>,
+    churn: Option<&str>,
+    n: usize,
+) -> Result<Plans, ParseSpecError> {
+    exclusive(Plans {
+        faults: faults.map(|spec| parse_faults(spec, n)).transpose()?,
+        byzantine: byzantine.map(parse_byzantine).transpose()?,
+        churn: churn.map(parse_churn).transpose()?,
+    })
+}
+
+/// `plans`, unless they put link faults beside a Byzantine or churn plan:
+/// those run the bare protocol, which cannot absorb link faults, so no
+/// run has both.
+fn exclusive(plans: Plans) -> Result<Plans, ParseSpecError> {
+    if plans.faults.is_some() && (plans.byzantine.is_some() || plans.churn.is_some()) {
+        return Err(ParseSpecError::FaultsUnderAdversary);
     }
+    Ok(plans)
 }
 
 /// One discovery run as the paper poses it: an initial knowledge graph, a
@@ -366,20 +382,22 @@ impl RunSpec {
 
     /// Reads back what [`stamp`](RunSpec::stamp) wrote, with the graph the
     /// topology describes (parsed once, here). A malformed plan fails by
-    /// its key ([`ParseSpecError::Meta`]), never reads as "no plan".
+    /// its key ([`ParseSpecError::Meta`]), never reads as "no plan", and
+    /// link faults beside a Byzantine or churn plan fail as they do on the
+    /// command line ([`ParseSpecError::FaultsUnderAdversary`]).
     pub fn from_schedule(schedule: &Schedule) -> Result<(RunSpec, KnowledgeGraph), ParseSpecError> {
         let required = |key| schedule.meta(key).ok_or(ParseSpecError::MissingMeta(key));
         let topology = required("topology")?;
         let variant = parse_variant(required("variant")?)?;
         let graph = parse_topology(topology)?;
         let faults = |meta| parse_faults(meta, graph.len());
-        let plans = Plans {
+        let plans = exclusive(Plans {
             faults: (schedule.meta("faults").map(faults).transpose()).map_err(in_meta("faults"))?,
             byzantine: (schedule.meta("byzantine").map(parse_byzantine).transpose())
                 .map_err(in_meta("byzantine"))?,
             churn: (schedule.meta("churn").map(parse_churn).transpose())
                 .map_err(in_meta("churn"))?,
-        };
+        })?;
         let spec = RunSpec {
             topology: topology.to_string(),
             variant,
@@ -529,14 +547,12 @@ mod tests {
         assert_eq!(missing.to_string(), "schedule has no `variant` meta");
         schedule.set_meta("variant", "ad-hoc");
         schedule.set_meta("faults", "drop=0.1,dup=0,crash=1,seed=1");
-        schedule.set_meta("churn", "rate=0.2,seed=11");
         let (spec, graph) = RunSpec::from_schedule(&schedule).unwrap();
-        assert!(spec.plans.reliable() && spec.plans.byzantine.is_none());
+        assert!(spec.plans.reliable() && spec.plans.churn.is_none());
         assert_eq!(
             spec.plans.faults,
             Some(parse_faults("crash=1,drop=0.1,seed=1", 4).unwrap())
         );
-        assert_eq!(spec.plans.churn, Some(ChurnPlan::new(11, 0.2)));
         assert_eq!(graph.len(), 4);
         for (key, value, why) in [
             ("faults", "drop=lots", "not a probability"),
@@ -555,12 +571,26 @@ mod tests {
     }
 
     #[test]
+    fn from_schedule_rejects_link_faults_under_an_adversary() {
+        let mut schedule = Schedule::new(Vec::new());
+        schedule.set_meta("topology", "ring:6");
+        schedule.set_meta("variant", "ad-hoc");
+        schedule.set_meta("faults", "drop=0.1,dup=0,crash=0,seed=1");
+        schedule.set_meta("churn", "rate=0.2,seed=1");
+        let both = RunSpec::from_schedule(&schedule).unwrap_err();
+        assert_eq!(both, ParseSpecError::FaultsUnderAdversary);
+        schedule.set_meta("byzantine", "f=1,seed=2");
+        let all = RunSpec::from_schedule(&schedule).unwrap_err();
+        assert_eq!(all, ParseSpecError::FaultsUnderAdversary);
+    }
+
+    #[test]
     fn cli_plans_exclude_link_faults_under_an_adversary() {
-        let plans = Plans::parse(Some("drop=0.1"), None, None, 4).unwrap();
+        let plans = parse_plans(Some("drop=0.1"), None, None, 4).unwrap();
         assert!(plans.reliable() && plans.byzantine.is_none());
-        let both = Plans::parse(Some("drop=0.1"), None, Some("rate=0.1"), 4);
+        let both = parse_plans(Some("drop=0.1"), None, Some("rate=0.1"), 4);
         assert_eq!(both.unwrap_err(), ParseSpecError::FaultsUnderAdversary);
-        let bad = Plans::parse(None, Some("f=1,class=x"), None, 4).unwrap_err();
+        let bad = parse_plans(None, Some("f=1,class=x"), None, 4).unwrap_err();
         assert!(bad
             .to_string()
             .starts_with("invalid specification: unknown byzantine class"));

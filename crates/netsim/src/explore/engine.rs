@@ -108,10 +108,7 @@ pub(super) fn explore_engine(config: &ExploreConfig, system: &dyn ForkSystem) ->
     // the digest cannot see (RNG positions, timeline cursors), so with any
     // plan attached the dedup arm switches off; sleep sets stay on and
     // degrade via the fault layer's footprint widening.
-    let dedup = reduce
-        && config.fault.is_none()
-        && config.byzantine.is_none()
-        && config.churn.is_none();
+    let dedup = reduce && config.plans.is_empty();
     // Branch nodes already expanded, by dedup key; the values are the
     // sleep sets they were expanded under (an equivalent node is covered
     // only by an expansion that slept no *more* than it would).
@@ -283,7 +280,7 @@ fn fail(
 mod tests {
     use super::*;
     use crate::explore::{explore, explore_fork, fixtures, report_fingerprint};
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultPlan, Plans};
     use crate::record::{RecordingScheduler, ReplayScheduler};
     use crate::{NodeId, Scheduler};
     use std::sync::Mutex;
@@ -310,7 +307,6 @@ mod tests {
             dfs_budget: 0,
             dfs_depth: 0,
             seed: 0,
-            fault: None,
             ..ExploreConfig::default()
         };
         let report = explore(&config, || |sched: &mut dyn Scheduler| {
@@ -329,7 +325,6 @@ mod tests {
             dfs_budget: 128,
             dfs_depth: 4,
             seed: 0,
-            fault: None,
             ..ExploreConfig::default()
         };
         let report = explore(&config, || |sched: &mut dyn Scheduler| {
@@ -359,7 +354,6 @@ mod tests {
             dfs_budget: 5,
             dfs_depth: 3,
             seed: 9,
-            fault: None,
             ..ExploreConfig::default()
         };
         let report = explore(&config, || |sched: &mut dyn Scheduler| {
@@ -385,7 +379,6 @@ mod tests {
             dfs_budget: 40,
             dfs_depth: 3,
             seed: 0,
-            fault: None,
             ..ExploreConfig::default()
         };
         let report = explore(&config, || |sched: &mut dyn Scheduler| {
@@ -542,7 +535,10 @@ mod tests {
             dfs_budget: 512,
             dfs_depth: 5,
             seed: 0,
-            fault: Some(FaultPlan::new(1).with_crash(NodeId::new(0), 2, 2)),
+            plans: Plans {
+                faults: Some(FaultPlan::new(1).with_crash(NodeId::new(0), 2, 2)),
+                ..Plans::default()
+            },
             reduce: ReduceMode::Sleep,
             ..ExploreConfig::default()
         };
@@ -554,13 +550,16 @@ mod tests {
 
     #[test]
     fn parallel_jobs_leave_the_report_byte_identical() {
-        for fault in [None, Some(FaultPlan::new(1).with_drop(0.25))] {
+        for faults in [None, Some(FaultPlan::new(1).with_drop(0.25))] {
             let base = ExploreConfig {
                 random_walks: 24,
                 dfs_budget: 48,
                 dfs_depth: 5,
                 seed: 1,
-                fault,
+                plans: Plans {
+                    faults,
+                    ..Plans::default()
+                },
                 ..ExploreConfig::default()
             };
             let sequential = explore_fork(&base, &fixtures::RacySystem::new(3));

@@ -499,7 +499,7 @@ impl ForkSystem for EquivSystem {
 
 /// Runs the equiv fixture under `sched` and checks single-leadership.
 /// Honest schedules always pass; breaking it takes a Byzantine plan
-/// (see [`ExploreConfig::byzantine`](super::ExploreConfig::byzantine)).
+/// (see [`ExploreConfig::plans`](super::ExploreConfig::plans)).
 ///
 /// # Errors
 ///
@@ -512,7 +512,7 @@ pub fn run_equiv(candidates: usize, sched: &mut dyn Scheduler) -> Result<(), Str
 mod tests {
     use super::*;
     use crate::explore::{explore, ExploreConfig};
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultPlan, Plans};
     use crate::record::ReplayScheduler;
     use crate::{Choice, FifoScheduler};
 
@@ -539,7 +539,10 @@ mod tests {
             dfs_budget: 0,
             dfs_depth: 0,
             seed: 0,
-            fault: Some(FaultPlan::new(1).with_drop(0.25)),
+            plans: Plans {
+                faults: Some(FaultPlan::new(1).with_drop(0.25)),
+                ..Plans::default()
+            },
             ..ExploreConfig::default()
         };
         let report = explore(&config, || |sched: &mut dyn Scheduler| {
@@ -592,7 +595,11 @@ mod tests {
             dfs_budget: 64,
             dfs_depth: 4,
             seed: 0,
-            byzantine: Some((ByzantinePlan::new(3, 1).only("equivocate"), 4)),
+            plans: Plans {
+                byzantine: Some(ByzantinePlan::new(3, 1).only("equivocate")),
+                ..Plans::default()
+            },
+            nodes: 4,
             ..ExploreConfig::default()
         };
         let report = explore(&config, || |sched: &mut dyn Scheduler| {

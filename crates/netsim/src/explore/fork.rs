@@ -173,22 +173,15 @@ where
 
 /// The scheduler stack every candidate run executes under: `inner` decides
 /// (a `RandomScheduler` for a walk, a [`DfsScheduler`] for a DFS prefix)
-/// beneath the config's fault, Byzantine and churn plans, beneath a
-/// recorder. `reseed` varies the fault RNG per walk; the DFS passes `0` and
-/// keeps the plan's own seed.
+/// beneath the config's plans, beneath a recorder. `reseed` varies the
+/// fault RNG per walk; the DFS passes `0` and keeps the plan's own seed.
 pub(super) fn scheduler_stack<S: Scheduler>(
     config: &ExploreConfig,
     inner: S,
     reseed: u64,
 ) -> RecordingScheduler<FaultScheduler<S>> {
-    let fault_seed = config.fault.as_ref().map_or(0, |p| p.seed ^ reseed);
-    let mut sched = FaultScheduler::seeded(inner, config.fault.clone(), fault_seed);
-    if let Some((plan, n)) = &config.byzantine {
-        sched = sched.with_byzantine(Some(plan.clone()), *n);
-    }
-    if let Some((plan, n)) = &config.churn {
-        sched = sched.with_churn(Some(plan.clone()), *n);
-    }
+    let mut sched = config.plans.scheduler(inner, config.nodes);
+    sched.reseed_faults(reseed);
     RecordingScheduler::new(sched)
 }
 
@@ -368,7 +361,6 @@ mod tests {
                 dfs_budget: dfs,
                 dfs_depth: depth,
                 seed: 3,
-                fault: None,
                 ..ExploreConfig::default()
             };
             let closure = explore(&config, || |sched: &mut dyn Scheduler| {
@@ -381,7 +373,7 @@ mod tests {
 
     #[test]
     fn byzantine_fork_exploration_matches_the_closure_contract() {
-        use crate::fault::ByzantinePlan;
+        use crate::fault::{ByzantinePlan, Plans};
         // Checkpoint/fork must clone the Byzantine scheduler state
         // faithfully: both paths make the identical search.
         let config = ExploreConfig {
@@ -389,7 +381,11 @@ mod tests {
             dfs_budget: 64,
             dfs_depth: 5,
             seed: 3,
-            byzantine: Some((ByzantinePlan::new(5, 1), 4)),
+            plans: Plans {
+                byzantine: Some(ByzantinePlan::new(5, 1)),
+                ..Plans::default()
+            },
+            nodes: 4,
             ..ExploreConfig::default()
         };
         let closure = explore(&config, || |sched: &mut dyn Scheduler| {
@@ -406,7 +402,6 @@ mod tests {
             dfs_budget: 128,
             dfs_depth: 6,
             seed: 0,
-            fault: None,
             ..ExploreConfig::default()
         };
         let scratch = explore_fork(

@@ -11,7 +11,11 @@
 //! DFS** that systematically enumerates which pending event fires at each
 //! of the first few steps — and, on the first failure, hands back the exact
 //! [`Schedule`] so the failure replays forever (and can be
-//! [shrunk](crate::shrink)).
+//! [shrunk](crate::shrink)). Every candidate run executes under
+//! [`ExploreConfig::plans`], injected by the same
+//! [`Plans::scheduler`](crate::fault::Plans::scheduler) a discovery driver
+//! uses, so fault, Byzantine and churn events are choices the search
+//! orders like any other.
 //!
 //! Two things make the search fast without changing its answers:
 //!
@@ -73,7 +77,7 @@ mod fork;
 pub use dfs::DfsScheduler;
 pub use fork::{run_fork_system, ForkRun, ForkSystem};
 
-use crate::fault::{ByzantinePlan, ChurnPlan, FaultPlan};
+use crate::fault::Plans;
 use crate::record::Schedule;
 use crate::scheduler::Scheduler;
 
@@ -92,23 +96,19 @@ pub struct ExploreConfig {
     pub dfs_depth: usize,
     /// Base seed for the random-walk phase.
     pub seed: u64,
-    /// Optional fault plan: every candidate schedule runs under a
-    /// [`FaultScheduler`](crate::fault::FaultScheduler) injecting these
-    /// faults, so fault choices join the search space (the random-walk
-    /// phase re-seeds the fault RNG per walk; the DFS phase keeps the
-    /// plan's own seed).
-    pub fault: Option<FaultPlan>,
-    /// Optional Byzantine plan plus the node count its timeline is sized
-    /// for: every candidate schedule runs with the plan attached, so
-    /// forgeries, selective silence and stale restarts join the search
-    /// space. Unlike `fault`, the plan keeps its own seed in both phases —
-    /// callers typically derive property checks (excluded-node sets) from
-    /// the plan, which must match the plan the runs actually execute.
-    pub byzantine: Option<(ByzantinePlan, usize)>,
-    /// Optional churn plan plus the node count its timeline is sized for.
-    /// The system factory is responsible for withholding the initial
-    /// wake-ups of the plan's joiners, exactly as a driver would.
-    pub churn: Option<(ChurnPlan, usize)>,
+    /// The plans every candidate schedule runs under: the stack is built
+    /// by [`Plans::scheduler`](crate::fault::Plans::scheduler), so fault
+    /// choices, forgeries, selective silence, stale restarts and churn
+    /// join the search space. The random-walk phase re-seeds the fault
+    /// RNG per walk; the DFS phase keeps the fault plan's own seed, and
+    /// the Byzantine and churn plans keep theirs in both phases (callers
+    /// derive property checks, such as excluded-node sets, from the plans,
+    /// which must match the plans the runs execute). The system factory
+    /// withholds the initial wake-ups of churn joiners, exactly as a
+    /// driver would.
+    pub plans: Plans,
+    /// The node count the plans' timelines are sized for (the system's).
+    pub nodes: usize,
     /// Worker threads for candidate runs. Results are byte-identical at
     /// any value; `1` (the default) executes everything inline on the
     /// caller's thread with no speculation.
@@ -136,9 +136,8 @@ impl Default for ExploreConfig {
             dfs_budget: 32,
             dfs_depth: 4,
             seed: 0,
-            fault: None,
-            byzantine: None,
-            churn: None,
+            plans: Plans::default(),
+            nodes: 0,
             jobs: 1,
             checkpoint: true,
             verify_snapshots: false,

@@ -1,15 +1,21 @@
 //! Deterministic fault injection: seeded, policy-driven link loss,
-//! duplication and node crash/restart, composable with every [`Scheduler`].
+//! duplication and node crash/restart, Byzantine traitors and join/leave
+//! churn, composable with every [`Scheduler`].
 //!
-//! A [`FaultPlan`] describes *policy* (drop/duplicate probabilities, crash
-//! events); a [`FaultScheduler`] wraps
-//! any inner scheduler and turns that policy into explicit fault
-//! [`Choice`]s. Every injected fault flows through the normal choice
-//! stream, so a [`RecordingScheduler`](crate::record::RecordingScheduler)
-//! wrapped *around* the fault scheduler captures a complete execution:
-//! replaying the recorded schedule needs no fault machinery at all — the
-//! recorded `Drop`/`Duplicate`/`Crash`/`Restart`/`Tick` choices drive the
-//! runner directly, byte-exactly, and shrink like any other choices.
+//! A [`FaultPlan`], a [`ByzantinePlan`] and a [`ChurnPlan`] each describe
+//! *policy* (drop/duplicate probabilities and crash events; liars and
+//! their forgeries; late joiners and leavers). [`Plans`] bundles the three
+//! for one run, and [`Plans::scheduler`] builds the one
+//! [`FaultScheduler`] that wraps any inner scheduler and turns that policy
+//! into explicit fault [`Choice`]s. The discovery driver, `ard` and the
+//! explorer all inject through it. Every injected fault flows through the
+//! normal choice stream, so a
+//! [`RecordingScheduler`](crate::record::RecordingScheduler) wrapped
+//! *around* the fault scheduler captures a complete execution: replaying
+//! the recorded schedule needs no fault machinery at all — the recorded
+//! `Drop`/`Duplicate`/`Crash`/`Restart`/`Tick` choices (and the forgeries,
+//! silences and churn events) drive the runner directly, byte-exactly,
+//! and shrink like any other choices.
 //!
 //! # Determinism
 //!
@@ -33,7 +39,7 @@
 //! assert!(sched.choose().is_some());
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,8 +83,8 @@ fn lcg_seed(seed: u64) -> u64 {
 /// picks the liars, `timeline` lays out their
 /// forgeries and stale restarts on the choice-index axis, and the
 /// [`silence`](ByzantinePlan::silence) class withholds a fraction of their
-/// outgoing sends at send time. Attach with
-/// [`FaultScheduler::with_byzantine`].
+/// outgoing sends at send time. Injected through
+/// [`Plans::scheduler`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ByzantinePlan {
     /// Seed deriving the Byzantine set and every forged payload.
@@ -236,8 +242,8 @@ impl ByzantinePlan {
 /// `rate` is the fraction of the network that joins late *and* the
 /// fraction that leaves: `⌈rate·n⌉` joiners (their initial wake-ups are
 /// withheld by the driver and replaced with scheduled [`Choice::Join`]s)
-/// and the same number of disjoint leavers. Attach with
-/// [`FaultScheduler::with_churn`].
+/// and the same number of disjoint leavers. Injected through
+/// [`Plans::scheduler`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChurnPlan {
     /// Seed deriving joiner/leaver sets and event times.
@@ -410,23 +416,91 @@ impl FaultPlan {
         self.drop == 0.0 && self.dup == 0.0 && self.crashes.is_empty()
     }
 
-    /// The crash/restart events as `(choice index, choice)` pairs, sorted
-    /// by index (stable, so simultaneous events keep declaration order).
-    fn timeline(&self) -> VecDeque<(u64, Choice)> {
+    /// The crash/restart events as `(choice index, choice)` pairs, in
+    /// declaration order.
+    fn timeline(&self) -> Vec<(u64, Choice)> {
         let mut events: Vec<(u64, Choice)> = Vec::with_capacity(2 * self.crashes.len());
         for c in &self.crashes {
             events.push((c.at, Choice::Crash(c.node)));
             events.push((c.at + c.restart_after, Choice::Restart(c.node)));
         }
-        events.sort_by_key(|&(at, _)| at);
-        events.into()
+        events
     }
 }
 
-/// Wraps any scheduler and injects the faults a [`FaultPlan`] prescribes,
-/// as explicit choices in the schedule.
+/// The plans a run is subjected to; all absent for an honest run.
 ///
-/// With `plan = None` the wrapper is fully transparent — same choices,
+/// Link faults need a reliable-delivery layer to be survivable; Byzantine
+/// and churn plans run on the bare protocol, so a discovery run takes
+/// either `faults` or the other two (the spec parsers reject the mix).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Plans {
+    /// Lossy/duplicating links and crash/restart events.
+    pub faults: Option<FaultPlan>,
+    /// Seeded Byzantine nodes.
+    pub byzantine: Option<ByzantinePlan>,
+    /// Join/leave membership churn.
+    pub churn: Option<ChurnPlan>,
+}
+
+impl Plans {
+    /// Whether no plan is attached.
+    pub fn is_empty(&self) -> bool {
+        self.faults.is_none() && self.byzantine.is_none() && self.churn.is_none()
+    }
+
+    /// Whether a run under these plans needs every node inside a
+    /// reliable-delivery envelope: link faults are survivable only over
+    /// one.
+    pub fn reliable(&self) -> bool {
+        self.faults.is_some()
+    }
+
+    /// Wraps `inner` in the scheduler that injects these plans into an
+    /// `n`-node run (transparent when no plan is attached). The fault RNG
+    /// is seeded from the fault plan, the silence draws from the Byzantine
+    /// plan, and simultaneous timeline events fire faults first, then
+    /// Byzantine, then churn.
+    pub fn scheduler<S: Scheduler>(&self, inner: S, n: usize) -> FaultScheduler<S> {
+        let mut events = self
+            .faults
+            .as_ref()
+            .map(FaultPlan::timeline)
+            .unwrap_or_default();
+        events.extend(self.byzantine.iter().flat_map(|plan| plan.timeline(n)));
+        events.extend(self.churn.iter().flat_map(|plan| plan.timeline(n)));
+        events.sort_by_key(|&(at, _)| at);
+        let silent = match &self.byzantine {
+            Some(plan) if plan.silence => plan.byzantine_nodes(n),
+            _ => Vec::new(),
+        };
+        FaultScheduler {
+            inner,
+            plan: self.faults.clone(),
+            rng: StdRng::seed_from_u64(self.faults.as_ref().map_or(0, |p| p.seed)),
+            injected: VecDeque::new(),
+            events: events.into(),
+            choice_index: 0,
+            silent,
+            byz_rng: StdRng::seed_from_u64(
+                self.byzantine.as_ref().map_or(0, |p| p.seed ^ 0x5117_EACE),
+            ),
+            served_fault: false,
+        }
+    }
+
+    /// The churn joiners: their initial wake-ups are withheld, they come
+    /// online through the plan's `Join` events (§6's "joining = waking").
+    pub fn withheld(&self, n: usize) -> BTreeSet<NodeId> {
+        self.churn.iter().flat_map(|c| c.joiners(n)).collect()
+    }
+}
+
+/// Wraps any scheduler and injects the faults, forgeries and churn that
+/// [`Plans`] prescribe, as explicit choices in the schedule; built by
+/// [`Plans::scheduler`].
+///
+/// Under empty plans the wrapper is fully transparent — same choices,
 /// same order, zero RNG draws — so callers can wrap unconditionally and
 /// keep a single code path (the explorer does exactly this).
 ///
@@ -448,12 +522,9 @@ pub struct FaultScheduler<S> {
     events: VecDeque<(u64, Choice)>,
     /// Number of choices returned so far (the plan's time axis).
     choice_index: u64,
-    /// Byzantine plan, if attached via [`with_byzantine`](Self::with_byzantine).
-    byz: Option<ByzantinePlan>,
-    /// Materialized Byzantine node set (empty without a plan).
-    byz_nodes: Vec<NodeId>,
-    /// Churn plan, if attached via [`with_churn`](Self::with_churn).
-    churn: Option<ChurnPlan>,
+    /// The Byzantine nodes whose sends the silence class withholds (empty
+    /// without a Byzantine plan or with its silence class off).
+    silent: Vec<NodeId>,
     /// Dedicated RNG for Byzantine silence draws, seeded from the plan —
     /// kept separate from the link-fault RNG so attaching a Byzantine plan
     /// never perturbs an existing fault plan's fates.
@@ -466,72 +537,23 @@ pub struct FaultScheduler<S> {
 }
 
 impl<S: Scheduler> FaultScheduler<S> {
-    /// Wraps `inner` under `plan`, seeding the fault RNG from the plan.
-    pub fn new(inner: S, plan: Option<FaultPlan>) -> Self {
-        let seed = plan.as_ref().map_or(0, |p| p.seed);
-        Self::seeded(inner, plan, seed)
+    /// Wraps `inner` under the link-fault plan `faults` alone, seeding the
+    /// fault RNG from the plan.
+    pub fn new(inner: S, faults: Option<FaultPlan>) -> Self {
+        let plans = Plans {
+            faults,
+            ..Plans::default()
+        };
+        plans.scheduler(inner, 0)
     }
 
-    /// Wraps `inner` under `plan` with an explicit fault-RNG seed (the
-    /// explorer's random-walk phase varies the seed per walk while keeping
-    /// one plan).
-    pub(crate) fn seeded(inner: S, plan: Option<FaultPlan>, seed: u64) -> Self {
-        let events = plan.as_ref().map(FaultPlan::timeline).unwrap_or_default();
-        FaultScheduler {
-            inner,
-            plan,
-            rng: StdRng::seed_from_u64(seed),
-            injected: VecDeque::new(),
-            events,
-            choice_index: 0,
-            byz: None,
-            byz_nodes: Vec::new(),
-            churn: None,
-            byz_rng: StdRng::seed_from_u64(0),
-            served_fault: false,
+    /// Re-seeds the fault RNG with the plan's seed `^ reseed` (the
+    /// explorer's random-walk phase varies the fates per walk while
+    /// keeping one plan). No-op without a fault plan.
+    pub(crate) fn reseed_faults(&mut self, reseed: u64) {
+        if let Some(plan) = &self.plan {
+            self.rng = StdRng::seed_from_u64(plan.seed ^ reseed);
         }
-    }
-
-    /// Attaches a [`ByzantinePlan`] for an `n`-node network: its forgery /
-    /// stale-restart timeline merges into the event queue and its silence
-    /// class starts withholding Byzantine sends. `None` detaches.
-    pub fn with_byzantine(mut self, plan: Option<ByzantinePlan>, n: usize) -> Self {
-        if let Some(plan) = plan {
-            self.byz_nodes = plan.byzantine_nodes(n);
-            self.byz_rng = StdRng::seed_from_u64(plan.seed ^ 0x5117_EACE);
-            self.merge_events(plan.timeline(n));
-            self.byz = Some(plan);
-        } else {
-            self.byz = None;
-            self.byz_nodes.clear();
-        }
-        self
-    }
-
-    /// Attaches a [`ChurnPlan`] for an `n`-node network: its join/leave
-    /// timeline merges into the event queue. The *driver* must withhold
-    /// the initial wake-ups of [`ChurnPlan::joiners`] — the scheduler only
-    /// times their joins. `None` detaches.
-    pub fn with_churn(mut self, plan: Option<ChurnPlan>, n: usize) -> Self {
-        if let Some(plan) = plan {
-            self.merge_events(plan.timeline(n));
-            self.churn = Some(plan);
-        } else {
-            self.churn = None;
-        }
-        self
-    }
-
-    /// Merges extra timeline events into the sorted event queue (stable,
-    /// so simultaneous events keep attach order).
-    fn merge_events(&mut self, extra: Vec<(u64, Choice)>) {
-        if extra.is_empty() {
-            return;
-        }
-        let mut all: Vec<(u64, Choice)> = self.events.drain(..).collect();
-        all.extend(extra);
-        all.sort_by_key(|&(at, _)| at);
-        self.events = all.into();
     }
 
     /// The wrapped scheduler.
@@ -562,7 +584,7 @@ impl<S: Scheduler> FaultScheduler<S> {
                 return true;
             }
         }
-        self.byz.as_ref().is_some_and(|b| b.silence) && !self.byz_nodes.is_empty()
+        !self.silent.is_empty()
     }
 }
 
@@ -577,10 +599,7 @@ impl<S: Scheduler> Scheduler for FaultScheduler<S> {
         // the sender, before the network can fault the message. The
         // membership test gates the draw, so runs without a Byzantine
         // plan (and honest senders under one) consume no randomness.
-        if self.byz.as_ref().is_some_and(|b| b.silence)
-            && self.byz_nodes.contains(&src)
-            && self.byz_rng.gen::<f64>() < SILENCE_PROB
-        {
+        if self.silent.contains(&src) && self.byz_rng.gen::<f64>() < SILENCE_PROB {
             self.injected.push_back(Choice::Silence { src, dst });
             return;
         }
@@ -671,6 +690,13 @@ impl<S: Scheduler> Scheduler for FaultScheduler<S> {
 mod tests {
     use super::*;
     use crate::{FifoScheduler, SendToken};
+
+    fn byzantine(plan: ByzantinePlan) -> Plans {
+        Plans {
+            byzantine: Some(plan),
+            ..Plans::default()
+        }
+    }
 
     fn token(src: usize, dst: usize, seq: u64) -> SendToken {
         SendToken {
@@ -882,7 +908,7 @@ mod tests {
         let plan = ByzantinePlan::new(7, 1).only("silence");
         let liar = plan.byzantine_nodes(4)[0];
         let honest = NodeId::new((liar.index() + 1) % 4);
-        let mut s = FaultScheduler::new(FifoScheduler::new(), None).with_byzantine(Some(plan), 4);
+        let mut s = byzantine(plan).scheduler(FifoScheduler::new(), 4);
         for i in 0..200 {
             s.note_send(SendToken {
                 src: if i % 2 == 0 { liar } else { honest },
@@ -915,7 +941,7 @@ mod tests {
         // A stale-restart pair scheduled far in the future still fires
         // when the network quiesces early, like crash events do.
         let plan = ByzantinePlan::new(2, 1).only("stale-restart");
-        let mut s = FaultScheduler::new(FifoScheduler::new(), None).with_byzantine(Some(plan), 4);
+        let mut s = byzantine(plan).scheduler(FifoScheduler::new(), 4);
         let mut seen = Vec::new();
         while let Some(c) = s.choose() {
             seen.push(c);
@@ -927,12 +953,12 @@ mod tests {
     #[test]
     fn attaching_vacuous_plans_changes_nothing() {
         let run = |byz: bool| {
-            let mut s = FaultScheduler::new(FifoScheduler::new(), None);
-            if byz {
-                s = s
-                    .with_byzantine(Some(ByzantinePlan::new(9, 0)), 4)
-                    .with_churn(Some(ChurnPlan::new(9, 0.0)), 4);
-            }
+            let plans = Plans {
+                byzantine: byz.then(|| ByzantinePlan::new(9, 0)),
+                churn: byz.then(|| ChurnPlan::new(9, 0.0)),
+                ..Plans::default()
+            };
+            let mut s = plans.scheduler(FifoScheduler::new(), 4);
             s.note_wake(NodeId::new(0));
             s.note_send(token(0, 1, 0));
             let mut out = Vec::new();

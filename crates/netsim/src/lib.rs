@@ -94,7 +94,7 @@ pub mod trace;
 pub use bitset::BitSet;
 pub use context::Context;
 pub use envelope::{Envelope, KIND_TAG_BITS};
-pub use fault::{ByzantinePlan, ChurnPlan, FaultPlan, FaultScheduler};
+pub use fault::{ByzantinePlan, ChurnPlan, FaultPlan, FaultScheduler, Plans};
 pub use id::NodeId;
 pub use idseq::IdSeq;
 pub use idset::IdSet;

@@ -8,14 +8,15 @@
 //! The n = 1,024 run is tier 1. The full n = 16,384 run (1.37 M choices)
 //! is `--ignored`; `scripts/verify.sh` runs it in release mode.
 
-use asynchronous_resource_discovery::core::{record, run_checked, Plans, RunSpec, Variant};
+use asynchronous_resource_discovery::core::spec::parse_plans;
+use asynchronous_resource_discovery::core::{record, run_checked, RunSpec, Variant};
 use asynchronous_resource_discovery::netsim::{RandomScheduler, ReplayScheduler};
 
 fn assert_strict_replay_reproduces(n: usize) {
     let spec = RunSpec {
         topology: format!("random:n={n},extra={},seed=1", 2 * n),
         variant: Variant::Oblivious,
-        plans: Plans::parse(Some("drop=0.1,dup=0.05,crash=3,seed=1"), None, None, n).unwrap(),
+        plans: parse_plans(Some("drop=0.1,dup=0.05,crash=3,seed=1"), None, None, n).unwrap(),
     };
     let (result, schedule) = record(&spec, RandomScheduler::seeded(1));
     let want = result.expect("the recorded run completes correctly");

@@ -13,7 +13,7 @@ use asynchronous_resource_discovery::netsim::explore::{
 };
 use asynchronous_resource_discovery::netsim::shrink::shrink_jobs;
 use asynchronous_resource_discovery::netsim::{
-    FaultPlan, NodeId, ReplayScheduler, Scheduler,
+    FaultPlan, NodeId, Plans, ReplayScheduler, Scheduler,
 };
 
 use proptest::prelude::*;
@@ -45,7 +45,6 @@ fn racy_config(seed: u64, walks: u64, dfs: u64, depth: usize) -> ExploreConfig {
         dfs_budget: dfs,
         dfs_depth: depth,
         seed,
-        fault: None,
         ..ExploreConfig::default()
     }
 }
@@ -89,7 +88,10 @@ proptest! {
             dfs_budget: 16,
             dfs_depth: 4,
             seed,
-            fault: Some(FaultPlan::new(1).with_drop(0.25)),
+            plans: Plans {
+                faults: Some(FaultPlan::new(1).with_drop(0.25)),
+                ..Plans::default()
+            },
             ..ExploreConfig::default()
         };
         let sequential = explore_fork(&base, &fixtures::FragileSystem::new(2));
@@ -139,7 +141,10 @@ fn corpus_crash_witness_search_is_job_count_invariant() {
         dfs_budget: 0,
         dfs_depth: 0,
         seed: 0,
-        fault: Some(FaultPlan::new(1).with_crash(NodeId::new(0), 2, 2)),
+        plans: Plans {
+            faults: Some(FaultPlan::new(1).with_crash(NodeId::new(0), 2, 2)),
+            ..Plans::default()
+        },
         ..ExploreConfig::default()
     };
     let sequential = explore(&base, || {
@@ -178,7 +183,6 @@ fn checkpointing_is_transparent_and_schedules_replay() {
         dfs_budget: 96,
         dfs_depth: 6,
         seed: 0,
-        fault: None,
         jobs: 4,
         ..ExploreConfig::default()
     };

@@ -66,7 +66,10 @@ fn reduced_dfs_finds_and_minimizes_the_crash_fragile_witness() {
         dfs_budget: 512,
         dfs_depth: 5,
         seed: 0,
-        fault: Some(FaultPlan::new(1).with_crash(NodeId::new(0), 2, 2)),
+        plans: Plans {
+            faults: Some(FaultPlan::new(1).with_crash(NodeId::new(0), 2, 2)),
+            ..Plans::default()
+        },
         ..ExploreConfig::default()
     };
     let (_, full, reduced) = both_find(&config, &|c| {
@@ -86,7 +89,11 @@ fn reduced_dfs_finds_and_minimizes_the_equivocation_witness() {
         dfs_budget: 64,
         dfs_depth: 4,
         seed: 0,
-        byzantine: Some((ByzantinePlan::new(3, 1).only("equivocate"), 4)),
+        plans: Plans {
+            byzantine: Some(ByzantinePlan::new(3, 1).only("equivocate")),
+            ..Plans::default()
+        },
+        nodes: 4,
         ..ExploreConfig::default()
     };
     let (_, full, reduced) = both_find(&config, &|c| {
@@ -124,8 +131,12 @@ fn reduced_dfs_finds_and_minimizes_the_byzantine_churn_violation() {
         dfs_budget: 128,
         dfs_depth: 4,
         seed: 0,
-        byzantine: Some((ByzantinePlan::new(7, 2), 12)),
-        churn: Some((ChurnPlan::new(11, 0.2), 12)),
+        plans: Plans {
+            byzantine: Some(ByzantinePlan::new(7, 2)),
+            churn: Some(ChurnPlan::new(11, 0.2)),
+            ..Plans::default()
+        },
+        nodes: 12,
         ..ExploreConfig::default()
     };
     let (reason, full, reduced) = both_find(&config, &|c| explore(c, || run_byz_churn_ring));
