@@ -131,105 +131,74 @@ pub fn check_requirements<P: Protocol + AsArdNode>(
     Ok(())
 }
 
-/// Requirement 1 restricted to the *honest survivors*: among each
-/// component's nodes outside `excluded` (Byzantine nodes, departed nodes),
-/// exactly one is in a leader state. Components with no honest member are
-/// skipped.
+/// Requirements 1 and 2 restricted to the *honest survivors*, from one
+/// walk over the components: among each component's nodes outside
+/// `excluded` (Byzantine nodes, departed nodes),
 ///
-/// This is the single-leader cell of the Byzantine guarantee-survival
-/// matrix: it deliberately drops the full checker's quiescence bookkeeping
-/// (requirement 4) — forged traffic and mid-protocol departures can
-/// legitimately strand deferred messages and relays, which the matrix
-/// reports as degradation separately.
+/// * **single leader** — exactly one is in a leader state;
+/// * **leader knows all** — that unique honest leader holds every other
+///   honest member in its cluster sets (`more ∪ done ∪ unaware`). Extra
+///   entries — Byzantine nodes, departed nodes, fabricated ids — are
+///   tolerated: knowing too much is not a safety violation, claiming
+///   members you never discovered is.
 ///
-/// # Errors
+/// Components with no honest member are skipped. These are the first two
+/// cells of the Byzantine guarantee-survival matrix: they deliberately
+/// drop the full checker's quiescence bookkeeping (requirement 4) —
+/// forged traffic and mid-protocol departures can legitimately strand
+/// deferred messages and relays, which the matrix reports as degradation
+/// separately.
 ///
-/// Returns a description of the first component without a unique honest
-/// leader.
-pub(crate) fn check_survivor_single_leader<P: Protocol + AsArdNode>(
+/// Each verdict is `Err` with the first component that fails it; a
+/// component without a unique honest leader fails both, since "the leader
+/// knows all" is not even well-posed there.
+pub(crate) fn check_survivors<P: Protocol + AsArdNode>(
     runner: &Runner<P>,
     graph: &KnowledgeGraph,
     excluded: &BTreeSet<NodeId>,
-) -> Result<(), String> {
+) -> (Result<(), String>, Result<(), String>) {
+    let (mut single_leader, mut leader_knows_all) = (Ok(()), Ok(()));
     for component in components::weakly_connected_components(graph) {
         let honest: Vec<NodeId> = component
             .iter()
             .copied()
             .filter(|v| !excluded.contains(v))
             .collect();
-        if honest.is_empty() {
-            continue;
-        }
         let leaders: Vec<NodeId> = honest
             .iter()
             .copied()
             .filter(|&v| runner.node(v).ard().is_leader())
             .collect();
-        if leaders.len() != 1 {
-            return Err(format!(
-                "component of {} has {} honest leaders: {:?}",
-                component[0],
-                leaders.len(),
-                leaders
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Requirement 2 restricted to the *honest survivors*: each component's
-/// unique honest leader holds every other honest member in its cluster sets
-/// (`more ∪ done ∪ unaware`). Extra entries — Byzantine nodes, departed
-/// nodes, fabricated ids — are tolerated: knowing too much is not a safety
-/// violation, claiming members you never discovered is.
-///
-/// # Errors
-///
-/// Returns the first component whose honest leader is missing an honest
-/// member (or which has no unique honest leader, without which "the leader
-/// knows all" is not even well-posed).
-pub(crate) fn check_survivor_leader_knows_all<P: Protocol + AsArdNode>(
-    runner: &Runner<P>,
-    graph: &KnowledgeGraph,
-    excluded: &BTreeSet<NodeId>,
-) -> Result<(), String> {
-    for component in components::weakly_connected_components(graph) {
-        let honest: Vec<NodeId> = component
-            .iter()
-            .copied()
-            .filter(|v| !excluded.contains(v))
-            .collect();
-        if honest.is_empty() {
-            continue;
-        }
-        let leaders: Vec<NodeId> = honest
-            .iter()
-            .copied()
-            .filter(|&v| runner.node(v).ard().is_leader())
-            .collect();
+        let first = component[0];
         let &[leader] = leaders.as_slice() else {
-            return Err(format!(
-                "component of {}: leader-knows-all undefined with {} honest leaders",
-                component[0],
-                leaders.len()
-            ));
-        };
-        let lnode = runner.node(leader).ard();
-        for &v in &honest {
-            if v == leader {
+            if honest.is_empty() {
                 continue;
             }
-            if !(lnode.done().contains(v)
-                || lnode.more().contains(v)
-                || lnode.unaware().contains(v))
-            {
-                return Err(format!(
-                    "honest leader {leader} does not know honest member {v}"
+            let count = leaders.len();
+            single_leader = Err(format!(
+                "component of {first} has {count} honest leaders: {leaders:?}"
+            ));
+            if leader_knows_all.is_ok() {
+                leader_knows_all = Err(format!(
+                    "component of {first}: leader-knows-all undefined with {count} honest leaders"
                 ));
             }
+            // Both verdicts are failures now; no later component changes them.
+            break;
+        };
+        if leader_knows_all.is_err() {
+            continue;
+        }
+        let lnode = runner.node(leader).ard();
+        let knows =
+            |v| lnode.done().contains(v) || lnode.more().contains(v) || lnode.unaware().contains(v);
+        if let Some(v) = honest.iter().find(|&&v| v != leader && !knows(v)) {
+            leader_knows_all = Err(format!(
+                "honest leader {leader} does not know honest member {v}"
+            ));
         }
     }
-    Ok(())
+    (single_leader, leader_knows_all)
 }
 
 /// Follows `next` pointers from `v` to a fixed point.
