@@ -1,4 +1,4 @@
-//! Experiment implementations behind the `tables` binary.
+//! Experiment implementations behind `ard tables`.
 //!
 //! The paper is a theory paper: its evaluation artifacts are Theorems 1–8,
 //! Lemmas 5.5–5.10 and the Figure 1 state diagram. Each experiment here
@@ -7,18 +7,19 @@
 //! results). Run them all with:
 //!
 //! ```text
-//! cargo run --release -p ard-bench --bin tables
+//! cargo run --release -p ard-cli -- tables
 //! ```
 //!
-//! or a single experiment with `-- --exp e5`.
+//! or a single experiment with `tables --exp e5`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiments;
-pub mod parallel;
 mod table;
 pub mod throughput;
+
+use ard_netsim::par::parallel_map;
 
 pub use table::Table;
 
@@ -56,13 +57,14 @@ fn build((id, title, fill): Experiment, quick: bool) -> Table {
     table
 }
 
-/// Returns every experiment's table, in index order.
+/// Returns every experiment's table, in index order, built on `jobs`
+/// worker threads.
 ///
-/// Tables are built on the worker pool configured via
-/// [`parallel::set_jobs`] (sequentially by default); the returned order and
-/// every table's contents are identical whatever the job count.
-pub fn all_tables(quick: bool) -> Vec<Table> {
-    parallel::map_configured(EXPERIMENTS.to_vec(), |entry| build(entry, quick))
+/// Every experiment is deterministic in its inputs (each trial owns its
+/// topology seed and its seeded scheduler) and the tables come back in
+/// input order, so the result is identical whatever the job count.
+pub fn all_tables(quick: bool, jobs: usize) -> Vec<Table> {
+    parallel_map(jobs, EXPERIMENTS.to_vec(), |entry| build(entry, quick))
 }
 
 /// Runs one experiment, looked up by id (e.g. `"e5"`, `"f1"`, `"a2"`).

@@ -4,13 +4,13 @@
 //! An "event" is one `Runner::step` — a wake-up or a message delivery.
 //! This is the metric `BENCH_throughput.json` records so successive PRs
 //! have a perf trajectory to compare against; regenerate it with
-//! `scripts/bench.sh` (or `tables --bench-throughput`).
+//! `scripts/bench.sh` (or `ard tables --bench-throughput`).
 
 use std::time::Instant;
 
 use ard_core::{Discovery, Variant};
 use ard_graph::gen;
-use ard_netsim::{FifoScheduler, RandomScheduler, Scheduler};
+use ard_netsim::RandomScheduler;
 
 /// Network sizes the throughput sweep covers. The large tail exercises the
 /// SoA node table and sparse knowledge (n > 8192 switches the runner's
@@ -46,14 +46,6 @@ pub struct ThroughputPoint {
     pub payload_peak_bytes: u64,
 }
 
-fn make_scheduler(name: &'static str, seed: u64) -> Box<dyn Scheduler> {
-    match name {
-        "fifo" => Box::new(FifoScheduler::new()),
-        "random" => Box::new(RandomScheduler::seeded(seed)),
-        other => panic!("unknown scheduler {other}"),
-    }
-}
-
 /// Measures events/sec for every `(n, scheduler)` pair in the sweep,
 /// taking the best of `reps` repetitions (graph generation excluded).
 ///
@@ -78,9 +70,9 @@ pub fn measure(sizes: &[usize], reps: u32) -> Vec<ThroughputPoint> {
                     d.run_all_rounds().expect("throughput run livelocked");
                     start.elapsed().as_secs_f64()
                 } else {
-                    let mut sched = make_scheduler(scheduler, n as u64 ^ 0xa5a5);
+                    let mut sched = RandomScheduler::seeded(n as u64 ^ 0xa5a5);
                     let start = Instant::now();
-                    d.run_all(sched.as_mut()).expect("throughput run livelocked");
+                    d.run_all(&mut sched).expect("throughput run livelocked");
                     start.elapsed().as_secs_f64()
                 };
                 events = d.runner().steps_executed();

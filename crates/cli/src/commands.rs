@@ -8,6 +8,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
+use ard_bench::throughput;
 use ard_core::node::ArdNode;
 use ard_core::spec::{
     byzantine_meta, churn_meta, faults_meta, parse_plans, parse_topology, parse_variant,
@@ -187,6 +188,15 @@ commands! {
         "shrink"      Switch  ""       -        "ddmin-minimize the replayed failure into --out"
         "jobs"        Value   "N"      "1"      "with --shrink: worker threads"
         "out"         Value   "PATH"   "<file>.min"  "with --shrink: the 1-minimal schedule's file"
+    }
+    "tables" "regenerate the paper's evaluation tables (E1–E15, F1, A1–A3)" => tables {
+        "exp"         Value   "ID"     -        "build one experiment's table (ids: --list)"
+        "quick"       Switch  ""       -        "small sweeps: seconds instead of minutes"
+        "list"        Switch  ""       -        "print the experiment index and run nothing"
+        "jobs"        Value   "N"      "1"      "build all the tables on N worker threads"
+        "bench-throughput"  Optional("BENCH_throughput.json")  "PATH"  -
+            "run the engine-throughput sweep (with --quick: n ≤ 4096 only) and write its \
+             JSON to PATH (bare: BENCH_throughput.json)"
     }
     "help" "print this text" => help {}
 }
@@ -707,6 +717,56 @@ fn baseline_trial(n: usize, seed: u64) -> Result<String, CliError> {
         .unwrap();
     }
     writeln!(out, "(α(n,n) = {})", alpha(n as u64, n as u64)).unwrap();
+    Ok(out)
+}
+
+/// Builds the tables `--exp` / `--list` / `--bench-throughput` pick (at most
+/// one of them), else every table.
+fn tables(args: &Args) -> Result<String, CliError> {
+    let quick = args.has("quick");
+    let jobs = args.count("jobs")?;
+    let picked: Vec<_> = ["exp", "list", "bench-throughput"]
+        .into_iter()
+        .filter(|k| args.has(k))
+        .collect();
+    if let [first, second, ..] = picked[..] {
+        let both = format!("--{first} and --{second} pick different runs: give one");
+        return Err(CliError(both));
+    }
+    if let (Some(run), true) = (picked.first(), args.has("jobs")) {
+        let all = format!("--jobs builds all the tables: drop it or --{run}");
+        return Err(CliError(all));
+    }
+    let mut out = String::new();
+    if let Some(path) = args.value("bench-throughput") {
+        let sizes = throughput::THROUGHPUT_SIZES.into_iter();
+        let sizes: Vec<_> = sizes.filter(|&n| !quick || n <= 4096).collect();
+        let points = throughput::measure(&sizes, 3);
+        for p in &points {
+            writeln!(
+                out,
+                "n={:<7} {:<7} {:>9} events in {:>8.3}s  ->  {:>12.0} events/s  ({:>7.1} knowledge B/node, {:>6.1} payload B/event, peak {} B)",
+                p.n, p.scheduler, p.events, p.secs, p.events_per_sec, p.knowledge_bytes_per_node,
+                p.payload_bytes_per_event, p.payload_peak_bytes
+            )
+            .unwrap();
+        }
+        std::fs::write(path, throughput::to_json(&points))
+            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        writeln!(out, "wrote {path}").unwrap();
+    } else if args.has("list") {
+        for (id, title, _) in ard_bench::EXPERIMENTS {
+            writeln!(out, "{id:4}  {title}").unwrap();
+        }
+    } else if let Some(id) = args.value("exp") {
+        let table = ard_bench::table_by_id(id, quick)
+            .ok_or_else(|| CliError(format!("unknown experiment id: {id} (try --list)")))?;
+        writeln!(out, "{table}").unwrap();
+    } else {
+        for table in ard_bench::all_tables(quick, jobs) {
+            writeln!(out, "{table}").unwrap();
+        }
+    }
     Ok(out)
 }
 
@@ -1307,6 +1367,52 @@ mod tests {
             assert_eq!(run_line(line).unwrap_err().0, complaint, "{line}");
         }
         assert!(run_line("adversary --levels 99999999999").unwrap_err().0.contains("not a number"));
+    }
+
+    #[test]
+    fn tables_prints_what_ard_bench_builds() {
+        let e5 = ard_bench::table_by_id("e5", true).unwrap();
+        assert_eq!(
+            run_line("tables --exp e5 --quick").unwrap(),
+            format!("{e5}\n")
+        );
+        let list = run_line("tables --list").unwrap();
+        let ids: Vec<_> = list
+            .lines()
+            .map(|line| line.split_whitespace().next())
+            .collect();
+        let want: Vec<_> = ard_bench::EXPERIMENTS
+            .iter()
+            .map(|(id, ..)| Some(*id))
+            .collect();
+        assert_eq!(ids, want);
+        let err = run_line("tables --exp zz").unwrap_err();
+        assert!(err.0.contains("--list"), "{}", err.0);
+    }
+
+    #[test]
+    fn tables_takes_one_run_and_jobs_only_for_all_tables() {
+        let both = |a: &str, b: &str| format!("--{a} and --{b} pick different runs: give one");
+        let jobs = |other: &str| format!("--jobs builds all the tables: drop it or --{other}");
+        for (line, complaint) in [
+            ("tables --list --exp e5", both("exp", "list")),
+            (
+                "tables --bench-throughput --exp e5",
+                both("exp", "bench-throughput"),
+            ),
+            (
+                "tables --list --bench-throughput x.json",
+                both("list", "bench-throughput"),
+            ),
+            ("tables --exp e5 --jobs 2", jobs("exp")),
+            ("tables --list --jobs 2", jobs("list")),
+            (
+                "tables --bench-throughput x.json --jobs 2",
+                jobs("bench-throughput"),
+            ),
+        ] {
+            assert_eq!(run_line(line).unwrap_err().0, complaint, "{line}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! ard reduction --sets 128 --finds 64 --adversarial
 //! ard overlay --n 128 --lookups 200
 //! ard baselines --n 128
+//! ard tables --exp e5 --quick
 //! ```
 
 #![forbid(unsafe_code)]

@@ -10,7 +10,7 @@
 #                               # partial run. See docs/testing.md for
 #                               # measured runtimes.
 #
-# Extra flags are passed through to the tables binary (e.g. --jobs N).
+# Extra flags are passed through to `ard tables --bench-throughput`.
 # The repo's end-to-end and per-layer benchmark is benchmark/run.sh; its
 # explorer scaling is netsim.explore.*.
 set -euo pipefail
@@ -23,5 +23,5 @@ for arg in "$@"; do
         throughput_json=target/BENCH_throughput.quick.json
     fi
 done
-cargo run --offline --release -p ard-bench --bin tables -- \
+cargo run --offline --release -p ard-cli -- tables \
     --bench-throughput "$throughput_json" "$@"

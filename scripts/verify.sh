@@ -4,7 +4,8 @@
 #   scripts/verify.sh
 #
 # Runs the build + test + lint gate from ROADMAP.md (with the tests of
-# every workspace crate, not only the root package) and `cargo doc` with
+# every workspace crate, not only the root package), the release
+# `ard tables --quick` against its snapshot, and `cargo doc` with
 # warnings denied (a dangling intra-doc link fails). Then the n = 100,000
 # round-loop-vs-FifoScheduler comparison and the full-size (n = 16,384)
 # record -> strict replay under the faulty-16k plan, then
@@ -35,12 +36,20 @@ step() {
 }
 
 step cargo build --release
+# The paper's tables through the command line: the release `ard tables
+# --quick` must print tests/snapshots/tables-quick.snapshot byte for byte
+# (the unit test pins the library path in a debug build).
+step cargo build --release --offline -p ard-cli
+tables_quick() {
+    target/release/ard tables --quick | diff - tests/snapshots/tables-quick.snapshot
+}
+step tables_quick
 # --workspace: a bare `cargo test` at the root covers the umbrella package
 # only and skips every crate-level suite (unit tests, set/payload oracles,
 # netsim/graph/overlay props).
 step cargo test --workspace --offline -q
 # --all-targets: every crate's unit and integration tests, the examples and
-# the `tables` and `ard` binaries are linted with the libraries.
+# the `ard` binary are linted with the libraries.
 step cargo clippy --workspace --all-targets -- -D warnings
 # Doc comments link to types by name; nothing above notices when a refactor
 # deletes or renames one.
@@ -82,4 +91,4 @@ for key in '"payload_bytes_per_event"' '"payload_peak_bytes"'; do
 done
 
 echo "verify: $SECONDS s in all" >&2
-echo "verify: OK (workspace tests, clippy and docs clean; n=100000 round loop equals the FifoScheduler run; n=16384 faulty recording replays strictly; benchmark/ci-smoke.sh green with benchmark/Cargo.lock untouched; bench JSON schema ok)"
+echo "verify: OK (ard tables --quick matches its snapshot; workspace tests, clippy and docs clean; n=100000 round loop equals the FifoScheduler run; n=16384 faulty recording replays strictly; benchmark/ci-smoke.sh green with benchmark/Cargo.lock untouched; bench JSON schema ok)"
