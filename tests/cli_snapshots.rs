@@ -1,4 +1,4 @@
-//! The eight seeded CLI smokes, byte-compared against the snapshots under
+//! The nine seeded CLI smokes, byte-compared against the snapshots under
 //! `tests/snapshots/`: `ard_cli::commands::run` is called in-process, so
 //! `cargo test` alone catches a moved byte in `ard discover` / `ard explore`
 //! output under faults, traitors, churn and sleep-set reduction, or in the
@@ -18,6 +18,9 @@
 //! * **discover** — five 500–2,000-node discovery runs whose payloads grow
 //!   to whole cluster sets: fifo with a trace, random order on every
 //!   variant, several components, and faults;
+//! * **discover-orders** — `discover` under the lifo and bounded-delay
+//!   schedulers, a recorded fifo run with its file and its replay, a
+//!   `--dot` file, and traitors plus churn with `--trace --stats`;
 //! * **cli-surface** — one run of every other command (`adversary`,
 //!   `reduction`, `overlay`, `baselines`, `discover --sweep`, `explore`,
 //!   `replay`, `replay --shrink`) and the exact text of the usage errors;
@@ -27,7 +30,7 @@
 //!   description, on the command line and in a damaged recording.
 //!
 //! Everything is seeded, so the output is deterministic down to the metrics
-//! table. After an intentional change, regenerate all eight with
+//! table. After an intentional change, regenerate all nine with
 //! `ARD_UPDATE_SNAPSHOTS=1 cargo test --test cli_snapshots` and review the
 //! diff.
 
@@ -252,6 +255,50 @@ fn discover_smoke_matches_its_snapshot() {
         out += &ard(line);
     }
     check_snapshot("discover-smoke.snapshot", &out);
+}
+
+/// `discover` under the orders and flags the other smokes leave out: the
+/// lifo and bounded-delay schedulers, a recorded fifo run (its report, its
+/// recording and `ard replay` of it), a `--dot` file, and traitors plus
+/// churn with a trace and traffic statistics. How a run is ordered,
+/// recorded and judged changes under this pin, and the bytes must not.
+#[test]
+fn discover_under_every_order_matches_its_snapshot() {
+    let schedule = ScratchSchedule::new("/tmp/ard-verify-orders.schedule");
+    let dot = ScratchSchedule::new("/tmp/ard-verify-orders.dot");
+    let path = schedule.path.to_str().expect("utf-8 temp dir");
+    let dot_path = dot.path.to_str().expect("utf-8 temp dir");
+    let pin = |text: String| {
+        text.replace(path, schedule.pinned)
+            .replace(dot_path, dot.pinned)
+    };
+    let random = "random:n=500,extra=1000";
+    let mut out = String::new();
+    for line in [
+        format!("discover --topology {random} --variant adhoc --scheduler lifo --stats"),
+        format!("discover --topology {random} --variant bounded --scheduler bounded:4,7 --stats"),
+        "discover --topology random:n=64,extra=128,seed=3 --variant oblivious --scheduler fifo \
+         --trace 20 --stats --byzantine f=3,seed=7 --churn rate=0.1,seed=11"
+            .to_string(),
+    ] {
+        out += &format!("=== {line} ===\n");
+        out += &ard(&line);
+    }
+
+    let line = "discover --topology random:n=64,extra=128,seed=5 --variant adhoc --scheduler fifo";
+    out += &format!("=== {line} --record ===\n");
+    out += &pin(ard(&format!("{line} --record {path}")));
+    out += "--- the recording ---\n";
+    out += &abridged(&std::fs::read_to_string(path).expect("the recording exists"));
+    out += "--- ard replay ---\n";
+    out += &pin(ard(&format!("replay {path}")));
+
+    let line = "discover --topology ring:8 --variant bounded --scheduler lifo";
+    out += &format!("=== {line} --dot ===\n");
+    out += &pin(ard(&format!("{line} --dot {dot_path}")));
+    out += "--- the dot file ---\n";
+    out += &abridged(&std::fs::read_to_string(dot_path).expect("the dot file exists"));
+    check_snapshot("discover-orders.snapshot", &out);
 }
 
 /// One run of every command the other smokes leave out, then `replay` and
