@@ -22,7 +22,9 @@ use ard_netsim::explore::{
     ReduceMode,
 };
 use ard_netsim::shrink::shrink_jobs;
-use ard_netsim::{Metrics, NodeId, RandomScheduler, ReplayScheduler, Schedule, Scheduler};
+use ard_netsim::{
+    Metrics, NodeId, RandomScheduler, RecordingScheduler, ReplayScheduler, Schedule, Scheduler,
+};
 use ard_overlay::{bootstrap, Key};
 use ard_union_find::{alpha, OpSequence};
 
@@ -443,11 +445,15 @@ fn discover_on<P: Layer>(
     }
 
     let mut saved = String::new();
-    let result = if let Some(path) = args.value("record") {
+    let recording = args.value("record");
+    let result = if let Some(path) = recording {
         // The recording carries every injected event as an explicit choice
         // and is written even when the run fails: a failing prefix is still
         // worth replaying.
-        let (result, mut schedule) = d.run_recorded(sched.build());
+        let mut recorder = RecordingScheduler::new(plans.scheduler(sched.build(), graph.len()));
+        let result = d.run_all(&mut recorder);
+        let mut schedule = recorder.into_schedule();
+        schedule.set_meta("nodes", graph.len().to_string());
         spec.stamp(&mut schedule);
         save(&mut saved, "schedule  : written to", path, &schedule)?;
         result
@@ -460,9 +466,13 @@ fn discover_on<P: Layer>(
     } else {
         d.run_all(sched.build().as_mut())
     };
-    let outcome = result.map_err(|e| CliError(format!("simulation failed: {e}")))?;
+    // A failed run still names where its recording went.
+    let named = recording.map_or(String::new(), |path| {
+        format!(" (schedule written to {path}; re-run with `ard replay {path}`)")
+    });
+    let outcome = result.map_err(|e| CliError(format!("simulation failed: {e}{named}")))?;
     d.check(&outcome)
-        .map_err(|e| CliError(format!("requirements violated: {e}")))?;
+        .map_err(|e| CliError(format!("requirements violated: {e}{named}")))?;
 
     let mut out = header(&spec.topology, graph, spec.variant);
     if let Some(plan) = &plans.faults {
@@ -1621,6 +1631,60 @@ mod tests {
             assert!(!replayed.contains("meta      : faults"), "{replayed}");
             assert!(replayed.contains("result    : schedule replayed cleanly"), "{replayed}");
         }
+    }
+
+    /// `discover --record` and `ard_core::record` compose the recorder
+    /// separately; for the same run they must write the same bytes, the
+    /// `nodes` metadata included.
+    #[test]
+    fn discover_records_what_the_library_records() {
+        let path = std::env::temp_dir().join(format!("ard-cli-test-{}.schedule", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        for (topology, faults, byzantine, churn) in [
+            ("ring:10", None, None, None),
+            ("random:n=12,extra=20,seed=3", Some("drop=0.1,crash=1,seed=2"), None, None),
+            ("ring:12", None, Some("f=2,seed=7"), Some("rate=0.2,seed=11")),
+        ] {
+            let mut line =
+                format!("discover --topology {topology} --variant adhoc --scheduler random:5");
+            for (flag, value) in [("faults", faults), ("byzantine", byzantine), ("churn", churn)] {
+                if let Some(value) = value {
+                    write!(line, " --{flag} {value}").unwrap();
+                }
+            }
+            run_line(&format!("{line} --record {path}")).unwrap();
+            let written = std::fs::read_to_string(&path).unwrap();
+
+            let n = parse_topology(topology).unwrap().len();
+            let spec = RunSpec {
+                topology: topology.into(),
+                variant: Variant::AdHoc,
+                plans: parse_plans(faults, byzantine, churn, n).unwrap(),
+            };
+            let inner = spec::parse_scheduler("random:5").unwrap().build();
+            let (_, recorded) = ard_core::record(&spec, inner);
+            assert_eq!(written, recorded.to_text(), "{line}");
+            assert!(written.contains(&format!("meta nodes {n}\n")), "{line}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A run that fails still writes its recording, and the error says
+    /// where it went.
+    #[test]
+    fn a_failed_recorded_discover_names_its_recording() {
+        let path = std::env::temp_dir().join(format!("ard-cli-test-{}-failed.schedule", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let line = "discover --topology ring:8 --scheduler fifo --max-steps 5";
+        let err = run_line(&format!("{line} --record {path}")).unwrap_err();
+        assert!(err.0.starts_with("simulation failed: "), "{err}");
+        let named = format!("(schedule written to {path}; re-run with `ard replay {path}`)");
+        assert!(err.0.ends_with(&named), "{err}");
+        let replayed = run_line(&format!("replay {path}")).unwrap();
+        assert!(replayed.starts_with("schedule  : 5 choices from"), "{replayed}");
+        let unrecorded = run_line(line).unwrap_err();
+        assert!(!unrecorded.0.contains("schedule written"), "{unrecorded}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

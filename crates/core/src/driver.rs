@@ -256,12 +256,10 @@ impl<P: Layer> DiscoveryOn<P> {
 
     /// Builds the network a run under `plans` needs: configured by
     /// `Config::under`, with the plans kept to withhold the churn
-    /// joiners' wake-ups, single out the survivors and stamp recordings.
-    /// Injecting the plans is the scheduler's job — [`run_recorded`]
-    /// attaches them itself, any other run expects `sched` to carry them
-    /// (an explorer's fault-wrapped scheduler, a replayed schedule).
-    ///
-    /// [`run_recorded`]: DiscoveryOn::run_recorded
+    /// joiners' wake-ups and single out the survivors. Injecting the plans
+    /// is the scheduler's job: every run expects `sched` to carry them
+    /// ([`Plans::scheduler`], an explorer's fault-wrapped scheduler, a
+    /// replayed schedule).
     pub fn under(graph: &KnowledgeGraph, variant: Variant, plans: &Plans) -> Self {
         let mut d = Self::with_config(graph, variant, Config::under(plans));
         d.plans = plans.clone();
@@ -320,11 +318,6 @@ impl<P: Layer> DiscoveryOn<P> {
         }
     }
 
-    /// Wakes one node immediately (staged drivers).
-    pub fn wake_now(&mut self, node: NodeId, sched: &mut dyn Scheduler) {
-        self.runner.wake_now(node, sched);
-    }
-
     /// Runs until quiescence within the step budget.
     ///
     /// # Errors
@@ -361,57 +354,19 @@ impl<P: Layer> DiscoveryOn<P> {
     /// Returns the layer's [`Livelock`](Layer::Livelock) if the step
     /// budget is exhausted first, exactly when the scheduler-driven run
     /// would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network was built [`under`](DiscoveryOn::under)
+    /// non-empty plans: the round loop would wake the churn joiners at once
+    /// and inject nothing.
     pub fn run_all_rounds(&mut self) -> Result<Outcome, P::Livelock> {
-        debug_assert!(self.plans.is_empty(), "the round loop injects no plans");
+        assert!(self.plans.is_empty(), "the round loop injects no plans");
         let steps = self
             .runner
             .run_rounds(self.budget())
             .map_err(P::livelock)?;
         Ok(self.outcome_after(steps))
-    }
-
-    /// Like [`run_recorded`](DiscoveryOn::run_recorded) under a FIFO
-    /// scheduler, but executed on the round loop: the returned
-    /// [`Schedule`] is byte-identical to that recording.
-    pub fn run_rounds_recorded(&mut self) -> (Result<Outcome, P::Livelock>, Schedule) {
-        debug_assert!(self.plans.is_empty(), "the round loop injects no plans");
-        let (result, mut schedule) = self.runner.run_rounds_recorded(self.budget());
-        schedule.set_meta("nodes", self.runner.len().to_string());
-        let result = result
-            .map(|steps| self.outcome_after(steps))
-            .map_err(P::livelock);
-        (result, schedule)
-    }
-
-    /// Like [`run_all`](DiscoveryOn::run_all) with the network's plans
-    /// injected around `inner` ([`Plans::scheduler`]), recording the exact
-    /// choice sequence — **including** every injected `Drop`, `Duplicate`,
-    /// `Crash`, `Restart`, `Tick`, `Forge`, `Silence`, `StaleRestart`,
-    /// `Join` and `Leave` — into a replayable [`Schedule`] carrying the
-    /// `nodes` metadata; [`RunSpec::stamp`] adds what `ard replay` rebuilds
-    /// the network from. The schedule is returned even when the run
-    /// livelocks — a livelocking prefix is still worth replaying.
-    pub fn run_recorded<S: Scheduler>(
-        &mut self,
-        inner: S,
-    ) -> (Result<Outcome, P::Livelock>, Schedule) {
-        // Cloned because the closure borrows the whole driver.
-        let (plans, n) = (self.plans.clone(), self.runner.len());
-        recorded(&plans, n, inner, |sched| self.run_all(sched))
-    }
-
-    /// Re-executes a recorded [`Schedule`] against this (freshly built)
-    /// network: wakes every node and replays strictly, panicking with a
-    /// divergence diagnostic if the schedule was recorded against a
-    /// different system. The recorded choices carry every injected event,
-    /// so no plan and no RNG is involved: replay is byte-exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns the layer's [`Livelock`](Layer::Livelock) if the step
-    /// budget is exhausted first.
-    pub fn run_replay(&mut self, schedule: &Schedule) -> Result<Outcome, P::Livelock> {
-        self.run_all(&mut ReplayScheduler::strict(schedule))
     }
 
     /// Computes the current [`Outcome`] without running anything.
@@ -530,24 +485,6 @@ impl<P: Layer> DiscoveryOn<P> {
             self.variant,
             &P::NETTING,
         )
-    }
-
-    fn run_checked(
-        graph: &KnowledgeGraph,
-        variant: Variant,
-        plans: &Plans,
-        sched: &mut dyn Scheduler,
-    ) -> Result<Outcome, String> {
-        let mut d = Self::under(graph, variant, plans);
-        let mut outcome = d.run_all(sched).map_err(|e| e.to_string())?;
-        if sched.pending() > 0 {
-            // The scheduler stopped early (a truncated replay): no
-            // guarantee speaks of an unfinished run, so it is not judged.
-            outcome.survivors = None;
-            return Ok(outcome);
-        }
-        d.check(&outcome)?;
-        Ok(outcome)
     }
 
     /// Extension beyond the paper (its §7 names dynamic *removals* as open):
@@ -727,7 +664,7 @@ impl Discovery {
         schedule: &Schedule,
     ) -> Result<Outcome, String> {
         let mut d = FaultyDiscovery::new(graph, variant);
-        let outcome = d.run_replay(schedule)?;
+        let outcome = d.run_all(&mut ReplayScheduler::strict(schedule))?;
         d.check_requirements(graph)?;
         Ok(outcome)
     }
@@ -764,33 +701,38 @@ pub fn run_checked(
     plans: &Plans,
     sched: &mut dyn Scheduler,
 ) -> Result<Outcome, String> {
-    if plans.reliable() {
-        FaultyDiscovery::run_checked(graph, variant, plans, sched)
-    } else {
-        Discovery::run_checked(graph, variant, plans, sched)
+    fn on<P: Layer>(
+        graph: &KnowledgeGraph,
+        variant: Variant,
+        plans: &Plans,
+        sched: &mut dyn Scheduler,
+    ) -> Result<Outcome, String> {
+        let mut d = DiscoveryOn::<P>::under(graph, variant, plans);
+        let mut outcome = d.run_all(sched).map_err(|e| e.to_string())?;
+        if sched.pending() > 0 {
+            // The scheduler stopped early (a truncated replay): no
+            // guarantee speaks of an unfinished run, so it is not judged.
+            outcome.survivors = None;
+            return Ok(outcome);
+        }
+        d.check(&outcome)?;
+        Ok(outcome)
     }
-}
-
-/// Runs `run` under a recorder around `plans`' scheduler for an `n`-node
-/// network and returns its result with the recording, which carries the
-/// `nodes` metadata.
-fn recorded<S: Scheduler, R>(
-    plans: &Plans,
-    n: usize,
-    inner: S,
-    run: impl FnOnce(&mut dyn Scheduler) -> R,
-) -> (R, Schedule) {
-    let mut sched = RecordingScheduler::new(plans.scheduler(inner, n));
-    let result = run(&mut sched);
-    let mut schedule = sched.into_schedule();
-    schedule.set_meta("nodes", n.to_string());
-    (result, schedule)
+    if plans.reliable() {
+        on::<Reliable<ArdNode>>(graph, variant, plans, sched)
+    } else {
+        on::<ArdNode>(graph, variant, plans, sched)
+    }
 }
 
 /// [`run_checked`] of the run `spec` describes (under any drop rate `< 1`
 /// and a fault plan's bounded crash/restart churn, discovery must still
-/// complete correctly), recorded as by [`DiscoveryOn::run_recorded`] and
-/// stamped with the spec ([`RunSpec::stamp`]).
+/// complete correctly) under `spec`'s plans injected around `inner`
+/// ([`Plans::scheduler`]), recording the exact choice sequence —
+/// **including** every injected `Drop`, `Duplicate`, `Crash`, `Restart`,
+/// `Tick`, `Forge`, `Silence`, `StaleRestart`, `Join` and `Leave` — into a
+/// [`Schedule`] carrying the `nodes` metadata and stamped with the spec
+/// ([`RunSpec::stamp`]).
 ///
 /// Returns the run result and the recorded schedule (also on failure — a
 /// failing prefix is still worth replaying), which [`replay`] and `ard
@@ -801,9 +743,10 @@ fn recorded<S: Scheduler, R>(
 /// Panics if `spec.topology` does not parse.
 pub fn record<S: Scheduler>(spec: &RunSpec, inner: S) -> (Result<Outcome, String>, Schedule) {
     let graph = parse_topology(&spec.topology).unwrap_or_else(|e| panic!("{e}"));
-    let (result, mut schedule) = recorded(&spec.plans, graph.len(), inner, |sched| {
-        run_checked(&graph, spec.variant, &spec.plans, sched)
-    });
+    let mut sched = RecordingScheduler::new(spec.plans.scheduler(inner, graph.len()));
+    let result = run_checked(&graph, spec.variant, &spec.plans, &mut sched);
+    let mut schedule = sched.into_schedule();
+    schedule.set_meta("nodes", graph.len().to_string());
     spec.stamp(&mut schedule);
     (result, schedule)
 }
@@ -910,20 +853,22 @@ mod tests {
 
     #[test]
     fn recorded_run_replays_to_identical_outcome() {
-        let graph = gen::random_weakly_connected(12, 20, 6);
-        let mut d = Discovery::new(&graph, Variant::AdHoc);
-        let (result, schedule) = d.run_recorded(RandomScheduler::seeded(5));
+        let adhoc = spec("random:n=12,extra=20,seed=6", Variant::AdHoc, Plans::default());
+        let (result, schedule) = record(&adhoc, RandomScheduler::seeded(5));
         let recorded = result.unwrap();
         assert_eq!(schedule.meta("nodes"), Some("12"));
         assert_eq!(
             schedule.meta("variant"),
-            None,
+            Some("ad-hoc"),
             "the run's spec is RunSpec::stamp's"
         );
         assert_eq!(schedule.len() as u64, recorded.steps);
 
+        let graph = parse_topology(&adhoc.topology).unwrap();
         let mut fresh = Discovery::new(&graph, Variant::AdHoc);
-        let replayed = fresh.run_replay(&schedule).unwrap();
+        let replayed = fresh
+            .run_all(&mut ReplayScheduler::strict(&schedule))
+            .unwrap();
         assert_eq!(replayed.leaders, recorded.leaders);
         assert_eq!(replayed.leader_of, recorded.leader_of);
         assert_eq!(replayed.steps, recorded.steps);
@@ -939,13 +884,24 @@ mod tests {
     fn replaying_against_a_different_network_diverges() {
         let graph = gen::path(6);
         let mut d = Discovery::new(&graph, Variant::Oblivious);
-        let (result, schedule) = d.run_recorded(RandomScheduler::seeded(1));
-        result.unwrap();
+        let mut recorder = RecordingScheduler::new(RandomScheduler::seeded(1));
+        d.run_all(&mut recorder).unwrap();
+        let schedule = recorder.into_schedule();
         // A different topology enables different choices: strict replay
         // must detect the mismatch rather than execute nonsense.
         let other = gen::star_in(6);
         let mut fresh = Discovery::new(&other, Variant::Oblivious);
-        let _ = fresh.run_replay(&schedule);
+        let _ = fresh.run_all(&mut ReplayScheduler::strict(&schedule));
+    }
+
+    #[test]
+    #[should_panic(expected = "the round loop injects no plans")]
+    fn round_loop_refuses_a_network_built_under_plans() {
+        let plans = Plans {
+            churn: Some(ChurnPlan::new(11, 0.25)),
+            ..Plans::default()
+        };
+        let _ = Discovery::under(&gen::ring(8), Variant::AdHoc, &plans).run_all_rounds();
     }
 
     #[test]
@@ -1078,9 +1034,11 @@ mod tests {
         );
         let graph = parse_topology(&honest.topology).unwrap();
         let mut hardened = Discovery::with_config(&graph, Variant::Oblivious, Config::byzantine());
-        let (result, mut schedule) = hardened.run_recorded(RandomScheduler::seeded(42));
+        let mut recorder = RecordingScheduler::new(RandomScheduler::seeded(42));
+        let outcome = hardened.run_all(&mut recorder).unwrap();
+        let mut schedule = recorder.into_schedule();
+        schedule.set_meta("nodes", graph.len().to_string());
         honest.stamp(&mut schedule);
-        let outcome = result.unwrap();
         outcome
             .verdict()
             .expect("honest run must satisfy everything");

@@ -33,13 +33,13 @@ fn reverse_edge_reopens_done_nodes() {
     let mut sched = FifoScheduler::new();
 
     // Stage 1: wake only {0}; it conquers 1 and fully drains it.
-    d.wake_now(NodeId::new(0), &mut sched);
+    d.runner_mut().wake_now(NodeId::new(0), &mut sched);
     d.run(&mut sched).unwrap();
     let leader01 = d.leader_of(NodeId::new(0));
     assert_eq!(d.runner().node(leader01).done().len(), 2);
 
     // Stage 2: wake 2; its search passes through the drained node 1.
-    d.wake_now(NodeId::new(2), &mut sched);
+    d.runner_mut().wake_now(NodeId::new(2), &mut sched);
     d.run(&mut sched).unwrap();
     d.check_requirements(&graph).unwrap();
     let final_leader = d.leaders()[0];
@@ -225,7 +225,7 @@ fn probe_snapshots_grow_monotonically() {
     let mut sched = FifoScheduler::new();
     let mut last = 0;
     for v in (0..8).rev() {
-        d.wake_now(NodeId::new(v), &mut sched);
+        d.runner_mut().wake_now(NodeId::new(v), &mut sched);
         d.run(&mut sched).unwrap();
         let snap = d.probe_blocking(NodeId::new(7), &mut sched).unwrap();
         assert!(

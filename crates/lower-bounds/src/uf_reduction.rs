@@ -95,7 +95,7 @@ pub fn run_with_config(seq: &OpSequence, config: ard_core::Config) -> ReductionO
     let mut discovery = Discovery::with_config(&instance.graph, Variant::AdHoc, config);
     let mut sched = FifoScheduler::new();
     for (op, &node) in seq.ops().iter().zip(&instance.wake_order) {
-        discovery.wake_now(node, &mut sched);
+        discovery.runner_mut().wake_now(node, &mut sched);
         discovery
             .run(&mut sched)
             .expect("reduction stage livelocked");

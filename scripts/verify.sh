@@ -29,6 +29,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Under ARD_UPDATE_SNAPSHOTS the snapshot tests rewrite tests/snapshots/*
+# instead of comparing against them, so the gate would pass against what
+# it just wrote.
+if [[ -n "${ARD_UPDATE_SNAPSHOTS+set}" ]]; then
+    echo "verify: ARD_UPDATE_SNAPSHOTS is set; the snapshot tests would rewrite their pins instead of checking them" >&2
+    echo "verify: unset it (regenerate pins with the cargo test lines in docs/testing.md)" >&2
+    exit 1
+fi
+
 step() {
     local start=$SECONDS
     "$@"

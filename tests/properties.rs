@@ -190,8 +190,9 @@ proptest! {
         let topology = format!("random:n={n},extra={extra},seed={graph_seed}");
         let graph = gen::random_weakly_connected(n, extra, graph_seed);
         let mut d = Discovery::new(&graph, variant);
-        let (result, schedule) = d.run_recorded(sched.build());
-        result.expect("livelock");
+        let mut recorder = RecordingScheduler::new(sched.build());
+        d.run_all(&mut recorder).expect("livelock");
+        let schedule = recorder.into_schedule();
         let check = d.check_requirements(&graph).and_then(|()| {
             budgets::check_all(
                 d.runner().metrics(),
@@ -217,8 +218,9 @@ proptest! {
     ) {
         let graph = gen::random_multi_component(parts, per, per, seed);
         let mut d = Discovery::new(&graph, variant);
-        let (result, schedule) = d.run_recorded(sched.build());
-        result.expect("livelock");
+        let mut recorder = RecordingScheduler::new(sched.build());
+        d.run_all(&mut recorder).expect("livelock");
+        let schedule = recorder.into_schedule();
         let topology = format!("components:count={parts},per={per},extra={per},seed={seed}");
         if d.leaders().len() != parts {
             let reason = format!("{} leaders for {parts} components", d.leaders().len());
@@ -243,8 +245,7 @@ proptest! {
             edges.into_iter().map(|(u, v)| (u % n, v % n)).filter(|(u, v)| u != v),
         );
         let mut d = Discovery::new(&graph, variant);
-        let (result, _schedule) = d.run_recorded(sched.build());
-        result.expect("livelock");
+        d.run_all(sched.build().as_mut()).expect("livelock");
         d.check_requirements(&graph).map_err(TestCaseError::fail)?;
     }
 

@@ -8,7 +8,8 @@
 use asynchronous_resource_discovery::core::{Discovery, Variant};
 use asynchronous_resource_discovery::graph::gen;
 use asynchronous_resource_discovery::netsim::{
-    BoundedDelayScheduler, FifoScheduler, LifoScheduler, RandomScheduler, Schedule, Scheduler,
+    BoundedDelayScheduler, FifoScheduler, LifoScheduler, RandomScheduler, RecordingScheduler,
+    ReplayScheduler, Schedule, Scheduler,
 };
 
 fn family(n: usize) -> Vec<(&'static str, Box<dyn Scheduler>)> {
@@ -31,8 +32,11 @@ fn record_then_replay(n: usize, label: &str, sched: Box<dyn Scheduler>, variant:
     let graph = gen::random_weakly_connected(n, 2 * n, 17);
     let mut original = Discovery::new(&graph, variant);
     original.runner_mut().enable_trace();
-    let (result, schedule) = original.run_recorded(sched);
-    let recorded = result.unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
+    let mut recorder = RecordingScheduler::new(sched);
+    let recorded = original
+        .run_all(&mut recorder)
+        .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
+    let schedule = recorder.into_schedule();
     assert_eq!(
         schedule.len() as u64, recorded.steps,
         "{label} n={n}: one recorded choice per executed step"
@@ -45,7 +49,9 @@ fn record_then_replay(n: usize, label: &str, sched: Box<dyn Scheduler>, variant:
 
     let mut fresh = Discovery::new(&graph, variant);
     fresh.runner_mut().enable_trace();
-    let replayed = fresh.run_replay(&reparsed).unwrap();
+    let replayed = fresh
+        .run_all(&mut ReplayScheduler::strict(&reparsed))
+        .unwrap();
 
     assert_eq!(replayed.steps, recorded.steps, "{label} n={n}: steps");
     assert_eq!(replayed.leaders, recorded.leaders, "{label} n={n}: leaders");

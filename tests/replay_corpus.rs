@@ -36,8 +36,8 @@
 
 use std::path::PathBuf;
 
-use asynchronous_resource_discovery::core::spec::{parse_plans, parse_topology};
-use asynchronous_resource_discovery::core::{record, replay, Discovery, Plans, RunSpec, Variant};
+use asynchronous_resource_discovery::core::spec::parse_plans;
+use asynchronous_resource_discovery::core::{record, replay, Plans, RunSpec, Variant};
 use asynchronous_resource_discovery::netsim::explore::fixtures;
 use asynchronous_resource_discovery::netsim::{
     Choice, RandomScheduler, ReplayScheduler, Schedule, Scheduler,
@@ -470,13 +470,9 @@ fn regenerate_discovery_corpus() {
             variant,
             plans: Plans::default(),
         };
-        let graph = parse_topology(topology).unwrap();
-        let mut d = Discovery::new(&graph, spec.variant);
-        let (result, mut schedule) = d.run_recorded(sched);
+        // `record` holds the run to the requirements and the budgets.
+        let (result, mut schedule) = record(&spec, sched);
         let outcome = result.unwrap_or_else(|e| panic!("{file}: {e}"));
-        d.check_requirements(&graph)
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
-        spec.stamp(&mut schedule);
         schedule.set_meta("steps", outcome.steps.to_string());
         let path = corpus_dir().join(file);
         std::fs::write(&path, schedule.to_text()).unwrap();

@@ -91,7 +91,7 @@ fn staggered_wakeups_match_simultaneous() {
         let mut d = Discovery::new(&graph, variant);
         let mut sched = FifoScheduler::new();
         for v in 0..20 {
-            d.wake_now(NodeId::new(v), &mut sched);
+            d.runner_mut().wake_now(NodeId::new(v), &mut sched);
             d.run(&mut sched).expect("livelock");
         }
         d.check_requirements(&graph).unwrap();
@@ -106,7 +106,7 @@ fn sleeping_region_is_woken_by_messages() {
     for variant in VARIANTS {
         let mut d = Discovery::new(&graph, variant);
         let mut sched = FifoScheduler::new();
-        d.wake_now(NodeId::new(0), &mut sched);
+        d.runner_mut().wake_now(NodeId::new(0), &mut sched);
         d.run(&mut sched).expect("livelock");
         // Nodes with no inbound knowledge may stay asleep only if
         // unreachable; on a path from node 0 everyone is reachable.

@@ -10,7 +10,7 @@
 
 use asynchronous_resource_discovery::core::{Discovery, Variant};
 use asynchronous_resource_discovery::graph::gen;
-use asynchronous_resource_discovery::netsim::FifoScheduler;
+use asynchronous_resource_discovery::netsim::{FifoScheduler, RecordingScheduler, ReplayScheduler};
 
 use proptest::prelude::*;
 
@@ -75,14 +75,15 @@ fn round_loop_recording_matches_fifo_recording() {
     let graph = gen::random_weakly_connected(32, 64, 3);
 
     let mut fifo = Discovery::new(&graph, Variant::AdHoc);
-    let (want_result, want_schedule) = fifo.run_recorded(FifoScheduler::new());
-    let want = want_result.unwrap();
+    let mut recorder = RecordingScheduler::new(FifoScheduler::new());
+    let want = fifo.run_all(&mut recorder).unwrap();
+    let want_schedule = recorder.into_schedule();
 
     let mut rounds = Discovery::new(&graph, Variant::AdHoc);
-    let (got_result, got_schedule) = rounds.run_rounds_recorded();
-    let got = got_result.unwrap();
-    assert_eq!(got.steps, want.steps);
-    assert_eq!(got.metrics, want.metrics);
+    let budget = rounds.default_step_budget();
+    let (got_steps, got_schedule) = rounds.runner_mut().run_rounds_recorded(budget);
+    assert_eq!(got_steps.unwrap(), want.steps);
+    assert_eq!(*rounds.runner().metrics(), want.metrics);
     assert_eq!(got_schedule.to_text(), want_schedule.to_text());
 }
 
@@ -90,13 +91,16 @@ fn round_loop_recording_matches_fifo_recording() {
 fn replay_of_a_round_loop_recording_reproduces_the_run() {
     let graph = gen::random_weakly_connected(24, 48, 11);
     let mut rec = Discovery::new(&graph, Variant::Oblivious);
-    let (result, schedule) = rec.run_rounds_recorded();
-    let recorded = result.unwrap();
+    let budget = rec.default_step_budget();
+    let (result, schedule) = rec.runner_mut().run_rounds_recorded(budget);
+    let recorded_steps = result.unwrap();
 
     let mut rep = Discovery::new(&graph, Variant::Oblivious);
-    let replayed = rep.run_replay(&schedule).unwrap();
-    assert_eq!(replayed.steps, recorded.steps);
-    assert_eq!(replayed.metrics, recorded.metrics);
+    let replayed = rep
+        .run_all(&mut ReplayScheduler::strict(&schedule))
+        .unwrap();
+    assert_eq!(replayed.steps, recorded_steps);
+    assert_eq!(replayed.metrics, *rec.runner().metrics());
 }
 
 #[test]

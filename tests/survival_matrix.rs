@@ -103,8 +103,8 @@ fn run_cell(class: Option<&str>, f: usize, churn_rate: f64) -> [Survival; 3] {
         } else {
             Discovery::under(&graph, Variant::AdHoc, &plans)
         };
-        let (result, _) = discovery.run_recorded(RandomScheduler::seeded(500 + probe));
-        let outcome = result.unwrap_or_else(|e| {
+        let mut sched = plans.scheduler(RandomScheduler::seeded(500 + probe), N);
+        let outcome = discovery.run_all(&mut sched).unwrap_or_else(|e| {
             panic!("class={class:?} f={f} churn={churn_rate} probe={probe}: {e}")
         });
         let survivors = outcome
